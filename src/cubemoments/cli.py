@@ -115,16 +115,9 @@ def _cmd_spectrum(args) -> int:
         "zero_multiplicity": sp.zero_multiplicity(n),
     }
     if args.mode == "float":
-        numeric = [float(v) for v in sp.numeric_eigensolve(n, tol=args.tol)]
-        exact = []
-        for d in range(cb.d_max(n) + 1):
-            exact += [float(sp.lambda_closed(n, d))] * sp.multiplicity(n, d)
-        exact += [0.0] * sp.zero_multiplicity(n)
-        exact.sort(reverse=True)
+        numeric, _, worst = sp.numeric_agreement(n)
         payload["numeric"] = numeric
-        payload["max_relative_deviation"] = max(
-            abs(g - w) / max(abs(w), 1.0) for g, w in zip(numeric, exact)
-        )
+        payload["max_relative_deviation"] = worst
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -242,9 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="list exact eigenvalues")
     spectrum.add_argument("--n", type=int, required=True)
     spectrum.add_argument("--mode", choices=("exact", "float"), default="exact")
-    spectrum.add_argument(
-        "--tol", type=float, default=1e-12, help="float eigensolver tolerance"
-    )
     spectrum.add_argument("--out", default=None)
     spectrum.set_defaults(func=_cmd_spectrum)
 

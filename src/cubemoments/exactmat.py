@@ -1,13 +1,16 @@
 """Dense exact matrix helpers over rational scalars.
 
 Matrices are plain list-of-list rows holding ints or exact rationals; all
-arithmetic stays exact.  Elimination-based routines (rank, det, solves, the
-semidefiniteness pivot check) use ordinary Gaussian elimination, which is
-exact over a field, with pivoting chosen deterministically.
+arithmetic stays exact.  rank, det, solve_consistent and the Schur
+complement in schur.py share one Gaussian elimination kernel, eliminate,
+which divides by its pivots over Q and picks them deterministically (first
+nonzero entry of each column, from the top).  The semidefiniteness check
+psd_pivots runs its own sparse symmetric elimination with diagonal pivots.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul
 
 from .errors import InconsistentBlockError
@@ -16,10 +19,6 @@ from .scalars import Q, QZERO
 
 def identity(m: int) -> list:
     return [[Q(1) if i == j else QZERO for j in range(m)] for i in range(m)]
-
-
-def copy_matrix(a: list) -> list:
-    return [row[:] for row in a]
 
 
 def transpose(a: list) -> list:
@@ -51,67 +50,87 @@ def mat_eq(a: list, b: list) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def first_nonzero_entry(a: list):
-    """(i, j, value) of the first nonzero entry in row-major order, or None."""
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x != 0:
-                return (i, j, x)
-    return None
-
-
 def is_symmetric(a: list) -> bool:
     m = len(a)
     return all(a[i][j] == a[j][i] for i in range(m) for j in range(i + 1, m))
 
 
-def rank(a: list) -> int:
-    """Exact rank via row elimination; works for rectangular matrices."""
-    work = [[Q(x) for x in row] for row in a]
+def eliminate(
+    work: list, cols: int, pivot_rows: int = None, reduce_above: bool = False
+):
+    """Gaussian elimination of work's first cols columns, in place.
+
+    Columns go left to right; the pivot is the first nonzero entry from the
+    top among the unused rows of range(pivot_rows) (default: every row), and
+    it is swapped up to the next pivot position.  Each pivot clears its
+    column in the rows below it, including rows past pivot_rows, and in the
+    rows above it too when reduce_above is set.  Rows with a zero in the
+    pivot column are skipped; the others are updated from the pivot column
+    onward.  Returns (pivot columns, number of row swaps); the pivot of
+    pivot_cols[i] sits in work[i].
+    """
     rows = len(work)
-    cols = len(work[0]) if rows else 0
-    r = 0
+    width = len(work[0]) if rows else 0
+    if pivot_rows is None:
+        pivot_rows = rows
+    pivot_cols = []
+    swaps = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c] != 0), None)
+        r = len(pivot_cols)
+        if r == pivot_rows:
+            break
+        pivot_row = next((i for i in range(r, pivot_rows) if work[i][c] != 0), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        for i in range(r + 1, rows):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                wi, wr = work[i], work[r]
-                for j in range(c, cols):
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            swaps += 1
+        wr = work[r]
+        inv = 1 / wr[c]
+        targets = range(r + 1, rows)
+        if reduce_above:
+            targets = chain(range(r), targets)
+        for i in targets:
+            wi = work[i]
+            if wi[c] != 0:
+                f = wi[c] * inv
+                for j in range(c, width):
                     wi[j] = wi[j] - f * wr[j]
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivot_cols.append(c)
+    return pivot_cols, swaps
+
+
+def require_zero_tails(rows: list, start: int) -> None:
+    """Raise InconsistentBlockError unless the given rows, eliminated rows
+    left without a pivot, are zero from column start on."""
+    for row in rows:
+        bad = next((j for j, x in enumerate(row[start:]) if x != 0), None)
+        if bad is not None:
+            raise InconsistentBlockError(
+                f"right-hand side column {bad} is outside the column space"
+            )
+
+
+def _exact(a: list) -> list:
+    return [[Q(x) for x in row] for row in a]
+
+
+def rank(a: list) -> int:
+    """Exact rank via row elimination; works for rectangular matrices."""
+    return len(eliminate(_exact(a), len(a[0]) if a else 0)[0])
 
 
 def det(a: list):
     """Exact determinant via elimination with row swaps."""
     m = len(a)
-    work = [[Q(x) for x in row] for row in a]
-    sign = 1
+    work = _exact(a)
+    pivot_cols, swaps = eliminate(work, m)
+    if len(pivot_cols) < m:
+        return QZERO
     out = Q(1)
-    for c in range(m):
-        pivot_row = next((i for i in range(c, m) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return QZERO
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign = -sign
-        p = work[c][c]
-        out = out * p
-        inv = 1 / p
-        for i in range(c + 1, m):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                wi, wc = work[i], work[c]
-                for j in range(c, m):
-                    wi[j] = wi[j] - f * wc[j]
-    return sign * out
+    for i in range(m):
+        out = out * work[i][i]
+    return -out if swaps % 2 else out
 
 
 def solve_consistent(a: list, b: list) -> list:
@@ -126,30 +145,8 @@ def solve_consistent(a: list, b: list) -> list:
     cols = len(a[0]) if rows else 0
     width = len(b[0]) if rows else 0
     work = [[Q(x) for x in a[i]] + [Q(y) for y in b[i]] for i in range(rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c] * inv
-                wi, wr = work[i], work[r]
-                for j in range(c, cols + width):
-                    wi[j] = wi[j] - f * wr[j]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        bad = next((j for j in range(width) if work[i][cols + j] != 0), None)
-        if bad is not None:
-            raise InconsistentBlockError(
-                f"right-hand side column {bad} is outside the column space"
-            )
+    pivot_cols, _ = eliminate(work, cols, reduce_above=True)
+    require_zero_tails(work[len(pivot_cols):], cols)
     x = [[QZERO] * width for _ in range(cols)]
     for idx, c in enumerate(pivot_cols):
         inv = 1 / work[idx][c]

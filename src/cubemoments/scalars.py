@@ -15,14 +15,3 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
 
 QZERO = Q(0)
-QONE = Q(1)
-
-
-def scalar_to_string(value) -> str:
-    """Render an exact scalar (or int) as "p" or "p/q" in lowest terms."""
-    return str(Q(value))
-
-
-def scalar_from_string(text: str):
-    """Parse "p" or "p/q" back into an exact scalar."""
-    return Q(text.strip())

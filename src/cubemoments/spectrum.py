@@ -574,19 +574,16 @@ def gram_reconstruction_check(n: int) -> Report:
 # floating cross-check
 
 
-def numeric_eigensolve(n: int, tol: float = 1e-12) -> list:
+def numeric_eigensolve(n: int) -> list:
     """Floating eigenvalues of Y, sorted descending.
 
     The matrix is assembled per parity block (the blocks are exact direct
-    summands) and handed to a dense symmetric eigensolver.  tol must be a
-    positive convergence allowance; the backend converges to machine
-    precision, and failure to converge raises ConvergenceError.
+    summands) and handed to a dense symmetric eigensolver, which converges
+    to machine precision; failure to converge raises ConvergenceError.
     """
     cb.check_n(n, cap=NUMERIC_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
     a_table = np.array(
         [float(a_coeff(n, k)) for k in range(n + 1)], dtype=np.float64
     )
@@ -616,3 +613,17 @@ def numeric_eigensolve(n: int, tol: float = 1e-12) -> list:
         out.extend(float(v) for v in eigs)
     out.sort(reverse=True)
     return out
+
+
+def numeric_agreement(n: int):
+    """(got, want, worst): the float eigenvalues of Y, the closed-form
+    multiset as floats, both sorted descending, and the largest relative
+    deviation max |g - w| / max(|w|, 1) over the sorted pairs."""
+    got = numeric_eigensolve(n)
+    want = []
+    for d in range(cb.d_max(n) + 1):
+        want += [float(lambda_closed(n, d))] * multiplicity(n, d)
+    want += [0.0] * zero_multiplicity(n)
+    want.sort(reverse=True)
+    worst = max(abs(g - w) / max(abs(w), 1.0) for g, w in zip(got, want))
+    return got, want, worst

@@ -618,16 +618,8 @@ def _gram_reconstruction(ctx, rep):
 def _numeric_agreement(ctx, rep):
     """Float eigensolver agrees with the closed multiset to 1e-9 relative."""
     for n in _span(ctx, rep, 2, 12, "float eigensolve"):
-        got = sp.numeric_eigensolve(n)
-        want = []
-        for d in range(cb.d_max(n) + 1):
-            want += [float(sp.lambda_closed(n, d))] * sp.multiplicity(n, d)
-        want += [0.0] * sp.zero_multiplicity(n)
-        want.sort(reverse=True)
+        got, want, worst = sp.numeric_agreement(n)
         rep.expect(len(got) == len(want), f"eigenvalue count at n={n}")
-        worst = max(
-            abs(g - w) / max(abs(w), 1.0) for g, w in zip(got, want)
-        )
         rep.expect(
             worst <= 1e-9,
             f"numeric spectrum off by {worst:.3e} relative at n={n}",

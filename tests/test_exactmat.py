@@ -119,3 +119,34 @@ def test_charpoly_matches_det_shift_random():
             value = sum(c * Q(x) ** (4 - i) for i, c in enumerate(coeffs))
             shifted = [[(x if i == j else 0) - a[i][j] for j in range(4)] for i in range(4)]
             assert value == xm.det(shifted)
+
+
+def test_rank_empty_zero_and_rectangular():
+    assert xm.rank([]) == 0
+    assert xm.rank([[0, 0, 0], [0, 0, 0]]) == 0
+    tall = [[1, 2], [2, 4], [0, 1], [3, 7]]
+    assert xm.rank(tall) == 2
+    assert xm.rank([[1, 2], [2, 4], [3, 6], [0, 0]]) == 1
+    wide = [[0, 1, 2, 3], [0, 2, 4, 6]]
+    assert xm.rank(wide) == 1
+    assert xm.rank(xm.transpose(tall)) == 2
+
+
+def test_det_empty_and_permutations():
+    assert xm.det([]) == 1
+    # one swap: a transposition
+    assert xm.det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    # two swaps: a 3-cycle, pivot search takes row 1 then row 2
+    assert xm.det([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == 1
+    assert xm.det([[0, 0, 2], [3, 0, 0], [0, 5, 0]]) == 30
+
+
+def test_solve_consistent_overdetermined():
+    a = [[1, 0], [0, 1], [1, 1]]
+    x = xm.solve_consistent(a, [[1], [2], [3]])
+    assert x == [[Q(1)], [Q(2)]]
+    with pytest.raises(
+        InconsistentBlockError,
+        match="right-hand side column 1 is outside the column space",
+    ):
+        xm.solve_consistent(a, [[1, 1], [2, 2], [3, 4]])

@@ -60,6 +60,34 @@ def test_schur_complement_inconsistent():
         schur_complement(BlockedMatrix([[Q(0), Q(1)], [Q(1), Q(0)]], 1))
 
 
+def test_schur_complement_zero_head_row():
+    # symmetric, not PSD: the head row has no pivot and a zero tail
+    comp = schur_complement(BlockedMatrix([[Q(0), Q(0)], [Q(0), Q(5)]], 1))
+    assert comp == [[Q(5)]]
+
+
+def test_schur_complement_matches_solve_on_random_grams():
+    rng = SplitMix64(2718)
+    for trial in range(12):
+        ambient = 2 if trial % 3 == 0 else 4  # every third Gram is singular
+        vecs = [[Q(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(5)]
+        gram = _gram(vecs)
+        m = len(gram)
+        for h in range(m + 1):
+            lead = [row[:h] for row in gram[:h]]
+            cross = [row[h:] for row in gram[:h]]
+            x = xm.solve_consistent(lead, cross)
+            expected = [
+                [
+                    gram[h + i][h + j]
+                    - sum((cross[k][i] * x[k][j] for k in range(h)), QZERO)
+                    for j in range(m - h)
+                ]
+                for i in range(m - h)
+            ]
+            assert xm.mat_eq(schur_complement(BlockedMatrix(gram, h)), expected)
+
+
 def test_solution_choice_independence():
     # when the leading block is singular, solutions of A X = B differ by
     # kernel columns; those annihilate against B, so the complement is fixed
