@@ -11,22 +11,31 @@ bilinearly; it is positive definite on actual polynomials, and its kernel on
 formal multisets is exactly the ideal generated by sum_i <v_i, z>, which is
 what makes equals_zero a semantic zero test.
 
-The harmonic pieces: specht_basis(n, d) returns the column-difference
-products attached to standard two-row tableaux, a basis of the space
-annihilated by every squared frame derivative <v_k, d/dz>^2, and hS_span is
-the frame-side image of the isotypic projection h_S with the same
-closed-form coefficients as on the hypercube side.
+SpanPoly shares its arithmetic with the hypercube's MultilinearPoly
+(pseudomoments.SparsePoly).  frame_image sends a degree-d homogeneous
+multilinear polynomial to the frame by x^S -> prod_{i in S} <v_i, z>, and
+the harmonic pieces are such images: specht_basis(n, d) is the image of the
+column-difference products over standard two-row tableaux, a basis of the
+space annihilated by every squared frame derivative <v_k, d/dz>^2, and
+hS_span(n, S) is the image of the isotypic projection h_S.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 from . import combinatorics as cb
 from . import exactmat as xm
-from .pseudomoments import isotypic_coefficient, isotypic_dimension
+from .pseudomoments import (
+    MultilinearPoly,
+    SparsePoly,
+    isotypic_dimension,
+    isotypic_h,
+    specht_x_basis,
+)
 from .report import Report
-from .scalars import Q, QZERO
+from .scalars import Q, QZERO, require_exact
 
 PERMANENT_MAX_SIZE = 12
 JOHNSON_MAX_N = 12
@@ -40,10 +49,12 @@ def frame_gram_entry(n: int, i: int, j: int):
     return Q(1) if i == j else Q(-1, n - 1)
 
 
-class SpanPoly:
-    """Homogeneous form in the frame coordinates: sorted index tuple -> coeff."""
+class SpanPoly(SparsePoly):
+    """Homogeneous form in the frame coordinates: sorted index tuple -> coeff;
+    monomials multiply by merging their index multisets."""
 
-    __slots__ = ("n", "degree", "coeffs")
+    __slots__ = ("degree",)
+    _SHAPE = ("n", "degree")
 
     def __init__(self, n: int, degree: int, coeffs=None):
         if n < 2:
@@ -52,82 +63,36 @@ class SpanPoly:
             raise ValueError(f"degree must be nonnegative, got {degree}")
         self.n = n
         self.degree = degree
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                key = tuple(key)
-                if len(key) != degree or tuple(sorted(key)) != key:
-                    raise ValueError(f"monomial {key} is not a sorted degree-{degree} multiset")
-                if key and not (1 <= key[0] and key[-1] <= n):
-                    raise ValueError(f"monomial {key} uses indices outside [1, {n}]")
-                if c != 0:
-                    self.coeffs[key] = self.coeffs.get(key, QZERO) + c
-            self.coeffs = {k: c for k, c in self.coeffs.items() if c != 0}
+        super().__init__(coeffs)
 
-    def is_structurally_zero(self) -> bool:
-        return not self.coeffs
+    def _key(self, key):
+        key = tuple(key)
+        if len(key) != self.degree or tuple(sorted(key)) != key:
+            raise ValueError(f"monomial {key} is not a sorted degree-{self.degree} multiset")
+        if key and not (1 <= key[0] and key[-1] <= self.n):
+            raise ValueError(f"monomial {key} uses indices outside [1, {self.n}]")
+        return key
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpanPoly)
-            and (self.n, self.degree) == (other.n, other.degree)
-            and self.coeffs == other.coeffs
-        )
+    _term = staticmethod(lambda key: f"v{list(key)}")
 
-    def __add__(self, other: "SpanPoly") -> "SpanPoly":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, QZERO) + c
-        return SpanPoly(self.n, self.degree, out)
+    @staticmethod
+    def _relabel_key(perm, key):
+        return tuple(sorted(perm[i - 1] + 1 for i in key))
 
-    def __sub__(self, other: "SpanPoly") -> "SpanPoly":
-        return self + (-1) * other
-
-    def __neg__(self) -> "SpanPoly":
-        return (-1) * self
-
-    def scaled(self, c) -> "SpanPoly":
-        return SpanPoly(self.n, self.degree, {k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, SpanPoly):
-            if self.n != other.n:
-                raise ValueError("frame polynomials on different frames")
-            out = {}
-            for k1, c1 in self.coeffs.items():
-                for k2, c2 in other.coeffs.items():
-                    key = tuple(sorted(k1 + k2))
-                    out[key] = out.get(key, QZERO) + c1 * c2
-            return SpanPoly(self.n, self.degree + other.degree, out)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
-    def relabel(self, perm) -> "SpanPoly":
-        """Permute frame indices by a 0-based image tuple."""
-        return SpanPoly(
-            self.n,
-            self.degree,
-            {
-                tuple(sorted(perm[i - 1] + 1 for i in key)): c
-                for key, c in self.coeffs.items()
-            },
-        )
-
-    def _check(self, other: "SpanPoly") -> None:
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("frame polynomials of different frame or degree")
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{c}*v{list(k)}" for k, c in sorted(self.coeffs.items()))
-        return f"SpanPoly(n={self.n}, deg={self.degree}, {terms or '0'})"
+    def _product(self, other):
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                key = tuple(sorted(k1 + k2))
+                prev = out.get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+        return self._new(out, (self.n, self.degree + other.degree))
 
 
 def span_monomial(n: int, indices, coeff=1) -> SpanPoly:
     """Product of frame linear forms prod <v_i, z> over a multiset of indices."""
     key = tuple(sorted(indices))
-    return SpanPoly(n, len(key), {key: Q(coeff)})
+    return SpanPoly(n, len(key), {key: Q(require_exact(coeff))})
 
 
 def frame_sum(n: int) -> SpanPoly:
@@ -269,13 +234,8 @@ def apply_operator(q: SpanPoly, r: SpanPoly) -> SpanPoly:
     """q(d/dz) r via iterated frame derivatives, one monomial at a time."""
     if q.degree > r.degree:
         raise ValueError("operator degree exceeds target degree")
-    total = SpanPoly(r.n, r.degree - q.degree)
-    for key, c in q.coeffs.items():
-        term = r
-        for i in key:
-            term = derive(term, i)
-        total = total + term.scaled(c)
-    return total
+    terms = (reduce(derive, key, r).scaled(c) for key, c in q.coeffs.items())
+    return sum(terms, SpanPoly(r.n, r.degree - q.degree))
 
 
 def adjointness_check(p: SpanPoly, q: SpanPoly, r: SpanPoly) -> Report:
@@ -296,17 +256,25 @@ def adjointness_check(p: SpanPoly, q: SpanPoly, r: SpanPoly) -> Report:
 # harmonic spaces
 
 
+def frame_image(p: MultilinearPoly, d: int) -> SpanPoly:
+    """The frame image of a degree-d homogeneous multilinear polynomial,
+    x^S -> prod_{i in S} <v_i, z>.  It is linear, commutes with relabel and
+    is multiplicative on products of disjoint support (x_i^2 = 1 has no
+    frame counterpart); a term of any other size raises ValueError."""
+    if not isinstance(p, MultilinearPoly):
+        raise TypeError(f"frame_image maps a MultilinearPoly, got {type(p).__name__}")
+    out = {}
+    for mask, c in p.coeffs.items():
+        if mask.bit_count() != d:
+            raise ValueError(f"term x{cb.elements_of_mask(mask)} is not of degree {d}")
+        out[cb.elements_of_mask(mask)] = c
+    return SpanPoly(p.n, d, out)
+
+
 def specht_basis(n: int, d: int) -> list:
-    """Column-difference products for standard two-row tableaux, in tableau
-    order: a basis of the degree-d simplex-harmonic space."""
-    out = []
-    for tableau in cb.standard_two_row_tableaux(n, d):
-        poly = SpanPoly(n, 0, {(): Q(1)})
-        for top, bottom in cb.tableau_column_pairs(tableau):
-            factor = SpanPoly(n, 1, {(top,): Q(1), (bottom,): Q(-1)})
-            poly = poly * factor
-        out.append(poly)
-    return out
+    """Frame images of the column-difference products specht_x_basis(n, d),
+    in tableau order: a basis of the degree-d simplex-harmonic space."""
+    return [frame_image(w, d) for w in specht_x_basis(n, d)]
 
 
 def is_frame_harmonic(p: SpanPoly) -> bool:
@@ -321,16 +289,8 @@ def is_frame_harmonic(p: SpanPoly) -> bool:
 
 
 def hS_span(n: int, s_mask: int) -> SpanPoly:
-    """Frame-side isotypic projection of the monomial over S: the same
-    closed-form coefficients as the hypercube-side h_S."""
-    d = s_mask.bit_count()
-    if d > cb.d_max(n):
-        raise ValueError(f"|S| = {d} exceeds floor(n/2) = {cb.d_max(n)}")
-    coeffs = {}
-    for b in cb.subsets_of_size(n, d):
-        key = cb.elements_of_mask(b)
-        coeffs[key] = isotypic_coefficient(n, d, (b & s_mask).bit_count())
-    return SpanPoly(n, d, coeffs)
+    """Frame image of the isotypic projection h_S of the monomial over S."""
+    return frame_image(isotypic_h(n, s_mask), s_mask.bit_count())
 
 
 def sigma_sq(n: int, d: int):
@@ -399,10 +359,8 @@ def harmonic_projection_consistency(n: int, d: int) -> Report:
         mono = span_monomial(n, cb.elements_of_mask(s))
         rhs = [[apolar_ip(bi, mono)] for bi in basis]
         solution = xm.solve_consistent(gram, rhs)
-        projection = SpanPoly(n, d)
-        for coeff_row, bi in zip(solution, basis):
-            projection = projection + bi.scaled(coeff_row[0])
-        difference = projection - hS_span(n, s)
+        terms = (bi.scaled(row[0]) for row, bi in zip(solution, basis))
+        difference = sum(terms, SpanPoly(n, d)) - hS_span(n, s)
         report.expect(
             equals_zero(difference),
             f"projection mismatch at n={n}, S={cb.elements_of_mask(s)}",

@@ -7,11 +7,16 @@ a_0 = 1, i.e. of the constraint that sum x_i should act as zero.  The
 pseudomoment matrix Y is indexed by subsets S, T of [n] with
 |S|, |T| <= floor(n/2) and has entries Y[S,T] = a_|S symdiff T|.
 
-Multilinear polynomials live in the quotient by x_i^2 = 1, so monomials are
-subset masks and monomial products are symmetric differences.  h_S denotes
-the image of the monomial x^S under isotypic projection onto the two-row
-component of shape (n-d, d), d = |S|; its coefficients have a hypergeometric
-closed form cross-checked here against the group-averaging definition.
+Polynomials are sparse exact dicts sharing one base, SparsePoly.  Here
+MultilinearPoly lives in the quotient by x_i^2 = 1, so monomials are subset
+masks and monomial products are symmetric differences; apolar.SpanPoly is
+the frame-side kind.  h_S denotes the image of the monomial x^S under
+isotypic projection onto the two-row component of shape (n-d, d), d = |S|;
+its coefficients have a hypergeometric closed form cross-checked here
+against the group-averaging definition.  h_S and the Specht products
+specht_x_basis are the hypercube twins of the frame-side harmonics: the
+frame image x^S -> prod_{i in S} <v_i, z> (apolar.frame_image) carries
+them to hS_span and specht_basis.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from . import combinatorics as cb
 from . import exactmat as xm
 from .characters import char_class_function
 from .report import Report
-from .scalars import Q, QZERO
+from .scalars import Q, QZERO, require_exact
 
 BUILD_MAX_N = 16        # dense exact storage ceiling
 BALANCED_CLOSED_MAX_N = 20
@@ -130,87 +135,123 @@ def build_Y(n: int) -> PseudomomentMatrix:
 
 
 # ---------------------------------------------------------------------------
-# multilinear polynomials
+# sparse exact polynomials
 
 
-class MultilinearPoly:
-    """Multilinear polynomial on the hypercube: subset mask -> coefficient.
+class SparsePoly:
+    """Sparse exact polynomial: monomial key -> nonzero rational coefficient.
 
-    Multiplication reduces by x_i^2 = 1, so masks combine by xor."""
+    Construction merges like terms, drops zeros and refuses floats.  A
+    subclass names its _SHAPE (fields summands share; its leading constructor
+    arguments) and supplies _key (validate), _relabel_key, _term (repr) and
+    _product.  is_zero is structural; apolar.equals_zero is semantic."""
 
     __slots__ = ("n", "coeffs")
+    _SHAPE = ("n",)
 
-    def __init__(self, n: int, coeffs=None):
-        cb.check_n(n)
-        self.n = n
-        self.coeffs = {}
-        if coeffs:
-            limit = 1 << n
-            for mask, c in coeffs.items():
-                if not (0 <= mask < limit):
-                    raise ValueError(f"monomial mask {mask} outside subsets of [{n}]")
-                if c != 0:
-                    self.coeffs[mask] = self.coeffs.get(mask, QZERO) + c
-            self.coeffs = {m: c for m, c in self.coeffs.items() if c != 0}
+    def __init__(self, coeffs=None):
+        out = {}
+        for key, c in (coeffs or {}).items():
+            key = self._key(key)
+            if require_exact(c) != 0:
+                out[key] = out.get(key, QZERO) + c
+        self.coeffs = {k: c for k, c in out.items() if c != 0}
+
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SHAPE)
+
+    def _new(self, coeffs, shape=None):
+        """Same kind from trusted terms (valid keys, exact coefficients)."""
+        out = type(self)(*(shape or self._shape()))
+        out.coeffs = {k: c for k, c in coeffs.items() if c != 0}
+        return out
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultilinearPoly)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
+        same = type(other) is type(self) and self._shape() == other._shape()
+        return same and self.coeffs == other.coeffs
 
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        self._check(other)
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._shape() != other._shape():
+            raise ValueError(f"cannot add shapes {self._shape()} and {other._shape()}")
         out = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            out[mask] = out.get(mask, QZERO) + c
-        return MultilinearPoly(self.n, out)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, QZERO) + c
+        return self._new(out)
 
-    def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
+    def __sub__(self, other):
         return self + (-1) * other
 
-    def __neg__(self) -> "MultilinearPoly":
+    def __neg__(self):
         return (-1) * self
 
+    def scaled(self, c):
+        require_exact(c)
+        return self._new({k: c * v for k, v in self.coeffs.items()})
+
     def __mul__(self, other):
-        if isinstance(other, MultilinearPoly):
-            self._check(other)
-            out = {}
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    key = m1 ^ m2
-                    out[key] = out.get(key, QZERO) + c1 * c2
-            return MultilinearPoly(self.n, out)
-        return MultilinearPoly(self.n, {m: c * other for m, c in self.coeffs.items()})
+        """Product or scalar multiple; mixing kinds is a TypeError naming both."""
+        if type(other) is type(self):
+            if self.n != other.n:
+                raise ValueError(f"{type(self).__name__}s on n={self.n} and n={other.n}")
+            return self._product(other)
+        if isinstance(other, SparsePoly):
+            return NotImplemented
+        return self.scaled(other)
 
     __rmul__ = __mul__
+
+    def relabel(self, perm):
+        """Apply a permutation of the n coordinates (0-based image tuple)."""
+        return type(self)(
+            *self._shape(), {self._relabel_key(perm, k): c for k, c in self.coeffs.items()}
+        )
+
+    def __repr__(self) -> str:
+        shape = ", ".join(f"{name}={getattr(self, name)}" for name in self._SHAPE)
+        terms = ", ".join(f"{c}*{self._term(k)}" for k, c in sorted(self.coeffs.items()))
+        return f"{type(self).__name__}({shape}, {terms or '0'})"
+
+
+class MultilinearPoly(SparsePoly):
+    """Multilinear polynomial on the hypercube: subset mask -> coefficient.
+
+    Multiplication reduces by x_i^2 = 1, so masks combine by xor."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, coeffs=None):
+        cb.check_n(n)
+        self.n = n
+        super().__init__(coeffs)
+
+    def _key(self, mask):
+        if not (0 <= mask < 1 << self.n):
+            raise ValueError(f"monomial mask {mask} outside subsets of [{self.n}]")
+        return mask
+
+    _relabel_key = staticmethod(cb.perm_image_mask)
+    _term = staticmethod(lambda mask: f"x{cb.elements_of_mask(mask)}")
+
+    def _product(self, other):
+        out = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                key = m1 ^ m2
+                prev = out.get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+        return self._new(out)
 
     def degree(self) -> int:
         return max((m.bit_count() for m in self.coeffs), default=0)
 
-    def relabel(self, perm) -> "MultilinearPoly":
-        """Apply a permutation of the n coordinates (0-based image tuple)."""
-        return MultilinearPoly(
-            self.n, {cb.perm_image_mask(perm, m): c for m, c in self.coeffs.items()}
-        )
-
-    def _check(self, other: "MultilinearPoly") -> None:
-        if self.n != other.n:
-            raise ValueError("polynomials on different hypercubes")
-
-    def __repr__(self) -> str:
-        terms = ", ".join(
-            f"{c}*x{cb.elements_of_mask(m)}" for m, c in sorted(self.coeffs.items())
-        )
-        return f"MultilinearPoly(n={self.n}, {terms or '0'})"
-
 
 def x_monomial(n: int, mask: int, coeff=1) -> MultilinearPoly:
-    return MultilinearPoly(n, {mask: Q(coeff)})
+    return MultilinearPoly(n, {mask: Q(require_exact(coeff))})
 
 
 def x_sum(n: int) -> MultilinearPoly:
@@ -283,12 +324,11 @@ def isotypic_h(n: int, s_mask: int) -> MultilinearPoly:
     """Projection of x^S onto the two-row isotypic component of its degree,
     materialized from the closed-form coefficients."""
     d = s_mask.bit_count()
-    coeff_by_overlap = [isotypic_coefficient(n, d, v) for v in range(max(0, 2 * d - n), d + 1)]
     lo = max(0, 2 * d - n)
-    coeffs = {}
-    for b in cb.subsets_of_size(n, d):
-        coeffs[b] = coeff_by_overlap[(b & s_mask).bit_count() - lo]
-    return MultilinearPoly(n, coeffs)
+    by_overlap = [isotypic_coefficient(n, d, v) for v in range(lo, d + 1)]
+    return MultilinearPoly(
+        n, {b: by_overlap[(b & s_mask).bit_count() - lo] for b in cb.subsets_of_size(n, d)}
+    )
 
 
 def isotypic_h_bruteforce(n: int, s_mask: int) -> MultilinearPoly:
@@ -358,12 +398,9 @@ def specht_x_basis(n: int, d: int) -> list:
     corresponding irreducible inside the multilinear functions."""
     out = []
     for tableau in cb.standard_two_row_tableaux(n, d):
-        poly = MultilinearPoly(n, {0: Q(1)})
+        poly = x_monomial(n, 0)
         for top, bottom in cb.tableau_column_pairs(tableau):
-            factor = MultilinearPoly(
-                n, {1 << (top - 1): Q(1), 1 << (bottom - 1): Q(-1)}
-            )
-            poly = poly * factor
+            poly = poly * MultilinearPoly(n, {1 << (top - 1): Q(1), 1 << (bottom - 1): Q(-1)})
         out.append(poly)
     return out
 
@@ -382,17 +419,13 @@ def hypercube_decomposition_check(n: int) -> Report:
         f"dimension count at n={n}: {dim_total} != {2 ** n}",
     )
     all_masks = cb.enumerate_subsets(n, n)
-    position = {m: i for i, m in enumerate(all_masks)}
     sumx = x_sum(n)
     vectors = []
     for d in range(cb.d_max(n) + 1):
         for w in specht_x_basis(n, d):
             poly = w
             for _ in range(n - 2 * d + 1):
-                row = [QZERO] * (2 ** n)
-                for mask, c in poly.coeffs.items():
-                    row[position[mask]] = c
-                vectors.append(row)
+                vectors.append([poly.coeffs.get(m, QZERO) for m in all_masks])
                 poly = poly * sumx
     report.expect(
         len(vectors) == 2 ** n,

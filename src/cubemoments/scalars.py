@@ -9,9 +9,19 @@ with positive denominator, accept Q(p, q) and Q("p/q") constructors, and
 serialize via str() as "p" or "p/q".
 """
 
+import numbers
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
 
 QZERO = Q(0)
+
+
+def require_exact(c):
+    """c itself if it is an exact rational (int, Fraction, mpq); a float or
+    any other number raises TypeError."""
+    if not isinstance(c, (Q, numbers.Rational)):
+        raise TypeError(f"exact arithmetic needs rational scalars, got {type(c).__name__} {c!r}")
+    return c

@@ -49,7 +49,9 @@ from .pseudomoments import (
     PseudomomentMatrix,
     a_coeff,
     build_Y,
-    isotypic_coefficient,
+    isotypic_h,
+    pseudo_expect,
+    x_monomial,
 )
 from .report import Report
 from .scalars import Q, QZERO
@@ -342,7 +344,7 @@ class SpectrumReport:
         return self.report.ok
 
 
-def exact_spectrum_certificate(n: int, m_max: int = None) -> SpectrumReport:
+def exact_spectrum_certificate(n: int) -> SpectrumReport:
     """Annihilation, trace moments, rank, distinctness, and positivity in one
     pass, sharing the matrix powers between checks."""
     cb.check_n(n, cap=ANNIHILATION_MAX_N)
@@ -359,7 +361,7 @@ def exact_spectrum_certificate(n: int, m_max: int = None) -> SpectrumReport:
 
     powers = _ParityPowers(build_Y(n))
     ann = annihilation_check(n, powers=powers)
-    traces = trace_moment_check(n, m_max=m_max, powers=powers)
+    traces = trace_moment_check(n, powers=powers)
     report.absorb(ann)
     report.absorb(traces)
 
@@ -424,16 +426,9 @@ def E_xS_hT_closed(n: int, d_prime: int, d: int, ell: int):
 
 
 def contract_x_h(n: int, s_mask: int, t_mask: int):
-    """E[x^S h_T] by direct contraction of the isotypic coefficients against
-    the moment sequence; no size restriction on S."""
-    d = t_mask.bit_count()
-    if d > cb.d_max(n):
-        raise ValueError(f"|T| = {d} exceeds floor(n/2)")
-    total = QZERO
-    for b in cb.subsets_of_size(n, d):
-        coeff = isotypic_coefficient(n, d, (b & t_mask).bit_count())
-        total = total + coeff * a_coeff(n, (b ^ s_mask).bit_count())
-    return total
+    """E[x^S h_T] by direct contraction: the pseudoexpectation of the
+    product x^S h_T; no size restriction on S."""
+    return pseudo_expect(n, x_monomial(n, s_mask) * isotypic_h(n, t_mask))
 
 
 def eta_sq(n: int, d_prime: int, d: int):

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cubemoments
 import cubemoments.combinatorics as cb
 from cubemoments.cli import main
 from cubemoments.pseudomoments import build_Y
@@ -237,10 +240,14 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_module_invocation():
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(cubemoments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cubemoments.cli", "matrix", "--n", "2"],
         capture_output=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(b"row_set,col_set,value\n")
