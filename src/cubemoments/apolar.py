@@ -32,6 +32,7 @@ from .pseudomoments import (
     SparsePoly,
     isotypic_dimension,
     isotypic_h,
+    pseudo_expect,
     specht_x_basis,
 )
 from .report import Report
@@ -339,30 +340,148 @@ def johnson_slice_gram(n: int, d: int) -> list:
     return out
 
 
-def harmonic_projection_consistency(n: int, d: int) -> Report:
+def harmonic_projection_consistency(n: int) -> Report:
     """hS_span really is the apolar-orthogonal projection of the frame
-    monomial over S onto the harmonic space: solve the Specht Gram system
-    exactly and compare (n <= 8)."""
+    monomial over S onto the harmonic space: for every degree d <= n/2,
+    solve the Specht Gram system exactly and compare (n <= 8)."""
     cb.check_n(n, cap=PROJECTION_MAX_N)
-    if not (0 <= d <= cb.d_max(n)):
-        raise ValueError(f"need 0 <= d <= n/2, got n={n}, d={d}")
     report = Report()
-    basis = specht_basis(n, d)
-    dim = isotypic_dimension(n, d)
-    report.expect(len(basis) == dim, f"basis size {len(basis)} != {dim}")
-    gram = [[apolar_ip(bi, bj) for bj in basis] for bi in basis]
-    report.expect(
-        xm.rank(gram) == dim,
-        f"Specht Gram at n={n}, d={d} is singular",
-    )
-    for s in cb.subsets_of_size(n, d):
-        mono = span_monomial(n, cb.elements_of_mask(s))
-        rhs = [[apolar_ip(bi, mono)] for bi in basis]
-        solution = xm.solve_consistent(gram, rhs)
-        terms = (bi.scaled(row[0]) for row, bi in zip(solution, basis))
-        difference = sum(terms, SpanPoly(n, d)) - hS_span(n, s)
+    for d in range(cb.d_max(n) + 1):
+        basis = specht_basis(n, d)
+        dim = isotypic_dimension(n, d)
+        report.expect(len(basis) == dim, f"basis size {len(basis)} != {dim}")
+        gram = [[apolar_ip(bi, bj) for bj in basis] for bi in basis]
         report.expect(
-            equals_zero(difference),
-            f"projection mismatch at n={n}, S={cb.elements_of_mask(s)}",
+            xm.rank(gram) == dim,
+            f"Specht Gram at n={n}, d={d} is singular",
+        )
+        for s in cb.subsets_of_size(n, d):
+            mono = span_monomial(n, cb.elements_of_mask(s))
+            rhs = [[apolar_ip(bi, mono)] for bi in basis]
+            solution = xm.solve_consistent(gram, rhs)
+            terms = (bi.scaled(row[0]) for row, bi in zip(solution, basis))
+            difference = sum(terms, SpanPoly(n, d)) - hS_span(n, s)
+            report.expect(
+                equals_zero(difference),
+                f"projection mismatch at n={n}, S={cb.elements_of_mask(s)}",
+            )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# identity checks over one n
+
+
+def harmonicity_check(n: int) -> Report:
+    """Specht products and subset projections are frame harmonic."""
+    report = Report()
+    for d in range(1, cb.d_max(n) + 1):
+        for p in specht_basis(n, d):
+            report.expect(
+                is_frame_harmonic(p), f"Specht product not harmonic, n={n}, d={d}"
+            )
+        for mask in cb.subsets_of_size(n, d):
+            report.expect(
+                is_frame_harmonic(hS_span(n, mask)),
+                f"h_S span not harmonic at n={n}, S={mask:b}",
+            )
+    return report
+
+
+def specht_gram_check(n: int) -> Report:
+    """The Specht basis has C(n,d) - C(n,d-1) members and a nonsingular
+    apolar Gram matrix, for every 1 <= d <= n/2."""
+    report = Report()
+    for d in range(1, cb.d_max(n) + 1):
+        basis = specht_basis(n, d)
+        dim = cb.binomial(n, d) - cb.binomial(n, d - 1)
+        report.expect(len(basis) == dim, f"Specht count at n={n}, d={d}")
+        gram = [[apolar_ip(p, q) for q in basis] for p in basis]
+        report.expect(xm.rank(gram) == dim, f"singular Specht Gram at n={n}, d={d}")
+    return report
+
+
+def johnson_slice_check(n: int) -> Report:
+    """Slice Grams are PSD with spectrum floor n - 2d + 2."""
+    report = Report()
+    for d in range(1, cb.d_max(n) + 1):
+        g = johnson_slice_gram(n, d)
+        ok, witness = xm.psd_pivots(g)
+        report.expect(ok, f"slice Gram not PSD at n={n}, d={d}: {witness}")
+        floor = Q(n - 2 * d + 2)
+        shifted = [
+            [g[i][j] - (floor if i == j else 0) for j in range(len(g))]
+            for i in range(len(g))
+        ]
+        ok, witness = xm.psd_pivots(shifted)
+        report.expect(
+            ok, f"slice Gram below floor {floor} at n={n}, d={d}: {witness}"
+        )
+    return report
+
+
+def sigma_bridge_check(n: int) -> Report:
+    """sigma_d^2 <h_S, h_T> equals E[h_S h_T] for all same-size pairs, and
+    both sides vanish for pairs of different sizes, in either order and at
+    every overlap (one pair per orbit, by relabeling invariance)."""
+    report = Report()
+    dm = cb.d_max(n)
+    for d in range(dm + 1):
+        scale = sigma_sq(n, d)
+        masks = cb.subsets_of_size(n, d)
+        spans = {s: hS_span(n, s) for s in masks}
+        polys = {s: isotypic_h(n, s) for s in masks}
+        for s in masks:
+            for t in masks:
+                lhs = scale * apolar_ip(spans[s], spans[t])
+                rhs = pseudo_expect(n, polys[s] * polys[t])
+                report.expect(
+                    lhs == rhs,
+                    f"bridge fails at n={n}, S={s:b}, T={t:b}: {lhs} != {rhs}",
+                )
+    for d in range(dm + 1):
+        for e in range(dm + 1):
+            if d == e:
+                continue
+            for ov in range(max(0, d + e - n), min(d, e) + 1):
+                s = (1 << d) - 1
+                t = ((1 << ov) - 1) | (((1 << (e - ov)) - 1) << d)
+                cross = pseudo_expect(n, isotypic_h(n, s) * isotypic_h(n, t))
+                report.expect(
+                    cross == 0,
+                    f"E[h_S h_T] != 0 for |S|={d}, |T|={e}, overlap {ov}, n={n}",
+                )
+                report.expect(
+                    apolar_ip(hS_span(n, s), hS_span(n, t)) == 0,
+                    f"cross-degree pairing nonzero at n={n}, d={d}, e={e}, overlap {ov}",
+                )
+    return report
+
+
+def ideal_kernel_check(n: int) -> Report:
+    """Multiples of the frame sum are semantically zero."""
+    report = Report()
+    total = frame_sum(n)
+    for d in range(cb.d_max(n)):
+        for mask in cb.subsets_of_size(n, d):
+            p = total * span_monomial(n, cb.elements_of_mask(mask))
+            report.expect(
+                equals_zero(p),
+                f"(sum v_i) z^K not in the kernel at n={n}, K={mask:b}",
+            )
+    return report
+
+
+def beta_identity_check(n: int) -> Report:
+    """Alternating overlap sums collapse to (-1)^d (n/(n-1))^d / d!."""
+    report = Report()
+    for d in range(1, cb.d_max(n) + 1):
+        total = sum(
+            (-1) ** k * cb.binomial(d, k) * beta(n, d, k) for k in range(d + 1)
+        )
+        want = Q((-1) ** d * n**d, math.factorial(d) * (n - 1) ** d)
+        report.expect(
+            total == want,
+            f"alternating beta sum at n={n}, d={d}: {total} != {want}",
         )
     return report

@@ -145,6 +145,61 @@ def restricted_char_sum_bruteforce(n: int, d: int, a_mask: int, b_mask: int, k: 
     return Q(total, math.factorial(n))
 
 
+def dimension_identity_check(n: int) -> Report:
+    """chi_(n-d,d) at the identity equals C(n,d) - C(n,d-1)."""
+    report = Report()
+    ident = (1,) * n
+    for d in range(cb.d_max(n) + 1):
+        got = char_two_row(n, d, ident)
+        want = cb.binomial(n, d) - (cb.binomial(n, d - 1) if d else 0)
+        report.expect(got == want, f"dim chi at n={n}, d={d}: {got} != {want}")
+    return report
+
+
+def two_row_routes_check(n: int) -> Report:
+    """Fixed-subset-count route agrees with the generating-function route."""
+    report = Report()
+    for ct, _ in cb.conjugacy_classes(n):
+        for d in range(cb.d_max(n) + 1):
+            a = char_two_row(n, d, ct)
+            b = char_two_row_frobenius(n, d, ct)
+            report.expect(a == b, f"routes differ at n={n}, d={d}, type={ct}")
+    return report
+
+
+def orthonormality_check(n: int) -> Report:
+    """<chi_d, chi_e> = [d = e] for the two-row characters of S_n."""
+    report = Report()
+    chars = {d: char_class_function(n, d) for d in range(cb.d_max(n) + 1)}
+    for d, chi in chars.items():
+        for e in range(d, cb.d_max(n) + 1):
+            got = chi.inner(chars[e])
+            want = 1 if d == e else 0
+            report.expect(got == want, f"<chi_{d}, chi_{e}> = {got} at n={n}")
+    return report
+
+
+def restricted_sums_check(n: int) -> Report:
+    """Closed restricted character sums against full S_n enumeration, on
+    every supported (d, a, b, overlap, k)."""
+    report = Report()
+    for d in range(1, cb.d_max(n) + 1):
+        for a in range(d + 1):
+            for b in range(d + 1):
+                for ov in range(max(0, a + b - n), min(a, b) + 1):
+                    a_mask = (1 << a) - 1
+                    b_mask = ((1 << ov) - 1) | (((1 << (b - ov)) - 1) << a)
+                    for k in range(min(a, b) + 1):
+                        closed = restricted_char_sum_closed(n, d, a, b, ov, k)
+                        brute = restricted_char_sum_bruteforce(n, d, a_mask, b_mask, k)
+                        report.expect(
+                            closed == brute,
+                            f"restricted sum at n={n}, d={d}, a={a}, b={b}, "
+                            f"ov={ov}, k={k}: {closed} != {brute}",
+                        )
+    return report
+
+
 # ---------------------------------------------------------------------------
 # the f and g counting class functions
 
@@ -236,44 +291,59 @@ def g_to_f_expand(n: int, a: int, b: int, k: int, l: int) -> ClassFunction:
     return _class_function(n, value)
 
 
-def euler_transform_check(n: int, a: int) -> Report:
+def euler_transform_check(n: int) -> Report:
     """Binomial-transform identities tying the f statistics together.
 
-    With F_(a,j) = sum_k C(k,j) f_(a,k), checks on every cycle type that
-    F_(a,j) = sum_i C(n-2j+i, a-2j+i) f_(j,i) and that the alternating
-    inversion recovers f from F.
+    With F_(a,j) = sum_k C(k,j) f_(a,k), checks for every 0 <= a <= n and on
+    every cycle type that F_(a,j) = sum_i C(n-2j+i, a-2j+i) f_(j,i) and that
+    the alternating inversion recovers f from F.
     """
-    if not (0 <= a <= n):
-        raise ValueError(f"need 0 <= a <= n, got a={a}")
     report = Report()
-    fa = _f_counts(n, a)
-    fj_tables = {j: _f_counts(n, j) for j in range(a + 1)}
-    for ct, _ in cb.conjugacy_classes(n):
-        f_row = fa[ct]
-        big_f = [
-            sum(cb.binomial(k, j) * f_row[k] for k in range(a + 1))
-            for j in range(a + 1)
-        ]
-        for j in range(a + 1):
-            alt = 0
-            for i in range(j + 1):
-                if a - 2 * j + i < 0:
-                    continue
-                alt += cb.binomial(n - 2 * j + i, a - 2 * j + i) * fj_tables[j][ct][i]
-            report.expect(
-                big_f[j] == alt,
-                f"cumulative form mismatch at n={n}, a={a}, j={j}, type={ct}: "
-                f"{big_f[j]} != {alt}",
-            )
-        for k in range(a + 1):
-            recovered = sum(
-                (-1) ** (j + k) * cb.binomial(j, k) * big_f[j] for j in range(a + 1)
-            )
-            report.expect(
-                recovered == f_row[k],
-                f"inversion mismatch at n={n}, a={a}, k={k}, type={ct}: "
-                f"{recovered} != {f_row[k]}",
-            )
+    for a in range(n + 1):
+        fa = _f_counts(n, a)
+        fj_tables = {j: _f_counts(n, j) for j in range(a + 1)}
+        for ct, _ in cb.conjugacy_classes(n):
+            f_row = fa[ct]
+            big_f = [
+                sum(cb.binomial(k, j) * f_row[k] for k in range(a + 1))
+                for j in range(a + 1)
+            ]
+            for j in range(a + 1):
+                alt = 0
+                for i in range(j + 1):
+                    if a - 2 * j + i < 0:
+                        continue
+                    alt += cb.binomial(n - 2 * j + i, a - 2 * j + i) * fj_tables[j][ct][i]
+                report.expect(
+                    big_f[j] == alt,
+                    f"cumulative form mismatch at n={n}, a={a}, j={j}, type={ct}: "
+                    f"{big_f[j]} != {alt}",
+                )
+            for k in range(a + 1):
+                recovered = sum(
+                    (-1) ** (j + k) * cb.binomial(j, k) * big_f[j] for j in range(a + 1)
+                )
+                report.expect(
+                    recovered == f_row[k],
+                    f"inversion mismatch at n={n}, a={a}, k={k}, type={ct}: "
+                    f"{recovered} != {f_row[k]}",
+                )
+    return report
+
+
+def g_to_f_expansion_check(n: int) -> Report:
+    """g_to_f_expand against the enumerated g on every a <= b and overlaps."""
+    report = Report()
+    for a in range(n + 1):
+        for b in range(a, n + 1):
+            for k in range(a + 1):
+                for l in range(a + 1):
+                    expanded = g_to_f_expand(n, a, b, k, l).as_dict()
+                    direct = class_fn_g(n, a, b, k, l).as_dict()
+                    report.expect(
+                        expanded == direct,
+                        f"expansion differs at n={n}, a={a}, b={b}, k={k}, l={l}",
+                    )
     return report
 
 
@@ -298,3 +368,22 @@ def char_g_inner(n: int, d: int, a: int, b: int, k: int, l: int):
         return Q(0)
     sign = -1 if (k + l) % 2 else 1
     return Q(sign * cb.binomial(d, k) * cb.binomial(d, l) * cb.binomial(n - 2 * d, b - d))
+
+
+def char_inner_check(n: int) -> Report:
+    """Closed <g, chi> inner products against direct class sums."""
+    report = Report()
+    chars = {d: char_class_function(n, d) for d in range(1, cb.d_max(n) + 1)}
+    for d, chi in chars.items():
+        for a in range(d + 1):
+            for b in range(a, n + 1):
+                for k in range(a + 1):
+                    for l in range(a + 1):
+                        closed = char_g_inner(n, d, a, b, k, l)
+                        direct = class_fn_g(n, a, b, k, l).inner(chi)
+                        report.expect(
+                            closed == direct,
+                            f"<g, chi> at n={n}, d={d}, a={a}, b={b}, "
+                            f"k={k}, l={l}: {closed} != {direct}",
+                        )
+    return report

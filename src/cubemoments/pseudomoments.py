@@ -113,16 +113,6 @@ class PseudomomentMatrix:
     def entry(self, s_mask: int, t_mask: int):
         return self.rows[self.index[s_mask]][self.index[t_mask]]
 
-    def degree_offsets(self) -> list:
-        """[(d, start, stop)] row ranges of the degree blocks."""
-        out = []
-        start = 0
-        for d in range(self.d_max + 1):
-            count = cb.binomial(self.n, d)
-            out.append((d, start, start + count))
-            start += count
-        return out
-
 
 def build_Y(n: int) -> PseudomomentMatrix:
     """The pseudomoment matrix Y with Y[S,T] = a_|S symdiff T|."""
@@ -132,6 +122,31 @@ def build_Y(n: int) -> PseudomomentMatrix:
     a = _a_values(n)
     rows = [[a[(s ^ t).bit_count()] for t in subsets] for s in subsets]
     return PseudomomentMatrix(n, subsets, {s: i for i, s in enumerate(subsets)}, rows)
+
+
+def matrix_structure_check(n: int) -> Report:
+    """Symmetry, unit diagonal, moment first row, parity zeros of Y."""
+    report = Report()
+    y = build_Y(n)
+    report.expect(xm.is_symmetric(y.rows), f"Y not symmetric at n={n}")
+    report.expect(
+        all(y.rows[i][i] == 1 for i in range(y.size)),
+        f"non-unit diagonal at n={n}",
+    )
+    for s in y.subsets:
+        report.expect(
+            y.entry(0, s) == a_coeff(n, s.bit_count()),
+            f"first row of Y differs from the moment vector at n={n}, S={s:b}",
+        )
+    bad = sum(
+        1
+        for i, s in enumerate(y.subsets)
+        for j, t in enumerate(y.subsets)
+        if (s.bit_count() ^ t.bit_count()) & 1 and y.rows[i][j] != 0
+    )
+    report.expect(bad == 0, f"{bad} nonzero odd-parity entries at n={n}")
+    report.count()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +282,20 @@ def pseudo_expect(n: int, poly: MultilinearPoly):
     return sum((c * a[m.bit_count()] for m, c in poly.coeffs.items()), QZERO)
 
 
+def ideal_annihilation_check(n: int) -> Report:
+    """The pseudoexpectation kills (sum x_i) x^S for every |S| < n; the
+    full-set monomial sits outside the three-term recursion's range."""
+    report = Report()
+    xs = x_sum(n)
+    report.expect(pseudo_expect(n, xs * xs) == 0, f"E[(sum x)^2] != 0 at n={n}")
+    for mask in range(1 << n):
+        if mask.bit_count() == n:
+            continue
+        val = pseudo_expect(n, xs * x_monomial(n, mask))
+        report.expect(val == 0, f"E[(sum x) x^S] = {val} at n={n}, S={mask:b}")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # the balanced measure (even n): uniform on zero-sum sign vectors
 
@@ -298,6 +327,25 @@ def balanced_measure_moment_enum(n: int, mask: int):
         # x_i = -1 exactly on positions outside plus_mask
         total += -1 if (mask & ~plus_mask).bit_count() % 2 else 1
     return Q(total, cb.binomial(n, n // 2))
+
+
+def balanced_moments_check(n: int) -> Report:
+    """Closed balanced-measure moments against enumeration and the a_k
+    table, on the lowest and the highest k elements for every k (even n)."""
+    report = Report()
+    for k in range(n + 1):
+        low = (1 << k) - 1
+        for mask in dict.fromkeys((low, low << (n - k))):
+            closed = balanced_measure_moment(n, mask)
+            report.expect(
+                closed == balanced_measure_moment_enum(n, mask),
+                f"balanced moment enum differs at n={n}, S={mask:b}",
+            )
+            report.expect(
+                closed == a_coeff(n, k),
+                f"balanced moment is not a_k at n={n}, S={mask:b}",
+            )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +411,33 @@ def E_hS_squared_direct(n: int, d: int):
     return pseudo_expect(n, h * x_monomial(n, s_mask))
 
 
+def isotypic_projection_check(n: int) -> Report:
+    """Closed-form h_S against the group average, for every |S| <= n/2."""
+    report = Report()
+    for d in range(cb.d_max(n) + 1):
+        for mask in cb.subsets_of_size(n, d):
+            closed = isotypic_h(n, mask)
+            brute = isotypic_h_bruteforce(n, mask)
+            report.expect(
+                closed.coeffs == brute.coeffs,
+                f"h_S projection differs at n={n}, S={mask:b}",
+            )
+    return report
+
+
+def harmonic_norms_check(n: int) -> Report:
+    """E_hS_squared against the contraction E[h_S x^S], for every d."""
+    report = Report()
+    for d in range(cb.d_max(n) + 1):
+        closed = E_hS_squared(n, d)
+        direct = E_hS_squared_direct(n, d)
+        report.expect(
+            closed == direct,
+            f"E[h_S^2] routes differ at n={n}, d={d}: {closed} != {direct}",
+        )
+    return report
+
+
 # ---------------------------------------------------------------------------
 # finite differences of the even moment sequence
 
@@ -386,6 +461,20 @@ def finite_difference_a_direct(n: int, a: int, k: int):
     return sum(
         ((-1) ** j * cb.binomial(a, j)) * a_coeff(n, 2 * (k + j)) for j in range(a + 1)
     )
+
+
+def finite_difference_check(n: int) -> Report:
+    """finite_difference_a against the literal alternating sum."""
+    report = Report()
+    for a in range(n // 2 + 1):
+        for k in range(n // 2 - a + 1):
+            closed = finite_difference_a(n, a, k)
+            direct = finite_difference_a_direct(n, a, k)
+            report.expect(
+                closed == direct,
+                f"difference routes at n={n}, a={a}, k={k}: {closed} != {direct}",
+            )
+    return report
 
 
 # ---------------------------------------------------------------------------

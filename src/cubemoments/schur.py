@@ -69,6 +69,12 @@ def _gram(vectors) -> list:
     return [[_dot(u, v) for v in vectors] for u in vectors]
 
 
+def _require_trials(trials: int) -> None:
+    """A randomized check over no trials would compare nothing."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
+
+
 def gram_schur_property_check(seed: int, trials: int = 100, dims=(2, 2, 4)) -> Report:
     """The Schur complement of a Gram matrix equals the Gram matrix of the
     projected tail vectors, computed here as explicit rational vectors
@@ -79,6 +85,7 @@ def gram_schur_property_check(seed: int, trials: int = 100, dims=(2, 2, 4)) -> R
     leading vectors (complement = Gram of the b's), and tails inside the
     leading span (zero complement).
     """
+    _require_trials(trials)
     rng = SplitMix64(seed)
     lead_count, tail_count, ambient = dims
     report = Report()
@@ -142,6 +149,7 @@ def volume_identity_check(seed: int, trials: int = 50) -> Report:
     """det(M) = det(M11) * det(complement) for Gram instances, the
     generalized base-times-height formula; singular instances included
     (both sides collapse to zero)."""
+    _require_trials(trials)
     rng = SplitMix64(seed)
     report = Report()
     for trial in range(trials):
@@ -215,3 +223,20 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         if k < steps:
             current = schur_complement(BlockedMatrix(current, h))
     return blocks, report
+
+
+def iterated_elimination_check(n: int) -> Report:
+    """iterated_schur_on_Y(n) over every degree: its report, the degree-0
+    block [[1]], one block per degree, and block k of size C(n, k)."""
+    blocks, report = iterated_schur_on_Y(n)
+    report.expect(blocks[0] == [[Q(1)]], f"degree-0 block is not [[1]] at n={n}")
+    report.expect(
+        len(blocks) == cb.d_max(n) + 1,
+        f"{len(blocks)} blocks at n={n}, expected {cb.d_max(n) + 1}",
+    )
+    for k, block in enumerate(blocks):
+        report.expect(
+            len(block) == cb.binomial(n, k),
+            f"step {k} block size at n={n}: {len(block)}",
+        )
+    return report

@@ -389,6 +389,20 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
     )
 
 
+def exact_certificate_check(n: int) -> Report:
+    """exact_spectrum_certificate(n) as one report: its comparisons plus the
+    verdict of annihilation, trace moments, rank and positivity together."""
+    cert = exact_spectrum_certificate(n)
+    report = Report()
+    report.absorb(cert.report)
+    report.expect(
+        cert.ok,
+        f"certificate failed at n={n}: annihilation={cert.annihilation_ok}, "
+        f"traces={cert.traces_ok}, rank={cert.rank_ok}",
+    )
+    return report
+
+
 # ---------------------------------------------------------------------------
 # frame constants
 
@@ -495,23 +509,56 @@ def lambda_via_frames(n: int, d: int):
     return sigma_sq(n, d) * total
 
 
-@dataclass
-class FrameTable:
-    """All eta^2 and frame constants for one n, keyed (d', d) with d <= d';
-    odd-parity entries are zero."""
+def eta_routes_check(n: int) -> Report:
+    """Closed frame coefficients against the overlap summation."""
+    report = Report()
+    for dp in range(cb.d_max(n) + 1):
+        report.expect(
+            eta_sq(n, dp, 0) == a_coeff(n, dp) ** 2,
+            f"eta^2(d'={dp}, d=0) != a_d'^2 at n={n}",
+        )
+        for d in range(dp + 1):
+            closed = eta_sq(n, dp, d)
+            summed = eta_sq_summation(n, dp, d)
+            report.expect(
+                closed == summed,
+                f"eta^2 routes at n={n}, d'={dp}, d={d}: {closed} != {summed}",
+            )
+    return report
 
-    n: int
-    eta: dict
-    f: dict
 
-
-def build_frame_table(n: int) -> FrameTable:
-    eta, f = {}, {}
+def frame_decomposition_check(n: int) -> Report:
+    """Eigenvalues reassemble from the tight-frame coefficient table, and
+    the diagonal frame constant is (n/(n-1))^d / d!."""
+    report = Report()
     for d in range(cb.d_max(n) + 1):
-        for dp in range(d, cb.d_max(n) + 1):
-            eta[(dp, d)] = eta_sq(n, dp, d)
-            f[(dp, d)] = frame_const(n, dp, d)
-    return FrameTable(n=n, eta=eta, f=f)
+        via = lambda_via_frames(n, d)
+        closed = lambda_closed(n, d)
+        report.expect(via == closed, f"frame route at n={n}, d={d}: {via} != {closed}")
+        want = Q(n**d, math.factorial(d) * (n - 1) ** d)
+        report.expect(
+            frame_const(n, d, d) == want,
+            f"diagonal frame constant at n={n}, d={d}",
+        )
+    return report
+
+
+def moment_contractions_check(n: int) -> Report:
+    """Closed E[x^S h_T] against direct contraction."""
+    report = Report()
+    for dp in range(cb.d_max(n) + 1):
+        s_mask = (1 << dp) - 1  # the x monomial side has size d'
+        for d in range(dp + 1):
+            for ell in range(max(0, d + dp - n), d + 1):
+                t_mask = ((1 << ell) - 1) | (((1 << (d - ell)) - 1) << dp)
+                closed = E_xS_hT_closed(n, dp, d, ell)
+                direct = contract_x_h(n, s_mask, t_mask)
+                report.expect(
+                    closed == direct,
+                    f"contraction at n={n}, d'={dp}, d={d}, l={ell}: "
+                    f"{closed} != {direct}",
+                )
+    return report
 
 
 def gram_reconstruction_check(n: int) -> Report:
@@ -622,3 +669,16 @@ def numeric_agreement(n: int):
     want.sort(reverse=True)
     worst = max(abs(g - w) / max(abs(w), 1.0) for g, w in zip(got, want))
     return got, want, worst
+
+
+def numeric_agreement_check(n: int) -> Report:
+    """The float eigensolver agrees with the closed multiset to 1e-9
+    relative, eigenvalue by eigenvalue."""
+    report = Report()
+    got, want, worst = numeric_agreement(n)
+    report.expect(len(got) == len(want), f"eigenvalue count at n={n}")
+    report.expect(
+        worst <= 1e-9,
+        f"numeric spectrum off by {worst:.3e} relative at n={n}",
+    )
+    return report

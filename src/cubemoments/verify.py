@@ -1,11 +1,15 @@
 """Named verification checks bundled into suites.
 
-Every cross-route identity the package proves is registered here exactly
-once, under a stable dotted name (suite.check).  run_verify executes the
-selected suites over an n range, clamping each check to its own guard:
-values of n beyond a guard are simply not covered, and a check whose guard
-excludes the whole requested range reports "skipped" with the reason rather
-than failing.  Overall success is the conjunction of the non-skipped checks.
+Each cross-route identity is implemented once, as a function
+<identity>_check(n) -> Report in the module that owns its routes; the
+acceptance tests call the same functions.  This module holds only their
+stable dotted names (suite.check), the n range each may cover and the
+guard that bounds it, plus the few checks that are not one call per n.
+run_verify executes the selected suites over an n range, clamping each
+check to its own guard: values of n beyond a guard are simply not covered,
+and a check whose guard excludes the whole requested range reports
+"skipped" with the reason rather than failing.  Overall success is the
+conjunction of the non-skipped checks.
 
 Randomized checks draw from a SplitMix64 seeded per check, so reports are
 reproducible and independent of execution order; results are sorted by
@@ -14,21 +18,19 @@ check name before they are returned.
 
 from __future__ import annotations
 
-import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from . import apolar as ap
 from . import characters as ch
 from . import combinatorics as cb
-from . import exactmat as xm
 from . import pseudomoments as pm
 from . import schur as su
 from . import spectrum as sp
 from .report import Report
 from .rng import SplitMix64
-from .scalars import Q
 
 DEFAULT_SEED = 42
 
@@ -122,7 +124,71 @@ def _span(ctx: VerifyContext, rep: Report, lo: int, hi: int, guard: str) -> rang
     return range(start, stop + 1)
 
 
-_CHECKS: list = []
+# Checks of one identity per n, as (name, lo, hi, guard, check): check(n)
+# returns a Report, and run_verify calls it for every requested n in
+# [lo, hi]; guard names what the bound protects against.
+_PER_N = [
+    ("characters.dimension_identity", 2, 20, "character table", ch.dimension_identity_check),
+    ("characters.two_row_routes", 2, 10, "class enumeration", ch.two_row_routes_check),
+    ("characters.orthonormality", 2, 8, "class-function inner product",
+     ch.orthonormality_check),
+    ("characters.restricted_sums", 2, 7, "S_n sweep", ch.restricted_sums_check),
+    ("appendix.g_to_f_expansion", 2, 6, "subset-pair enumeration",
+     ch.g_to_f_expansion_check),
+    ("appendix.euler_transform", 2, 6, "subset enumeration", ch.euler_transform_check),
+    ("appendix.char_inner", 2, 6, "subset-pair enumeration", ch.char_inner_check),
+    ("pseudomoments.moment_recursion", 2, 30, "moment recursion", pm.a_recursion_check),
+    ("pseudomoments.matrix_structure", 2, 10, "dense matrix scan",
+     pm.matrix_structure_check),
+    ("pseudomoments.ideal_annihilation", 2, 10, "monomial sweep",
+     pm.ideal_annihilation_check),
+    ("pseudomoments.isotypic_projection", 2, 6, "S_n average",
+     pm.isotypic_projection_check),
+    ("pseudomoments.harmonic_norms", 2, 12, "contraction sweep",
+     pm.harmonic_norms_check),
+    ("pseudomoments.finite_difference", 2, 12, "alternating sum",
+     pm.finite_difference_check),
+    ("pseudomoments.hypercube_decomposition", 2, 8, "exact rank",
+     pm.hypercube_decomposition_check),
+    ("apolar.harmonicity", 2, 7, "harmonicity sweep", ap.harmonicity_check),
+    ("apolar.specht_gram", 2, 7, "Gram rank", ap.specht_gram_check),
+    ("apolar.projection_consistency", 2, 7, "projection solve",
+     ap.harmonic_projection_consistency),
+    ("apolar.johnson_slice", 2, 10, "slice Gram", ap.johnson_slice_check),
+    ("apolar.sigma_bridge", 2, 7, "pairwise bridge", ap.sigma_bridge_check),
+    ("apolar.ideal_kernel", 2, 7, "kernel sweep", ap.ideal_kernel_check),
+    ("apolar.beta_identity", 2, 10, "pairing table", ap.beta_identity_check),
+    ("spectrum.eta_routes", 2, 10, "overlap summation", sp.eta_routes_check),
+    ("spectrum.frame_decomposition", 2, 12, "frame table",
+     sp.frame_decomposition_check),
+    ("spectrum.exact_certificate", 2, 9, "exact matrix-power budget",
+     sp.exact_certificate_check),
+    ("spectrum.moment_contractions", 2, 8, "contraction sweep",
+     sp.moment_contractions_check),
+    ("spectrum.gram_reconstruction", 2, sp.RECONSTRUCTION_MAX_N, "Gram reconstruction",
+     sp.gram_reconstruction_check),
+    ("spectrum.numeric_agreement", 2, 12, "float eigensolve",
+     sp.numeric_agreement_check),
+    ("schur.iterated_elimination", 2, su.ITERATED_MAX_N, "iterated elimination",
+     su.iterated_elimination_check),
+]
+
+
+def _per_n(lo: int, hi: int, guard: str, check):
+    module, attr = sys.modules[check.__module__], check.__name__
+
+    def run(ctx, rep):
+        for n in _span(ctx, rep, lo, hi, guard):
+            # looked up per call, so a rebound module attribute is what runs
+            rep.absorb(getattr(module, attr)(n))
+
+    return run
+
+
+# (name, fn(ctx, rep)); a module-level list that tools may rewrite in place
+_CHECKS: list = [
+    (name, _per_n(lo, hi, guard, check)) for name, lo, hi, guard, check in _PER_N
+]
 
 
 def _check(name: str):
@@ -131,188 +197,6 @@ def _check(name: str):
         return fn
 
     return registrar
-
-
-# ---------------------------------------------------------------------------
-# characters
-
-
-@_check("characters.dimension_identity")
-def _dimension_identity(ctx, rep):
-    """chi_(n-d,d) at the identity equals C(n,d) - C(n,d-1)."""
-    for n in _span(ctx, rep, 2, 20, "character table"):
-        ident = (1,) * n
-        for d in range(cb.d_max(n) + 1):
-            got = ch.char_two_row(n, d, ident)
-            want = cb.binomial(n, d) - (cb.binomial(n, d - 1) if d else 0)
-            rep.expect(got == want, f"dim chi at n={n}, d={d}: {got} != {want}")
-
-
-@_check("characters.two_row_routes")
-def _two_row_routes(ctx, rep):
-    """Fixed-subset-count route agrees with the generating-function route."""
-    for n in _span(ctx, rep, 2, 10, "class enumeration"):
-        for ct, _ in cb.conjugacy_classes(n):
-            for d in range(cb.d_max(n) + 1):
-                a = ch.char_two_row(n, d, ct)
-                b = ch.char_two_row_frobenius(n, d, ct)
-                rep.expect(a == b, f"routes differ at n={n}, d={d}, type={ct}")
-
-
-@_check("characters.orthonormality")
-def _orthonormality(ctx, rep):
-    for n in _span(ctx, rep, 2, 8, "class-function inner product"):
-        chars = {d: ch.char_class_function(n, d) for d in range(cb.d_max(n) + 1)}
-        for d, chi in chars.items():
-            for e in range(d, cb.d_max(n) + 1):
-                got = chi.inner(chars[e])
-                want = 1 if d == e else 0
-                rep.expect(
-                    got == want, f"<chi_{d}, chi_{e}> = {got} at n={n}"
-                )
-
-
-@_check("characters.restricted_sums")
-def _restricted_sums(ctx, rep):
-    """Closed restricted character sums against full S_n enumeration."""
-    for n in _span(ctx, rep, 2, 7, "S_n sweep"):
-        for d in range(1, cb.d_max(n) + 1):
-            for a in range(d + 1):
-                for b in range(d + 1):
-                    for ov in range(max(0, a + b - n), min(a, b) + 1):
-                        a_mask = (1 << a) - 1
-                        b_mask = ((1 << ov) - 1) | (((1 << (b - ov)) - 1) << a)
-                        for k in range(min(a, b) + 1):
-                            closed = ch.restricted_char_sum_closed(n, d, a, b, ov, k)
-                            brute = ch.restricted_char_sum_bruteforce(
-                                n, d, a_mask, b_mask, k
-                            )
-                            rep.expect(
-                                closed == brute,
-                                f"restricted sum at n={n}, d={d}, a={a}, b={b}, "
-                                f"ov={ov}, k={k}: {closed} != {brute}",
-                            )
-
-
-# ---------------------------------------------------------------------------
-# appendix: subset-pair statistics f and g
-
-
-@_check("appendix.g_to_f_expansion")
-def _g_to_f_expansion(ctx, rep):
-    for n in _span(ctx, rep, 2, 6, "subset-pair enumeration"):
-        for a in range(n + 1):
-            for b in range(a, n + 1):
-                for k in range(a + 1):
-                    for l in range(a + 1):
-                        expanded = ch.g_to_f_expand(n, a, b, k, l).as_dict()
-                        direct = ch.class_fn_g(n, a, b, k, l).as_dict()
-                        rep.expect(
-                            expanded == direct,
-                            f"expansion differs at n={n}, a={a}, b={b}, k={k}, l={l}",
-                        )
-
-
-@_check("appendix.euler_transform")
-def _euler_transform(ctx, rep):
-    for n in _span(ctx, rep, 2, 6, "subset enumeration"):
-        for a in range(n + 1):
-            rep.absorb(ch.euler_transform_check(n, a))
-
-
-@_check("appendix.char_inner")
-def _char_inner(ctx, rep):
-    """Closed <g, chi> inner products against direct class sums."""
-    for n in _span(ctx, rep, 2, 6, "subset-pair enumeration"):
-        chars = {d: ch.char_class_function(n, d) for d in range(1, cb.d_max(n) + 1)}
-        for d, chi in chars.items():
-            for a in range(d + 1):
-                for b in range(a, n + 1):
-                    for k in range(a + 1):
-                        for l in range(a + 1):
-                            closed = ch.char_g_inner(n, d, a, b, k, l)
-                            direct = ch.class_fn_g(n, a, b, k, l).inner(chi)
-                            rep.expect(
-                                closed == direct,
-                                f"<g, chi> at n={n}, d={d}, a={a}, b={b}, "
-                                f"k={k}, l={l}: {closed} != {direct}",
-                            )
-
-
-# ---------------------------------------------------------------------------
-# pseudomoments
-
-
-@_check("pseudomoments.moment_recursion")
-def _moment_recursion(ctx, rep):
-    for n in _span(ctx, rep, 2, 30, "moment recursion"):
-        rep.absorb(pm.a_recursion_check(n))
-
-
-@_check("pseudomoments.matrix_structure")
-def _matrix_structure(ctx, rep):
-    """Symmetry, unit diagonal, moment first row, parity zeros of Y."""
-    for n in _span(ctx, rep, 2, 10, "dense matrix scan"):
-        y = pm.build_Y(n)
-        rep.expect(xm.is_symmetric(y.rows), f"Y not symmetric at n={n}")
-        rep.expect(
-            all(y.rows[i][i] == 1 for i in range(y.size)),
-            f"non-unit diagonal at n={n}",
-        )
-        for s in y.subsets:
-            rep.expect(
-                y.entry(0, s) == pm.a_coeff(n, s.bit_count()),
-                f"first row of Y differs from the moment vector at n={n}, S={s:b}",
-            )
-        bad = sum(
-            1
-            for i, s in enumerate(y.subsets)
-            for j, t in enumerate(y.subsets)
-            if (s.bit_count() ^ t.bit_count()) & 1 and y.rows[i][j] != 0
-        )
-        rep.expect(bad == 0, f"{bad} nonzero odd-parity entries at n={n}")
-        rep.count()
-
-
-@_check("pseudomoments.ideal_annihilation")
-def _ideal_annihilation(ctx, rep):
-    """The pseudoexpectation kills (sum x_i) x^S for every |S| < n; the
-    full-set monomial sits outside the three-term recursion's range."""
-    for n in _span(ctx, rep, 2, 10, "monomial sweep"):
-        xs = pm.x_sum(n)
-        rep.expect(
-            pm.pseudo_expect(n, xs * xs) == 0, f"E[(sum x)^2] != 0 at n={n}"
-        )
-        for mask in range(1 << n):
-            if mask.bit_count() == n:
-                continue
-            val = pm.pseudo_expect(n, xs * pm.x_monomial(n, mask))
-            rep.expect(val == 0, f"E[(sum x) x^S] = {val} at n={n}, S={mask:b}")
-
-
-@_check("pseudomoments.isotypic_projection")
-def _isotypic_projection(ctx, rep):
-    for n in _span(ctx, rep, 2, 6, "S_n average"):
-        for d in range(cb.d_max(n) + 1):
-            for mask in cb.subsets_of_size(n, d):
-                closed = pm.isotypic_h(n, mask)
-                brute = pm.isotypic_h_bruteforce(n, mask)
-                rep.expect(
-                    closed.coeffs == brute.coeffs,
-                    f"h_S projection differs at n={n}, S={mask:b}",
-                )
-
-
-@_check("pseudomoments.harmonic_norms")
-def _harmonic_norms(ctx, rep):
-    for n in _span(ctx, rep, 2, 12, "contraction sweep"):
-        for d in range(cb.d_max(n) + 1):
-            closed = pm.E_hS_squared(n, d)
-            direct = pm.E_hS_squared_direct(n, d)
-            rep.expect(
-                closed == direct,
-                f"E[h_S^2] routes differ at n={n}, d={d}: {closed} != {direct}",
-            )
 
 
 @_check("pseudomoments.balanced_moments")
@@ -325,143 +209,7 @@ def _balanced_moments(ctx, rep):
             f"[{ctx.n_min}, {ctx.n_max}]"
         )
     for n in ns:
-        for k in range(n + 1):
-            mask = (1 << k) - 1
-            closed = pm.balanced_measure_moment(n, mask)
-            rep.expect(
-                closed == pm.balanced_measure_moment_enum(n, mask),
-                f"balanced moment enum differs at n={n}, k={k}",
-            )
-            rep.expect(
-                closed == pm.a_coeff(n, k),
-                f"balanced moment is not a_k at n={n}, k={k}",
-            )
-
-
-@_check("pseudomoments.finite_difference")
-def _finite_difference(ctx, rep):
-    for n in _span(ctx, rep, 2, 12, "alternating sum"):
-        for a in range(n // 2 + 1):
-            for k in range(n // 2 - a + 1):
-                closed = pm.finite_difference_a(n, a, k)
-                direct = pm.finite_difference_a_direct(n, a, k)
-                rep.expect(
-                    closed == direct,
-                    f"difference routes at n={n}, a={a}, k={k}: "
-                    f"{closed} != {direct}",
-                )
-
-
-@_check("pseudomoments.hypercube_decomposition")
-def _hypercube_decomposition(ctx, rep):
-    for n in _span(ctx, rep, 2, 8, "exact rank"):
-        rep.absorb(pm.hypercube_decomposition_check(n))
-
-
-# ---------------------------------------------------------------------------
-# apolar
-
-
-@_check("apolar.harmonicity")
-def _harmonicity(ctx, rep):
-    """Specht products and subset projections are frame harmonic."""
-    for n in _span(ctx, rep, 2, 7, "harmonicity sweep"):
-        for d in range(1, cb.d_max(n) + 1):
-            for p in ap.specht_basis(n, d):
-                rep.expect(
-                    ap.is_frame_harmonic(p), f"Specht product not harmonic, n={n}, d={d}"
-                )
-            for mask in cb.subsets_of_size(n, d):
-                rep.expect(
-                    ap.is_frame_harmonic(ap.hS_span(n, mask)),
-                    f"h_S span not harmonic at n={n}, S={mask:b}",
-                )
-
-
-@_check("apolar.specht_gram")
-def _specht_gram(ctx, rep):
-    for n in _span(ctx, rep, 2, 7, "Gram rank"):
-        for d in range(1, cb.d_max(n) + 1):
-            basis = ap.specht_basis(n, d)
-            dim = cb.binomial(n, d) - cb.binomial(n, d - 1)
-            rep.expect(len(basis) == dim, f"Specht count at n={n}, d={d}")
-            gram = [[ap.apolar_ip(p, q) for q in basis] for p in basis]
-            rep.expect(
-                xm.rank(gram) == dim,
-                f"singular Specht Gram at n={n}, d={d}",
-            )
-
-
-@_check("apolar.projection_consistency")
-def _projection_consistency(ctx, rep):
-    for n in _span(ctx, rep, 2, 7, "projection solve"):
-        for d in range(cb.d_max(n) + 1):
-            rep.absorb(ap.harmonic_projection_consistency(n, d))
-
-
-@_check("apolar.johnson_slice")
-def _johnson_slice(ctx, rep):
-    """Slice Grams are PSD with spectrum floor n - 2d + 2."""
-    for n in _span(ctx, rep, 2, 10, "slice Gram"):
-        for d in range(1, cb.d_max(n) + 1):
-            g = ap.johnson_slice_gram(n, d)
-            ok, witness = xm.psd_pivots(g)
-            rep.expect(ok, f"slice Gram not PSD at n={n}, d={d}: {witness}")
-            floor = Q(n - 2 * d + 2)
-            shifted = [
-                [g[i][j] - (floor if i == j else 0) for j in range(len(g))]
-                for i in range(len(g))
-            ]
-            ok, witness = xm.psd_pivots(shifted)
-            rep.expect(
-                ok, f"slice Gram below floor {floor} at n={n}, d={d}: {witness}"
-            )
-
-
-@_check("apolar.sigma_bridge")
-def _sigma_bridge(ctx, rep):
-    """sigma_d^2 <h_S, h_T> equals E[h_S h_T] for all same-size pairs,
-    and both sides vanish for pairs of different sizes."""
-    for n in _span(ctx, rep, 2, 7, "pairwise bridge"):
-        dm = cb.d_max(n)
-        for d in range(dm + 1):
-            scale = ap.sigma_sq(n, d)
-            masks = cb.subsets_of_size(n, d)
-            spans = {s: ap.hS_span(n, s) for s in masks}
-            polys = {s: pm.isotypic_h(n, s) for s in masks}
-            for s in masks:
-                for t in masks:
-                    lhs = scale * ap.apolar_ip(spans[s], spans[t])
-                    rhs = pm.pseudo_expect(n, polys[s] * polys[t])
-                    rep.expect(
-                        lhs == rhs,
-                        f"bridge fails at n={n}, S={s:b}, T={t:b}: {lhs} != {rhs}",
-                    )
-        for d in range(dm + 1):
-            for e in range(d + 1, dm + 1):
-                s, t = (1 << d) - 1, (1 << e) - 1
-                cross = pm.pseudo_expect(
-                    n, pm.isotypic_h(n, s) * pm.isotypic_h(n, t)
-                )
-                rep.expect(cross == 0, f"E[h_S h_T] != 0 for |S|={d}, |T|={e}, n={n}")
-                rep.expect(
-                    ap.apolar_ip(ap.hS_span(n, s), ap.hS_span(n, t)) == 0,
-                    f"cross-degree pairing nonzero at n={n}, d={d}, e={e}",
-                )
-
-
-@_check("apolar.ideal_kernel")
-def _ideal_kernel(ctx, rep):
-    """Multiples of the frame sum are semantically zero."""
-    for n in _span(ctx, rep, 2, 7, "kernel sweep"):
-        total = ap.frame_sum(n)
-        for d in range(cb.d_max(n)):
-            for mask in cb.subsets_of_size(n, d):
-                p = total * ap.span_monomial(n, cb.elements_of_mask(mask))
-                rep.expect(
-                    ap.equals_zero(p),
-                    f"(sum v_i) z^K not in the kernel at n={n}, K={mask:b}",
-                )
+        rep.absorb(pm.balanced_moments_check(n))
 
 
 @_check("apolar.adjointness")
@@ -486,25 +234,6 @@ def _adjointness(ctx, rep):
                     random_span(n, a), random_span(n, b), random_span(n, a + b)
                 )
             )
-
-
-@_check("apolar.beta_identity")
-def _beta_identity(ctx, rep):
-    """Alternating overlap sums collapse to (-1)^d (n/(n-1))^d / d!."""
-    for n in _span(ctx, rep, 2, 10, "pairing table"):
-        for d in range(1, cb.d_max(n) + 1):
-            total = sum(
-                (-1) ** k * cb.binomial(d, k) * ap.beta(n, d, k) for k in range(d + 1)
-            )
-            want = Q((-1) ** d * n**d, math.factorial(d) * (n - 1) ** d)
-            rep.expect(
-                total == want,
-                f"alternating beta sum at n={n}, d={d}: {total} != {want}",
-            )
-
-
-# ---------------------------------------------------------------------------
-# spectrum
 
 
 @_check("spectrum.eigenvalue_recursion")
@@ -542,94 +271,6 @@ def _positivity_and_order(ctx, rep):
         )
 
 
-@_check("spectrum.eta_routes")
-def _eta_routes(ctx, rep):
-    """Closed frame coefficients against the overlap summation."""
-    for n in _span(ctx, rep, 2, 10, "overlap summation"):
-        for dp in range(cb.d_max(n) + 1):
-            rep.expect(
-                sp.eta_sq(n, dp, 0) == pm.a_coeff(n, dp) ** 2,
-                f"eta^2(d'={dp}, d=0) != a_d'^2 at n={n}",
-            )
-            for d in range(dp + 1):
-                closed = sp.eta_sq(n, dp, d)
-                summed = sp.eta_sq_summation(n, dp, d)
-                rep.expect(
-                    closed == summed,
-                    f"eta^2 routes at n={n}, d'={dp}, d={d}: {closed} != {summed}",
-                )
-
-
-@_check("spectrum.frame_decomposition")
-def _frame_decomposition(ctx, rep):
-    """Eigenvalues reassemble from the tight-frame coefficient table."""
-    for n in _span(ctx, rep, 2, 12, "frame table"):
-        for d in range(cb.d_max(n) + 1):
-            via = sp.lambda_via_frames(n, d)
-            closed = sp.lambda_closed(n, d)
-            rep.expect(
-                via == closed, f"frame route at n={n}, d={d}: {via} != {closed}"
-            )
-            want = Q(n**d, math.factorial(d) * (n - 1) ** d)
-            rep.expect(
-                sp.frame_const(n, d, d) == want,
-                f"diagonal frame constant at n={n}, d={d}",
-            )
-
-
-@_check("spectrum.exact_certificate")
-def _exact_certificate(ctx, rep):
-    """Annihilation, trace moments, rank, and positivity, all exact."""
-    for n in _span(ctx, rep, 2, 9, "exact matrix-power budget"):
-        cert = sp.exact_spectrum_certificate(n)
-        rep.absorb(cert.report)
-        rep.expect(
-            cert.ok,
-            f"certificate failed at n={n}: annihilation={cert.annihilation_ok}, "
-            f"traces={cert.traces_ok}, rank={cert.rank_ok}",
-        )
-
-
-@_check("spectrum.moment_contractions")
-def _moment_contractions(ctx, rep):
-    """Closed E[x^S h_T] against direct contraction."""
-    for n in _span(ctx, rep, 2, 8, "contraction sweep"):
-        for dp in range(cb.d_max(n) + 1):
-            s_mask = (1 << dp) - 1  # the x monomial side has size d'
-            for d in range(dp + 1):
-                for ell in range(max(0, d + dp - n), d + 1):
-                    t_mask = ((1 << ell) - 1) | (((1 << (d - ell)) - 1) << dp)
-                    closed = sp.E_xS_hT_closed(n, dp, d, ell)
-                    direct = sp.contract_x_h(n, s_mask, t_mask)
-                    rep.expect(
-                        closed == direct,
-                        f"contraction at n={n}, d'={dp}, d={d}, l={ell}: "
-                        f"{closed} != {direct}",
-                    )
-
-
-@_check("spectrum.gram_reconstruction")
-def _gram_reconstruction(ctx, rep):
-    for n in _span(ctx, rep, 2, sp.RECONSTRUCTION_MAX_N, "Gram reconstruction"):
-        rep.absorb(sp.gram_reconstruction_check(n))
-
-
-@_check("spectrum.numeric_agreement")
-def _numeric_agreement(ctx, rep):
-    """Float eigensolver agrees with the closed multiset to 1e-9 relative."""
-    for n in _span(ctx, rep, 2, 12, "float eigensolve"):
-        got, want, worst = sp.numeric_agreement(n)
-        rep.expect(len(got) == len(want), f"eigenvalue count at n={n}")
-        rep.expect(
-            worst <= 1e-9,
-            f"numeric spectrum off by {worst:.3e} relative at n={n}",
-        )
-
-
-# ---------------------------------------------------------------------------
-# schur
-
-
 @_check("schur.gram_property")
 def _gram_property(ctx, rep):
     out = su.gram_schur_property_check(ctx.seed, trials=100)
@@ -642,19 +283,6 @@ def _volume_identity(ctx, rep):
     out = su.volume_identity_check(ctx.seed, trials=50)
     rep.absorb(out)
     rep.expect(out.checked >= 50, "volume identity check was vacuous")
-
-
-@_check("schur.iterated_elimination")
-def _iterated_elimination(ctx, rep):
-    for n in _span(ctx, rep, 2, su.ITERATED_MAX_N, "iterated elimination"):
-        blocks, out = su.iterated_schur_on_Y(n)
-        rep.absorb(out)
-        rep.expect(blocks[0] == [[Q(1)]], f"degree-0 block is not [[1]] at n={n}")
-        for k, block in enumerate(blocks):
-            rep.expect(
-                len(block) == cb.binomial(n, k),
-                f"step {k} block size at n={n}: {len(block)}",
-            )
 
 
 # ---------------------------------------------------------------------------

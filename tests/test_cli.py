@@ -235,6 +235,14 @@ def test_schur_subcommand(tmp_path):
     assert main(["schur", "--n", "9"]) == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_schur_without_trials_is_usage_error(trials, capsys):
+    assert main(["schur", "--n", "4", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one trial" in captured.err
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
 

@@ -124,6 +124,15 @@ def test_gram_schur_property():
     assert gram_schur_property_check(7, trials=30, dims=(3, 2, 5)).ok
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_randomized_checks_need_a_trial(trials):
+    # a run over no trials would compare nothing and still report ok
+    with pytest.raises(ValueError, match="at least one trial"):
+        gram_schur_property_check(42, trials=trials)
+    with pytest.raises(ValueError, match="at least one trial"):
+        volume_identity_check(42, trials=trials)
+
+
 def test_volume_identity():
     report = volume_identity_check(7, trials=50)
     assert report.ok and report.checked == 50

@@ -12,13 +12,11 @@ from cubemoments.pseudomoments import build_Y
 from cubemoments.scalars import Q
 from cubemoments.spectrum import (
     E_xS_hT_closed,
-    FrameTable,
     _exact_int,
     _parity_split,
     _ParityPowers,
     _poly_from_roots,
     annihilation_check,
-    build_frame_table,
     contract_x_h,
     distinctness_and_order_report,
     eta_sq,
@@ -271,19 +269,8 @@ def test_eta_and_frame_const_frozen():
             assert eta_sq(n, dp, 0) == a_coeff(n, dp) ** 2
 
 
-def test_frame_table():
-    table = build_frame_table(5)
-    assert isinstance(table, FrameTable) and table.n == 5
-    keys = {(dp, d) for d in range(3) for dp in range(d, 3)}
-    assert set(table.eta) == keys and set(table.f) == keys
-    assert table.f[(1, 1)] == Q(5, 4)
-
-
 def test_lambda_via_frames():
     assert lambda_via_frames(3, 1) == Q(3, 2)
-    for n in range(2, 11):
-        for d in range(cb.d_max(n) + 1):
-            assert lambda_via_frames(n, d) == lambda_closed(n, d), (n, d)
 
 
 def test_gram_reconstruction():

@@ -1,5 +1,7 @@
 """Check registry: selection, guards, determinism, fault injection."""
 
+import importlib
+
 import pytest
 
 import cubemoments
@@ -87,3 +89,75 @@ def test_report_rendering_and_dict():
     assert payload["overall"] == "pass"
     assert payload["counts"]["pass"] == len(payload["checks"])
     assert [c["name"] for c in payload["checks"]] == [c.name for c in rep.checks]
+
+
+def test_checked_counts_frozen():
+    # a check that silently stops comparing changes its count
+    rep = run_verify(("all",), n_min=2, n_max=5, seed=42)
+    assert rep.ok
+    assert {c.name: c.checked for c in rep.checks} == {
+        "apolar.adjointness": 20,
+        "apolar.beta_identity": 6,
+        "apolar.harmonicity": 47,
+        "apolar.ideal_kernel": 13,
+        "apolar.johnson_slice": 12,
+        "apolar.projection_consistency": 54,
+        "apolar.sigma_bridge": 234,
+        "apolar.specht_gram": 12,
+        "appendix.char_inner": 184,
+        "appendix.euler_transform": 528,
+        "appendix.g_to_f_expansion": 371,
+        "characters.dimension_identity": 10,
+        "characters.orthonormality": 18,
+        "characters.restricted_sums": 80,
+        "characters.two_row_routes": 46,
+        "pseudomoments.balanced_moments": 24,
+        "pseudomoments.finite_difference": 18,
+        "pseudomoments.harmonic_norms": 10,
+        "pseudomoments.hypercube_decomposition": 12,
+        "pseudomoments.ideal_annihilation": 60,
+        "pseudomoments.isotypic_projection": 34,
+        "pseudomoments.matrix_structure": 50,
+        "pseudomoments.moment_recursion": 40,
+        "schur.gram_property": 123,
+        "schur.iterated_elimination": 56,
+        "schur.volume_identity": 51,
+        "spectrum.eigenvalue_recursion": 5,
+        "spectrum.eta_routes": 28,
+        "spectrum.exact_certificate": 42,
+        "spectrum.frame_decomposition": 20,
+        "spectrum.gram_reconstruction": 4,
+        "spectrum.moment_contractions": 28,
+        "spectrum.numeric_agreement": 8,
+        "spectrum.positivity_and_order": 8,
+    }
+
+
+@pytest.mark.parametrize(
+    "module_name, closed_form, check, verify_name",
+    [
+        ("characters", "restricted_char_sum_closed", "restricted_sums_check",
+         "characters.restricted_sums"),
+        ("pseudomoments", "E_hS_squared", "harmonic_norms_check",
+         "pseudomoments.harmonic_norms"),
+        ("apolar", "sigma_sq", "sigma_bridge_check", "apolar.sigma_bridge"),
+        ("spectrum", "eta_sq", "eta_routes_check", "spectrum.eta_routes"),
+        ("spectrum", "E_xS_hT_closed", "moment_contractions_check",
+         "spectrum.moment_contractions"),
+    ],
+)
+def test_corrupted_closed_form_fails_its_check(
+    monkeypatch, module_name, closed_form, check, verify_name
+):
+    module = importlib.import_module(f"cubemoments.{module_name}")
+    original = getattr(module, closed_form)
+    monkeypatch.setattr(module, closed_form, lambda *args: original(*args) + 1)
+    n = 4
+    report = getattr(module, check)(n)
+    assert not report.ok
+    assert report.details and all(f"n={n}" in w for w in report.details)
+    # verify runs the same check, so it fails with the same witnesses
+    suite = verify_name.split(".", 1)[0]
+    result = {c.name: c for c in run_verify((suite,), n_min=n, n_max=n).checks}[verify_name]
+    assert result.status == "fail"
+    assert report.details[0] in result.witness
