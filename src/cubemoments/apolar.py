@@ -7,9 +7,12 @@ coordinates <v_i, z>; a monomial is a sorted multiset of frame indices and
 every coefficient is an exact rational, so no irrational geometry ever
 enters.  The apolar pairing of two products of linear forms is the permanent
 of the matrix of pairwise Gram entries divided by (degree)!, extended
-bilinearly; it is positive definite on actual polynomials, and its kernel on
-formal multisets is exactly the ideal generated by sum_i <v_i, z>, which is
-what makes equals_zero a semantic zero test.
+bilinearly.  Since the Gram entries are only 1 and -1/(n-1), that permanent
+is evaluated in closed form by counting matchings of the pattern of equal
+indices, never by expanding a permanent.  The pairing is positive definite
+on actual polynomials, and its kernel on formal multisets is exactly the
+ideal generated by sum_i <v_i, z>, which is what makes equals_zero a
+semantic zero test.
 
 SpanPoly shares its arithmetic with the hypercube's MultilinearPoly
 (pseudomoments.SparsePoly).  frame_image sends a degree-d homogeneous
@@ -23,7 +26,7 @@ hS_span(n, S) is the image of the isotypic projection h_S.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import combinatorics as cb
 from . import exactmat as xm
@@ -38,7 +41,6 @@ from .pseudomoments import (
 from .report import Report
 from .scalars import Q, QZERO, require_exact
 
-PERMANENT_MAX_SIZE = 12
 JOHNSON_MAX_N = 12
 PROJECTION_MAX_N = 8
 
@@ -102,33 +104,7 @@ def frame_sum(n: int) -> SpanPoly:
 
 
 # ---------------------------------------------------------------------------
-# permanents and the apolar pairing
-
-
-def permanent(rows):
-    """Exact permanent by subset dynamic programming, O(2^m m); m <= 12."""
-    m = len(rows)
-    if m > PERMANENT_MAX_SIZE:
-        raise ValueError(f"permanent guarded at size {PERMANENT_MAX_SIZE}, got {m}")
-    if any(len(r) != m for r in rows):
-        raise ValueError("permanent needs a square matrix")
-    if m == 0:
-        return Q(1)
-    dp = [QZERO] * (1 << m)
-    dp[0] = Q(1)
-    for mask in range(1, 1 << m):
-        row = rows[mask.bit_count() - 1]
-        acc = QZERO
-        rest = mask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            prev = dp[mask ^ low]
-            if prev != 0 and row[j] != 0:
-                acc = acc + prev * row[j]
-            rest ^= low
-        dp[mask] = acc
-    return dp[-1]
+# the apolar pairing
 
 
 def _common_profile(a_key, b_key):
@@ -155,33 +131,28 @@ def _common_profile(a_key, b_key):
     return tuple(common)
 
 
-_pattern_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _pattern_permanent(n: int, degree: int, profile):
-    """Permanent of the Gram pattern matrix for monomials with the given
-    overlap profile; depends only on (n, degree, profile), so memoized."""
-    key = (n, degree, profile)
-    cached = _pattern_cache.get(key)
-    if cached is not None:
-        return cached
-    c = Q(-1, n - 1)
-    a_vals, b_vals = [], []
-    fresh = 0
+    """Permanent of the Gram matrix G between two degree-d monomials whose
+    shared indices have the given profile.  G = cJ + (1-c)E with
+    c = -1/(n-1) and E the 0/1 pattern of equal indices, so
+    perm G = sum_k (1-c)^k c^(d-k) (d-k)! m_k, where m_k counts k-matchings
+    of E; E is a union of complete bipartite blocks K_(ma,mb), each with
+    C(ma,j) C(mb,j) j! matchings of size j.  Times (n-1)^d the sum is the
+    integer sum_k n^k (-1)^(d-k) (d-k)! m_k."""
+    matchings = [1]  # m_k for the blocks convolved so far
     for ma, mb in profile:
-        fresh += 1
-        a_vals.extend([fresh] * ma)
-        b_vals.extend([fresh] * mb)
-    while len(a_vals) < degree:
-        fresh += 1
-        a_vals.append(fresh)
-    while len(b_vals) < degree:
-        fresh += 1
-        b_vals.append(fresh)
-    rows = [[Q(1) if x == y else c for y in b_vals] for x in a_vals]
-    value = permanent(rows)
-    _pattern_cache[key] = value
-    return value
+        merged = [0] * (len(matchings) + min(ma, mb))
+        for j in range(min(ma, mb) + 1):
+            block = math.comb(ma, j) * math.comb(mb, j) * math.factorial(j)
+            for i, m_i in enumerate(matchings):
+                merged[i + j] += m_i * block
+        matchings = merged
+    total = sum(
+        n**k * (-1) ** (degree - k) * math.factorial(degree - k) * m_k
+        for k, m_k in enumerate(matchings)
+    )
+    return Q(total, (n - 1) ** degree)
 
 
 def apolar_ip(p: SpanPoly, q: SpanPoly):
@@ -195,10 +166,12 @@ def apolar_ip(p: SpanPoly, q: SpanPoly):
     n, degree = p.n, p.degree
     total = QZERO
     for a_key, a_c in p.coeffs.items():
+        inner = QZERO
         for b_key, b_c in q.coeffs.items():
-            total = total + a_c * b_c * _pattern_permanent(
+            inner = inner + b_c * _pattern_permanent(
                 n, degree, _common_profile(a_key, b_key)
             )
+        total = total + a_c * inner
     return total / math.factorial(degree)
 
 

@@ -239,15 +239,6 @@ def _g_counts(n: int, a: int, b: int) -> dict:
     return table
 
 
-def class_fn_f(n: int, a: int, k: int) -> ClassFunction:
-    """f_(a,k) as a class function, by enumeration against one class
-    representative (n <= 9)."""
-    if not (0 <= k <= a <= n):
-        raise ValueError(f"need 0 <= k <= a <= n, got a={a}, k={k}")
-    table = _f_counts(n, a)
-    return _class_function(n, lambda ct: table[ct][k])
-
-
 def class_fn_g(n: int, a: int, b: int, k: int, l: int) -> ClassFunction:
     """g_(a,b,k,l) as a class function, by enumeration (n <= 9)."""
     if not (0 <= a <= n and 0 <= b <= n):

@@ -48,16 +48,22 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _emit_table(args, header, rows, key, meta) -> None:
+    """Write rows as CSV under header, or as JSON: meta plus key -> one
+    {column: value} object per row."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = _json_text({**meta, key: [dict(zip(header, row)) for row in rows]})
+    _emit(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -66,28 +72,13 @@ def _json_text(payload) -> str:
 
 def _cmd_matrix(args) -> int:
     y = pm.build_Y(args.n)
-    if args.format == "csv":
-        rows = [
-            (_format_set(s), _format_set(t), str(y.rows[i][j]))
-            for i, s in enumerate(y.subsets)
-            for j, t in enumerate(y.subsets)
-        ]
-        _emit(_csv_text(("row_set", "col_set", "value"), rows), args.out)
-    else:
-        payload = {
-            "n": y.n,
-            "d_max": y.d_max,
-            "entries": [
-                {
-                    "row_set": _format_set(s),
-                    "col_set": _format_set(t),
-                    "value": str(y.rows[i][j]),
-                }
-                for i, s in enumerate(y.subsets)
-                for j, t in enumerate(y.subsets)
-            ],
-        }
-        _emit(_json_text(payload), args.out)
+    rows = [
+        (_format_set(s), _format_set(t), str(y.rows[i][j]))
+        for i, s in enumerate(y.subsets)
+        for j, t in enumerate(y.subsets)
+    ]
+    header = ("row_set", "col_set", "value")
+    _emit_table(args, header, rows, "entries", {"n": y.n, "d_max": y.d_max})
     return 0
 
 
@@ -148,36 +139,15 @@ def _cmd_characters(args) -> int:
     if not (0 <= 2 * d <= n):
         raise ValueError(f"two-row shape needs 0 <= d <= n/2, got d={d}")
     # identity first, so the table reads in ascending class order
-    table = []
+    rows = []
     for ct, size in reversed(cb.conjugacy_classes(n)):
         counts = ch.fixed_subset_counts(n, ct)
         c_prev = counts[d - 1] if d >= 1 else 0
-        table.append((ct, size, c_prev, counts[d], counts[d] - c_prev))
-    if args.format == "csv":
-        rows = [
-            (_format_cycle_type(ct), size, c_prev, c_d, chi)
-            for ct, size, c_prev, c_d, chi in table
-        ]
-        _emit(
-            _csv_text(("cycle_type", "class_size", "c_d_minus_1", "c_d", "chi"), rows),
-            args.out,
+        rows.append(
+            (_format_cycle_type(ct), size, c_prev, counts[d], counts[d] - c_prev)
         )
-    else:
-        payload = {
-            "n": n,
-            "d": d,
-            "rows": [
-                {
-                    "cycle_type": _format_cycle_type(ct),
-                    "class_size": size,
-                    "c_d_minus_1": c_prev,
-                    "c_d": c_d,
-                    "chi": chi,
-                }
-                for ct, size, c_prev, c_d, chi in table
-            ],
-        }
-        _emit(_json_text(payload), args.out)
+    header = ("cycle_type", "class_size", "c_d_minus_1", "c_d", "chi")
+    _emit_table(args, header, rows, "rows", {"n": n, "d": d})
     return 0
 
 

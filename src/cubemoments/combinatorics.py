@@ -83,16 +83,6 @@ def formal_half_binomial(n: int, m: int):
 # bitmask subsets
 
 
-def mask_from_elements(elements) -> int:
-    """Bitmask of a collection of 1-based elements."""
-    mask = 0
-    for e in elements:
-        if e < 1 or e > MAX_N:
-            raise ValueError(f"element {e} outside [1, {MAX_N}]")
-        mask |= 1 << (e - 1)
-    return mask
-
-
 def elements_of_mask(mask: int) -> tuple:
     """Sorted tuple of the 1-based elements of a bitmask."""
     if mask < 0:

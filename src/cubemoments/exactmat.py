@@ -17,29 +17,9 @@ from .errors import InconsistentBlockError
 from .scalars import Q, QZERO
 
 
-def identity(m: int) -> list:
-    return [[Q(1) if i == j else QZERO for j in range(m)] for i in range(m)]
-
-
-def transpose(a: list) -> list:
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(a: list, b: list) -> list:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
-def mat_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a: list) -> list:
-    return [[c * x for x in row] for row in a]
 
 
 def mat_trace(a: list):
@@ -198,20 +178,3 @@ def psd_pivots(a: list):
                     else:
                         wi[j] = new
     # unreachable
-
-
-def charpoly(a: list) -> list:
-    """Characteristic polynomial coefficients [1, c1, ..., cm] of an m x m
-    matrix, det(xI - A) = x^m + c1 x^(m-1) + ... + cm, by the exact
-    trace-recursion (Faddeev-LeVerrier)."""
-    m = len(a)
-    coeffs = [Q(1)]
-    mk = identity(m)
-    for k in range(1, m + 1):
-        mk = mat_mul(a, mk)
-        ck = -mat_trace(mk) / k
-        coeffs.append(ck)
-        if k < m:
-            for i in range(m):
-                mk[i][i] = mk[i][i] + ck
-    return coeffs

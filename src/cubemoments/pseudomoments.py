@@ -31,7 +31,7 @@ from .characters import char_class_function
 from .report import Report
 from .scalars import Q, QZERO, require_exact
 
-BUILD_MAX_N = 16        # dense exact storage ceiling
+BUILD_MAX_N = 12        # dense exact storage ceiling: the largest n any exact route builds
 BALANCED_CLOSED_MAX_N = 20
 BALANCED_ENUM_MAX_N = 14
 ISOTYPIC_BRUTE_MAX_N = 8

@@ -280,10 +280,8 @@ def annihilation_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
     return report
 
 
-def trace_moment_check(
-    n: int, m_max: int = None, spectrum=None, powers: "_ParityPowers" = None
-) -> Report:
-    """tr(Y^m) = sum_d mult(n,d) lambda_{n,d}^m for m = 1..m_max.  Together
+def trace_moment_check(n: int, spectrum=None, powers: "_ParityPowers" = None) -> Report:
+    """tr(Y^m) = sum_d mult(n,d) lambda_{n,d}^m for m = 1..d_max + 3.  Together
     with annihilation this pins the multiplicity of each distinct eigenvalue
     (Vandermonde system on the distinct values); where closed-form values
     coincide, as happens at even n >= 6, the certified quantity is the total
@@ -292,17 +290,13 @@ def trace_moment_check(
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     dmax = cb.d_max(n)
-    if m_max is None:
-        m_max = dmax + 3
-    if m_max < dmax + 2:
-        raise ValueError(f"need m_max >= d_max + 2 = {dmax + 2}, got {m_max}")
     if spectrum is None:
         spectrum = [lambda_closed(n, d) for d in range(dmax + 1)]
     if powers is None:
         powers = _ParityPowers(build_Y(n))
     report = Report()
     mults = [multiplicity(n, d) for d in range(dmax + 1)]
-    for m in range(1, m_max + 1):
+    for m in range(1, dmax + 4):
         lhs = powers.trace(m)
         rhs = sum((mu * lam**m for mu, lam in zip(mults, spectrum)), QZERO)
         report.expect(lhs == rhs, f"trace moment m={m} at n={n}: {lhs} != {rhs}")

@@ -1,8 +1,11 @@
 """Frame-side polynomial algebra: pairing, harmonics, Specht basis."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
@@ -20,7 +23,6 @@ from cubemoments.apolar import (
     hS_span,
     is_frame_harmonic,
     johnson_slice_gram,
-    permanent,
     sigma_sq,
     span_monomial,
     specht_basis,
@@ -37,19 +39,26 @@ def test_frame_gram_entry():
         frame_gram_entry(5, 0, 2)
 
 
-def test_permanent_frozen():
-    assert permanent([]) == 1
-    assert permanent([[Q(7)]]) == 7
-    # 2x2: ad + bc
-    assert permanent([[Q(1), Q(2)], [Q(3), Q(4)]]) == 10
-    # all-ones m x m has permanent m!
-    for m in range(1, 6):
-        ones = [[Q(1)] * m for _ in range(m)]
-        assert permanent(ones) == math.factorial(m)
-    with pytest.raises(ValueError):
-        permanent([[Q(1)] * 13 for _ in range(13)])
-    with pytest.raises(ValueError):
-        permanent([[Q(1), Q(2)]])
+def _permanent(rows):
+    """Reference permanent: the plain sum over all permutations."""
+    return sum(
+        (
+            math.prod((rows[i][j] for i, j in enumerate(sigma)), start=Q(1))
+            for sigma in itertools.permutations(range(len(rows)))
+        ),
+        Q(0),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(2, 9), st.integers(0, 6))
+def test_pairing_of_monomials_is_gram_permanent(data, n, d):
+    # <prod <v_a, z>, prod <v_b, z>> = perm(<v_a, v_b>) / d!, with repeats
+    multiset = st.lists(st.integers(1, n), min_size=d, max_size=d)
+    a, b = data.draw(multiset), data.draw(multiset)
+    gram = [[frame_gram_entry(n, i, j) for j in b] for i in a]
+    want = _permanent(gram) / math.factorial(d)
+    assert apolar_ip(span_monomial(n, a), span_monomial(n, b)) == want
 
 
 def test_span_poly_arithmetic():

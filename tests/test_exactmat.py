@@ -15,7 +15,7 @@ def test_mat_mul_and_trace():
     b = [[0, 1], [1, 0]]
     assert xm.mat_mul(a, b) == [[2, 1], [4, 3]]
     assert xm.mat_trace(a) == 5
-    assert xm.mat_eq(xm.mat_sub(a, a), [[0, 0], [0, 0]])
+    assert xm.mat_eq(a, [[1, 2], [3, 4]]) and not xm.mat_eq(a, b)
 
 
 def test_rank_and_det():
@@ -68,7 +68,7 @@ def test_solve_consistent_random_gram_systems():
     rng = SplitMix64(11)
     for _ in range(25):
         v = rand_matrix(rng, 2, 4)
-        a = xm.mat_mul(xm.transpose(v), v)
+        a = xm.mat_mul(list(zip(*v)), v)
         w = rand_matrix(rng, 4, 2)
         b = xm.mat_mul(a, w)
         x = xm.solve_consistent(a, b)
@@ -79,7 +79,7 @@ def test_psd_pivots_accepts_gram_and_rejects_indefinite():
     rng = SplitMix64(13)
     for _ in range(25):
         v = rand_matrix(rng, 3, 5)
-        gram = xm.mat_mul(xm.transpose(v), v)
+        gram = xm.mat_mul(list(zip(*v)), v)
         ok, pivots = xm.psd_pivots(gram)
         assert ok
         assert len(pivots) == xm.rank(gram)
@@ -99,28 +99,6 @@ def test_psd_pivots_zero_matrix_and_semidefinite():
     assert ok and pivots == [1]
 
 
-def test_charpoly_small():
-    # x^2 - 5x - 2 for [[1,2],[3,4]]
-    assert xm.charpoly([[1, 2], [3, 4]]) == [Q(1), Q(-5), Q(-2)]
-    # companion-style check: det(xI - A) at x = 2 equals evaluation of charpoly
-    a = [[0, 1, 0], [0, 0, 1], [6, -11, 6]]
-    coeffs = xm.charpoly(a)
-    value = sum(c * Q(2) ** (3 - i) for i, c in enumerate(coeffs))
-    shifted = [[(2 if i == j else 0) - a[i][j] for j in range(3)] for i in range(3)]
-    assert value == xm.det(shifted)
-
-
-def test_charpoly_matches_det_shift_random():
-    rng = SplitMix64(17)
-    for _ in range(10):
-        a = rand_matrix(rng, 4, 4, -2, 2)
-        coeffs = xm.charpoly(a)
-        for x in (0, 1, -1, 2):
-            value = sum(c * Q(x) ** (4 - i) for i, c in enumerate(coeffs))
-            shifted = [[(x if i == j else 0) - a[i][j] for j in range(4)] for i in range(4)]
-            assert value == xm.det(shifted)
-
-
 def test_rank_empty_zero_and_rectangular():
     assert xm.rank([]) == 0
     assert xm.rank([[0, 0, 0], [0, 0, 0]]) == 0
@@ -129,7 +107,7 @@ def test_rank_empty_zero_and_rectangular():
     assert xm.rank([[1, 2], [2, 4], [3, 6], [0, 0]]) == 1
     wide = [[0, 1, 2, 3], [0, 2, 4, 6]]
     assert xm.rank(wide) == 1
-    assert xm.rank(xm.transpose(tall)) == 2
+    assert xm.rank(list(zip(*tall))) == 2
 
 
 def test_det_empty_and_permutations():

@@ -54,6 +54,8 @@ def test_build_Y_guards():
     with pytest.raises(ValueError):
         pm.build_Y(1)
     with pytest.raises(ValueError):
+        pm.build_Y(13)  # the largest n any exact route builds is 12
+    with pytest.raises(ValueError):
         pm.build_Y(17)
 
 

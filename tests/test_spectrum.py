@@ -92,10 +92,11 @@ def test_multiplicities():
 def test_annihilation_frozen_small():
     # independent oracle: Y(Y - I)(Y - 2I) = 0 at n=2 by direct products
     y = build_Y(2).rows
-    i = xm.identity(3)
-    prod = xm.mat_mul(
-        y, xm.mat_mul(xm.mat_sub(y, i), xm.mat_sub(y, xm.mat_scale(Q(2), i)))
-    )
+
+    def shifted(c):  # Y - cI
+        return [[v - c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(y)]
+
+    prod = xm.mat_mul(y, xm.mat_mul(shifted(1), shifted(2)))
     assert all(v == 0 for row in prod for v in row)
     assert annihilation_check(2).ok
     assert annihilation_check(3).ok
@@ -120,9 +121,7 @@ def test_trace_moments():
     assert trace_moment_check(2).ok
     assert trace_moment_check(3).ok
     for n in range(2, 7):
-        assert trace_moment_check(n, m_max=cb.d_max(n) + 3).ok, n
-    with pytest.raises(ValueError):
-        trace_moment_check(4, m_max=2)  # below d_max + 2
+        assert trace_moment_check(n).ok, n
     bad = [lambda_closed(4, d) for d in range(3)]
     bad[1] = bad[1] * 2
     assert not trace_moment_check(4, spectrum=bad).ok
@@ -146,7 +145,8 @@ def test_parity_powers_match_rational_products():
         rational = []
         for block in _parity_split(y):
             base = [[Fraction(str(x)) for x in row] for row in block]
-            plist = [xm.identity(len(base)), base]
+            size = len(base)
+            plist = [[[Fraction(int(i == j)) for j in range(size)] for i in range(size)], base]
             while len(plist) <= cb.d_max(n) + 3:
                 plist.append(xm.mat_mul(plist[-1], base))
             rational.append(plist)
@@ -162,7 +162,8 @@ def test_parity_powers_match_rational_products():
             for value, plist in zip(values, rational):
                 direct = [[Fraction(0)] * len(plist[0]) for _ in plist[0]]
                 for c, power in zip(coeffs, plist):
-                    direct = xm.mat_add(direct, xm.mat_scale(Fraction(str(c)), power))
+                    c = Fraction(str(c))
+                    direct = [[x + c * y for x, y in zip(rd, rp)] for rd, rp in zip(direct, power)]
                 assert [[Fraction(v, common) for v in row] for row in value] == direct, n
 
 

@@ -141,6 +141,7 @@ def test_checked_counts_frozen():
         ("pseudomoments", "E_hS_squared", "harmonic_norms_check",
          "pseudomoments.harmonic_norms"),
         ("apolar", "sigma_sq", "sigma_bridge_check", "apolar.sigma_bridge"),
+        ("apolar", "_pattern_permanent", "ideal_kernel_check", "apolar.ideal_kernel"),
         ("spectrum", "eta_sq", "eta_routes_check", "spectrum.eta_routes"),
         ("spectrum", "E_xS_hT_closed", "moment_contractions_check",
          "spectrum.moment_contractions"),
