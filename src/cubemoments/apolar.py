@@ -33,7 +33,6 @@ from . import exactmat as xm
 from .pseudomoments import (
     MultilinearPoly,
     SparsePoly,
-    isotypic_dimension,
     isotypic_h,
     pseudo_expect,
     specht_x_basis,
@@ -313,6 +312,18 @@ def johnson_slice_gram(n: int, d: int) -> list:
     return out
 
 
+def _specht_gram(n: int, d: int, report: Report):
+    """(basis, gram): the degree-d Specht basis and its apolar Gram matrix,
+    after checking that the basis has C(n,d) - C(n,d-1) members and that the
+    Gram matrix has full rank."""
+    basis = specht_basis(n, d)
+    dim = cb.two_row_tableau_count(n, d)
+    report.expect(len(basis) == dim, f"Specht count at n={n}, d={d}")
+    gram = [[apolar_ip(p, q) for q in basis] for p in basis]
+    report.expect(xm.rank(gram) == dim, f"singular Specht Gram at n={n}, d={d}")
+    return basis, gram
+
+
 def harmonic_projection_consistency(n: int) -> Report:
     """hS_span really is the apolar-orthogonal projection of the frame
     monomial over S onto the harmonic space: for every degree d <= n/2,
@@ -320,14 +331,7 @@ def harmonic_projection_consistency(n: int) -> Report:
     cb.check_n(n, cap=PROJECTION_MAX_N)
     report = Report()
     for d in range(cb.d_max(n) + 1):
-        basis = specht_basis(n, d)
-        dim = isotypic_dimension(n, d)
-        report.expect(len(basis) == dim, f"basis size {len(basis)} != {dim}")
-        gram = [[apolar_ip(bi, bj) for bj in basis] for bi in basis]
-        report.expect(
-            xm.rank(gram) == dim,
-            f"Specht Gram at n={n}, d={d} is singular",
-        )
+        basis, gram = _specht_gram(n, d, report)
         for s in cb.subsets_of_size(n, d):
             mono = span_monomial(n, cb.elements_of_mask(s))
             rhs = [[apolar_ip(bi, mono)] for bi in basis]
@@ -366,11 +370,7 @@ def specht_gram_check(n: int) -> Report:
     apolar Gram matrix, for every 1 <= d <= n/2."""
     report = Report()
     for d in range(1, cb.d_max(n) + 1):
-        basis = specht_basis(n, d)
-        dim = cb.binomial(n, d) - cb.binomial(n, d - 1)
-        report.expect(len(basis) == dim, f"Specht count at n={n}, d={d}")
-        gram = [[apolar_ip(p, q) for q in basis] for p in basis]
-        report.expect(xm.rank(gram) == dim, f"singular Specht Gram at n={n}, d={d}")
+        _specht_gram(n, d, report)
     return report
 
 
@@ -416,9 +416,7 @@ def sigma_bridge_check(n: int) -> Report:
         for e in range(dm + 1):
             if d == e:
                 continue
-            for ov in range(max(0, d + e - n), min(d, e) + 1):
-                s = (1 << d) - 1
-                t = ((1 << ov) - 1) | (((1 << (e - ov)) - 1) << d)
+            for ov, s, t in cb.overlap_pairs(n, d, e):
                 cross = pseudo_expect(n, isotypic_h(n, s) * isotypic_h(n, t))
                 report.expect(
                     cross == 0,

@@ -107,6 +107,18 @@ def subsets_of_size(n: int, k: int) -> list:
     return masks
 
 
+def overlap_pairs(n: int, a: int, b: int) -> list:
+    """One (k, A, B) for each feasible overlap k = |A cap B| of an a-subset
+    A and a b-subset B of [n], ascending in k: A = {1..a}, and B is {1..k}
+    plus the b-k elements right after a.  S_n acts transitively on the pairs
+    with given (a, b, k), so these represent every orbit."""
+    a_mask = (1 << a) - 1
+    return [
+        (k, a_mask, ((1 << k) - 1) | (((1 << (b - k)) - 1) << a))
+        for k in range(max(0, a + b - n), min(a, b) + 1)
+    ]
+
+
 def enumerate_subsets(n: int, max_size: int) -> list:
     """All subsets of [n] of size <= max_size in canonical (size, mask) order."""
     check_n(n)

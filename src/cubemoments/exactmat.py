@@ -1,7 +1,8 @@
 """Dense exact matrix helpers over rational scalars.
 
 Matrices are plain list-of-list rows holding ints or exact rationals; all
-arithmetic stays exact.  rank, det, solve_consistent and the Schur
+arithmetic stays exact.  dot is the exact inner product of two vectors,
+skipping zero factors.  rank, det, solve_consistent and the Schur
 complement in schur.py share one Gaussian elimination kernel, eliminate,
 which divides by its pivots over Q and picks them deterministically (first
 nonzero entry of each column, from the top).  The semidefiniteness check
@@ -20,6 +21,10 @@ from .scalars import Q, QZERO
 def mat_mul(a: list, b: list) -> list:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v) if a != 0 and b != 0), QZERO)
 
 
 def mat_trace(a: list):

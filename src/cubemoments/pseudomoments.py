@@ -352,10 +352,6 @@ def balanced_moments_check(n: int) -> Report:
 # isotypic projections h_S
 
 
-def isotypic_dimension(n: int, d: int) -> int:
-    return cb.two_row_tableau_count(n, d)
-
-
 def isotypic_coefficient(n: int, d: int, overlap: int):
     """Coefficient of x^B in h_S for |S| = |B| = d, |S cap B| = overlap:
     dim * (-1)^(d + overlap) / multinomial(n; d, d-overlap, n-2d+overlap)."""
@@ -363,7 +359,7 @@ def isotypic_coefficient(n: int, d: int, overlap: int):
         raise ValueError(f"need 0 <= d <= n/2, got n={n}, d={d}")
     if not (max(0, 2 * d - n) <= overlap <= d):
         raise ValueError(f"impossible overlap {overlap} for size {d}")
-    dim = isotypic_dimension(n, d)
+    dim = cb.two_row_tableau_count(n, d)
     sign = -1 if (d + overlap) % 2 else 1
     return Q(sign * dim, cb.multinomial(n, (d, d - overlap, n - 2 * d + overlap)))
 
@@ -388,7 +384,7 @@ def isotypic_h_bruteforce(n: int, s_mask: int) -> MultilinearPoly:
     for perm in cb.permutations_iter(n):
         image = cb.perm_image_mask(perm, s_mask)
         sums[image] = sums.get(image, 0) + chi[cb.cycle_type_of_perm(perm)]
-    scale = Q(isotypic_dimension(n, d), math.factorial(n))
+    scale = Q(cb.two_row_tableau_count(n, d), math.factorial(n))
     return MultilinearPoly(n, {m: scale * v for m, v in sums.items()})
 
 
@@ -501,7 +497,7 @@ def hypercube_decomposition_check(n: int) -> Report:
     cb.check_n(n, cap=DECOMPOSITION_MAX_N)
     report = Report()
     dim_total = sum(
-        (n - 2 * d + 1) * isotypic_dimension(n, d) for d in range(cb.d_max(n) + 1)
+        (n - 2 * d + 1) * cb.two_row_tableau_count(n, d) for d in range(cb.d_max(n) + 1)
     )
     report.expect(
         dim_total == 2 ** n,

@@ -29,6 +29,8 @@ from .rng import SplitMix64
 from .scalars import Q, QZERO
 
 ITERATED_MAX_N = 8
+# leading vectors, tail vectors and ambient dimension in gram_schur_property_check
+GRAM_LEADS, GRAM_TAILS, GRAM_AMBIENT = 2, 2, 4
 
 
 @dataclass
@@ -61,12 +63,8 @@ def schur_complement(blocked: BlockedMatrix) -> list:
     return [row[h:] for row in work[h:]]
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v) if a != 0 and b != 0), QZERO)
-
-
 def _gram(vectors) -> list:
-    return [[_dot(u, v) for v in vectors] for u in vectors]
+    return [[xm.dot(u, v) for v in vectors] for u in vectors]
 
 
 def _require_trials(trials: int) -> None:
@@ -75,55 +73,55 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"need at least one trial, got trials={trials}")
 
 
-def gram_schur_property_check(seed: int, trials: int = 100, dims=(2, 2, 4)) -> Report:
+def gram_schur_property_check(seed: int, trials: int = 100) -> Report:
     """The Schur complement of a Gram matrix equals the Gram matrix of the
     projected tail vectors, computed here as explicit rational vectors
     b_j - sum_k t_kj a_k with A t_j = (<a_k, b_j>)_k.
 
-    Random integer vectors with entries in [-3, 3]; every few trials mix in
+    Random integer vectors with entries in [-3, 3], GRAM_LEADS leading and
+    GRAM_TAILS tail vectors in dimension GRAM_AMBIENT; every few trials mix in
     the degenerate shapes: duplicated leading vectors (singular A), all-zero
     leading vectors (complement = Gram of the b's), and tails inside the
     leading span (zero complement).
     """
     _require_trials(trials)
     rng = SplitMix64(seed)
-    lead_count, tail_count, ambient = dims
     report = Report()
     for trial in range(trials):
         a_vecs = [
-            [Q(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(lead_count)
+            [Q(rng.randint(-3, 3)) for _ in range(GRAM_AMBIENT)] for _ in range(GRAM_LEADS)
         ]
         b_vecs = [
-            [Q(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(tail_count)
+            [Q(rng.randint(-3, 3)) for _ in range(GRAM_AMBIENT)] for _ in range(GRAM_TAILS)
         ]
         zero_leads = trial % 7 == 3
         span_tails = trial % 11 == 5
         if zero_leads:
-            a_vecs = [[QZERO] * ambient for _ in range(lead_count)]
-        elif trial % 5 == 2 and lead_count >= 2:
+            a_vecs = [[QZERO] * GRAM_AMBIENT for _ in range(GRAM_LEADS)]
+        elif trial % 5 == 2:
             a_vecs[1] = a_vecs[0][:]
         if span_tails and not zero_leads:
             b_vecs = []
-            for _ in range(tail_count):
-                combo = [QZERO] * ambient
+            for _ in range(GRAM_TAILS):
+                combo = [QZERO] * GRAM_AMBIENT
                 for a in a_vecs:
                     c = rng.randint(-2, 2)
                     combo = [x + c * y for x, y in zip(combo, a)]
                 b_vecs.append(combo)
 
         gram = _gram(a_vecs + b_vecs)
-        complement = schur_complement(BlockedMatrix(gram, lead_count))
+        complement = schur_complement(BlockedMatrix(gram, GRAM_LEADS))
 
-        lead_gram = [row[:lead_count] for row in gram[:lead_count]]
+        lead_gram = [row[:GRAM_LEADS] for row in gram[:GRAM_LEADS]]
         cross = [
-            [_dot(a_vecs[k], b_vecs[j]) for j in range(tail_count)]
-            for k in range(lead_count)
+            [xm.dot(a_vecs[k], b_vecs[j]) for j in range(GRAM_TAILS)]
+            for k in range(GRAM_LEADS)
         ]
         coeffs = xm.solve_consistent(lead_gram, cross)
         projected = []
-        for j in range(tail_count):
+        for j in range(GRAM_TAILS):
             vec = list(b_vecs[j])
-            for k in range(lead_count):
+            for k in range(GRAM_LEADS):
                 t = coeffs[k][j]
                 if t != 0:
                     vec = [x - t * y for x, y in zip(vec, a_vecs[k])]
@@ -207,10 +205,10 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         )
 
         scale = sigma_sq(n, k)
-        rep_s = (1 << k) - 1
-        span_s = hS_span(n, rep_s)
-        for ov, entry in sorted(by_overlap.items()):
-            rep_t = ((1 << ov) - 1) | (((1 << (k - ov)) - 1) << k)
+        pairs = cb.overlap_pairs(n, k, k)
+        span_s = hS_span(n, pairs[0][1])
+        for ov, _, rep_t in pairs:
+            entry = by_overlap[ov]
             expected = scale * apolar_ip(span_s, hS_span(n, rep_t))
             report.expect(
                 entry == expected,

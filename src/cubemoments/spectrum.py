@@ -87,7 +87,7 @@ def multiplicity(n: int, d: int) -> int:
     """Eigenvalue multiplicity C(n,d) - C(n,d-1), the two-row irrep dimension."""
     if not (0 <= d <= cb.d_max(n)):
         raise ValueError(f"need 0 <= d <= n/2, got n={n}, d={d}")
-    return cb.binomial(n, d) - cb.binomial(n, d - 1)
+    return cb.two_row_tableau_count(n, d)
 
 
 def zero_multiplicity(n: int) -> int:
@@ -280,25 +280,26 @@ def annihilation_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
     return report
 
 
-def trace_moment_check(n: int, spectrum=None, powers: "_ParityPowers" = None) -> Report:
+def trace_moment_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None) -> Report:
     """tr(Y^m) = sum_d mult(n,d) lambda_{n,d}^m for m = 1..d_max + 3.  Together
     with annihilation this pins the multiplicity of each distinct eigenvalue
     (Vandermonde system on the distinct values); where closed-form values
     coincide, as happens at even n >= 6, the certified quantity is the total
-    multiplicity of the shared value."""
+    multiplicity of the shared value.  Passing explicit eigenvalues
+    substitutes them for the closed form, as in annihilation_check."""
     cb.check_n(n, cap=ANNIHILATION_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     dmax = cb.d_max(n)
-    if spectrum is None:
-        spectrum = [lambda_closed(n, d) for d in range(dmax + 1)]
+    if eigenvalues is None:
+        eigenvalues = [lambda_closed(n, d) for d in range(dmax + 1)]
     if powers is None:
         powers = _ParityPowers(build_Y(n))
     report = Report()
     mults = [multiplicity(n, d) for d in range(dmax + 1)]
     for m in range(1, dmax + 4):
         lhs = powers.trace(m)
-        rhs = sum((mu * lam**m for mu, lam in zip(mults, spectrum)), QZERO)
+        rhs = sum((mu * lam**m for mu, lam in zip(mults, eigenvalues)), QZERO)
         report.expect(lhs == rhs, f"trace moment m={m} at n={n}: {lhs} != {rhs}")
     return report
 
@@ -541,10 +542,9 @@ def moment_contractions_check(n: int) -> Report:
     """Closed E[x^S h_T] against direct contraction."""
     report = Report()
     for dp in range(cb.d_max(n) + 1):
-        s_mask = (1 << dp) - 1  # the x monomial side has size d'
         for d in range(dp + 1):
-            for ell in range(max(0, d + dp - n), d + 1):
-                t_mask = ((1 << ell) - 1) | (((1 << (d - ell)) - 1) << dp)
+            # the x monomial side S has size d'
+            for ell, s_mask, t_mask in cb.overlap_pairs(n, dp, d):
                 closed = E_xS_hT_closed(n, dp, d, ell)
                 direct = contract_x_h(n, s_mask, t_mask)
                 report.expect(
@@ -571,14 +571,10 @@ def gram_reconstruction_check(n: int) -> Report:
         # E[x^S h_R] depends only on (|S|, |S cap R|); build that table once
         values = {}
         for dp in range(cb.d_max(n) + 1):
-            rep_s = (1 << dp) - 1
-            for ell in range(min(d, dp) + 1):
-                if d - ell > n - dp:
-                    continue
+            for ell, rep_s, rep_t in cb.overlap_pairs(n, dp, d):
                 if dp >= d:
                     values[(dp, ell)] = E_xS_hT_closed(n, dp, d, ell)
                 else:
-                    rep_t = ((1 << ell) - 1) | (((1 << (d - ell)) - 1) << dp)
                     values[(dp, ell)] = contract_x_h(n, rep_s, rep_t)
         r_masks = cb.subsets_of_size(n, d)
         u = [
@@ -593,9 +589,7 @@ def gram_reconstruction_check(n: int) -> Report:
         )
         for i in range(size):
             for j in range(i, size):
-                entry = scale * sum(
-                    (a * b for a, b in zip(u[i], u[j]) if a != 0 and b != 0), QZERO
-                )
+                entry = scale * xm.dot(u[i], u[j])
                 total[i][j] = total[i][j] + entry
                 if i != j:
                     total[j][i] = total[j][i] + entry

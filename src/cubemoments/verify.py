@@ -129,7 +129,8 @@ def _span(ctx: VerifyContext, rep: Report, lo: int, hi: int, guard: str) -> rang
 # [lo, hi]; guard names what the bound protects against.
 _PER_N = [
     ("characters.dimension_identity", 2, 20, "character table", ch.dimension_identity_check),
-    ("characters.two_row_routes", 2, 10, "class enumeration", ch.two_row_routes_check),
+    ("characters.two_row_routes", 2, cb.BRUTE_FORCE_MAX_N, "class enumeration",
+     ch.two_row_routes_check),
     ("characters.orthonormality", 2, 8, "class-function inner product",
      ch.orthonormality_check),
     ("characters.restricted_sums", 2, 7, "S_n sweep", ch.restricted_sums_check),
@@ -298,7 +299,7 @@ def _fault_injection(ctx, rep):
     corrupted[0] = corrupted[0] + 1
     powers = sp._ParityPowers(pm.build_Y(n))
     ann = sp.annihilation_check(n, eigenvalues=corrupted, powers=powers)
-    tr = sp.trace_moment_check(n, spectrum=corrupted, powers=powers)
+    tr = sp.trace_moment_check(n, eigenvalues=corrupted, powers=powers)
     rep.count(ann.checked + tr.checked)
     if ann.ok and tr.ok:
         rep.fail(f"corrupted eigenvalues went undetected at n={n}")

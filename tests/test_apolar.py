@@ -27,7 +27,6 @@ from cubemoments.apolar import (
     span_monomial,
     specht_basis,
 )
-from cubemoments.pseudomoments import isotypic_dimension
 from cubemoments.rng import SplitMix64
 from cubemoments.scalars import Q
 
@@ -171,7 +170,7 @@ def test_specht_basis_shapes_and_harmonicity():
     for n in range(2, 7):
         for d in range(cb.d_max(n) + 1):
             basis = specht_basis(n, d)
-            assert len(basis) == isotypic_dimension(n, d)
+            assert len(basis) == cb.two_row_tableau_count(n, d)
             for b in basis:
                 assert b.degree == d
                 assert is_frame_harmonic(b)
@@ -201,7 +200,7 @@ def test_hS_span_harmonic_and_norm():
             h = hS_span(n, s)
             assert is_frame_harmonic(h)
             expected = (
-                Q(isotypic_dimension(n, d), cb.binomial(n, d))
+                Q(cb.two_row_tableau_count(n, d), cb.binomial(n, d))
                 * Q(n, n - 1) ** d
                 / math.factorial(d)
             )

@@ -28,10 +28,24 @@ def test_char_two_row_frozen_table_s4():
 
 
 def test_two_routes_agree():
+    # c_a counted by enumeration: the a-subsets the representative fixes
     for n in range(1, 9):
         for d in range(0, n // 2 + 1):
             for ct, _ in cb.conjugacy_classes(n):
-                assert ch.char_two_row(n, d, ct) == ch.char_two_row_frobenius(n, d, ct)
+                fixed = [0] + [ch._f_counts(n, a)[ct][a] for a in range(d + 1)]
+                assert ch.char_two_row(n, d, ct) == fixed[-1] - fixed[-2]
+
+
+def test_two_routes_check_detects_corrupted_counts(monkeypatch):
+    # c_1 shifted by one on the generating-function side only
+    true_counts = ch.fixed_subset_counts
+    monkeypatch.setattr(
+        ch,
+        "fixed_subset_counts",
+        lambda n, ct: [c + (t == 1) for t, c in enumerate(true_counts(n, ct))],
+    )
+    report = ch.two_row_routes_check(4)
+    assert not report.ok and all("n=4" in w for w in report.details)
 
 
 def test_identity_dimension():

@@ -6,7 +6,6 @@ from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
 from cubemoments.apolar import apolar_ip, hS_span, sigma_sq
 from cubemoments.errors import InconsistentBlockError
-from cubemoments.pseudomoments import build_Y
 from cubemoments.rng import SplitMix64
 from cubemoments.schur import (
     BlockedMatrix,
@@ -121,11 +120,9 @@ def test_solution_choice_independence():
 
 
 def test_gram_schur_property():
-    report = gram_schur_property_check(42, trials=100, dims=(2, 2, 4))
+    report = gram_schur_property_check(42, trials=100)
     assert report.ok, report.details[:3]
     assert report.checked >= 100
-    # different seed, different shape
-    assert gram_schur_property_check(7, trials=30, dims=(3, 2, 5)).ok
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -124,7 +124,7 @@ def test_trace_moments():
         assert trace_moment_check(n).ok, n
     bad = [lambda_closed(4, d) for d in range(3)]
     bad[1] = bad[1] * 2
-    assert not trace_moment_check(4, spectrum=bad).ok
+    assert not trace_moment_check(4, eigenvalues=bad).ok
 
 
 def test_parity_powers_scaled_to_integers():
@@ -176,7 +176,7 @@ def test_parity_powers_detect_tiny_perturbation():
         exact = [lambda_closed(n, d) for d in range(dmax + 1)]
         for d in range(dmax + 1):
             bad = exact[:d] + [exact[d] + eps] + exact[d + 1 :]
-            assert not trace_moment_check(n, spectrum=bad, powers=powers).ok, (n, d)
+            assert not trace_moment_check(n, eigenvalues=bad, powers=powers).ok, (n, d)
             if exact.count(exact[d]) == 1:  # a collision keeps the true root
                 assert not annihilation_check(n, eigenvalues=bad, powers=powers).ok, (n, d)
 
