@@ -9,7 +9,11 @@ enters.  The apolar pairing of two products of linear forms is the permanent
 of the matrix of pairwise Gram entries divided by (degree)!, extended
 bilinearly.  Since the Gram entries are only 1 and -1/(n-1), that permanent
 is evaluated in closed form by counting matchings of the pattern of equal
-indices, never by expanding a permanent.  The pairing is positive definite
+indices, never by expanding a permanent.  apolar_gram pairs two lists of
+forms at once, as the integer product C_p P C_q^T / d! of their coefficient
+rows and the pattern permanents over the joint supports; apolar_ip is its
+1 x 1 case, and the sigma bridge and the Specht Grams read whole Gram
+matrices from it.  The pairing is positive definite
 on actual polynomials, and its kernel on formal multisets is exactly the
 ideal generated by sum_i <v_i, z>, which is what makes equals_zero a
 semantic zero test.
@@ -33,8 +37,10 @@ from . import exactmat as xm
 from .pseudomoments import (
     MultilinearPoly,
     SparsePoly,
+    bilinear_gram,
     isotypic_h,
     pseudo_expect,
+    pseudo_gram,
     specht_x_basis,
 )
 from .report import Report
@@ -154,24 +160,34 @@ def _pattern_permanent(n: int, degree: int, profile):
     return Q(total, (n - 1) ** degree)
 
 
+def apolar_gram(ps, qs) -> list:
+    """[[<p, q> for q in qs] for p in ps] for forms of one degree d on one
+    frame: the integer product C_p P C_q^T / d! of bilinear_gram, with
+    P[B, B'] the pattern permanent of the monomials B and B'."""
+    polys = [*ps, *qs]
+    if not polys:
+        return []
+    n, degree = polys[0].n, polys[0].degree
+    if any(p.n != n for p in polys):
+        raise ValueError("frame polynomials on different frames")
+    if any(p.degree != degree for p in polys):
+        raise ValueError("apolar_gram pairs forms of one degree")
+
+    def pairing(profile):  # <B, B'> for monomials sharing indices by this profile
+        return _pattern_permanent(n, degree, profile) / math.factorial(degree)
+
+    return bilinear_gram(ps, qs, _common_profile, pairing)
+
+
 def apolar_ip(p: SpanPoly, q: SpanPoly):
     """Apolar pairing <p, q> = (1/deg!) p(d/dz) q, extended bilinearly from
-    permanents of Gram entries on products of linear forms.  Forms of
-    different degrees pair to zero by convention."""
+    permanents of Gram entries on products of linear forms: the 1 x 1 case
+    of apolar_gram.  Forms of different degrees pair to zero by convention."""
     if p.n != q.n:
         raise ValueError("frame polynomials on different frames")
     if p.degree != q.degree:
         return QZERO
-    n, degree = p.n, p.degree
-    total = QZERO
-    for a_key, a_c in p.coeffs.items():
-        inner = QZERO
-        for b_key, b_c in q.coeffs.items():
-            inner = inner + b_c * _pattern_permanent(
-                n, degree, _common_profile(a_key, b_key)
-            )
-        total = total + a_c * inner
-    return total / math.factorial(degree)
+    return apolar_gram([p], [q])[0][0]
 
 
 def derive(p: SpanPoly, j: int) -> SpanPoly:
@@ -319,7 +335,7 @@ def _specht_gram(n: int, d: int, report: Report):
     basis = specht_basis(n, d)
     dim = cb.two_row_tableau_count(n, d)
     report.expect(len(basis) == dim, f"Specht count at n={n}, d={d}")
-    gram = [[apolar_ip(p, q) for q in basis] for p in basis]
+    gram = apolar_gram(basis, basis)
     report.expect(xm.rank(gram) == dim, f"singular Specht Gram at n={n}, d={d}")
     return basis, gram
 
@@ -334,7 +350,7 @@ def harmonic_projection_consistency(n: int) -> Report:
         basis, gram = _specht_gram(n, d, report)
         for s in cb.subsets_of_size(n, d):
             mono = span_monomial(n, cb.elements_of_mask(s))
-            rhs = [[apolar_ip(bi, mono)] for bi in basis]
+            rhs = apolar_gram(basis, [mono])
             solution = xm.solve_consistent(gram, rhs)
             terms = (bi.scaled(row[0]) for row, bi in zip(solution, basis))
             difference = sum(terms, SpanPoly(n, d)) - hS_span(n, s)
@@ -402,12 +418,14 @@ def sigma_bridge_check(n: int) -> Report:
     for d in range(dm + 1):
         scale = sigma_sq(n, d)
         masks = cb.subsets_of_size(n, d)
-        spans = {s: hS_span(n, s) for s in masks}
-        polys = {s: isotypic_h(n, s) for s in masks}
-        for s in masks:
-            for t in masks:
-                lhs = scale * apolar_ip(spans[s], spans[t])
-                rhs = pseudo_expect(n, polys[s] * polys[t])
+        polys = [isotypic_h(n, s) for s in masks]
+        spans = [frame_image(h, d) for h in polys]  # hS_span(n, s)
+        pairings = apolar_gram(spans, spans)
+        moments = pseudo_gram(n, polys, polys)
+        for i, s in enumerate(masks):
+            for j, t in enumerate(masks):
+                lhs = scale * pairings[i][j]
+                rhs = moments[i][j]
                 report.expect(
                     lhs == rhs,
                     f"bridge fails at n={n}, S={s:b}, T={t:b}: {lhs} != {rhs}",

@@ -2,7 +2,9 @@
 
 Matrices are plain list-of-list rows holding ints or exact rationals; all
 arithmetic stays exact.  dot is the exact inner product of two vectors,
-skipping zero factors.  rank, det, solve_consistent and the Schur
+skipping zero factors.  integer_form scales a rational matrix to ints by
+the lcm of its denominators, so products can run over Python ints and be
+divided back once at the end.  rank, det, solve_consistent and the Schur
 complement in schur.py share one Gaussian elimination kernel, eliminate,
 which divides by its pivots over Q and picks them deterministically (first
 nonzero entry of each column, from the top).  The semidefiniteness check
@@ -11,6 +13,7 @@ psd_pivots runs its own sparse symmetric elimination with diagonal pivots.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from operator import mul
 
@@ -25,6 +28,22 @@ def mat_mul(a: list, b: list) -> list:
 
 def dot(u, v):
     return sum((a * b for a, b in zip(u, v) if a != 0 and b != 0), QZERO)
+
+
+def _scaled_int(x, den: int) -> int:
+    """den * x for an exact rational x, as a Python int; a product that is
+    not an integer raises InconsistentBlockError and is never truncated."""
+    value, rest = divmod(int(x.numerator) * den, int(x.denominator))
+    if rest:
+        raise InconsistentBlockError(f"{den} * {x} is not an integer")
+    return value
+
+
+def integer_form(rows: list):
+    """(int_rows, den): den is the lcm of the denominators of the exact
+    entries of rows and int_rows = den * rows entrywise, over Python ints."""
+    den = math.lcm(*(int(x.denominator) for row in rows for x in row))
+    return [[_scaled_int(x, den) for x in row] for row in rows], den
 
 
 def mat_trace(a: list):

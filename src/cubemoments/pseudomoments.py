@@ -10,10 +10,14 @@ pseudomoment matrix Y is indexed by subsets S, T of [n] with
 Polynomials are sparse exact dicts sharing one base, SparsePoly.  Here
 MultilinearPoly lives in the quotient by x_i^2 = 1, so monomials are subset
 masks and monomial products are symmetric differences; apolar.SpanPoly is
-the frame-side kind.  h_S denotes the image of the monomial x^S under
-isotypic projection onto the two-row component of shape (n-d, d), d = |S|;
-its coefficients have a hypergeometric closed form cross-checked here
-against the group-averaging definition.  h_S and the Specht products
+the frame-side kind.  pseudo_expect applies the pseudoexpectation to one
+polynomial; pseudo_gram gives E[p q] for every pair from two lists at once,
+as the integer product C_p A C_q^T of coefficient rows and the moment
+kernel A[B, B'] = a_|B xor B'|, with no product polynomial formed
+(bilinear_gram, which apolar.apolar_gram shares).  h_S denotes the image of
+the monomial x^S under isotypic projection onto the two-row component of
+shape (n-d, d), d = |S|; its coefficients have a hypergeometric closed form
+cross-checked here against the group-averaging definition.  h_S and the Specht products
 specht_x_basis are the hypercube twins of the frame-side harmonics: the
 frame image x^S -> prod_{i in S} <v_i, z> (apolar.frame_image) carries
 them to hS_span and specht_basis.
@@ -280,6 +284,46 @@ def pseudo_expect(n: int, poly: MultilinearPoly):
         raise ValueError(f"polynomial lives on n={poly.n}, expected {n}")
     a = _a_values(n)
     return sum((c * a[m.bit_count()] for m, c in poly.coeffs.items()), QZERO)
+
+
+def bilinear_gram(ps, qs, label, value) -> list:
+    """[[sum_(B,B') p[B] K(B, B') q[B'] for q in qs] for p in ps] for
+    SparsePolys and the exact kernel K(B, B') = value(label(B, B')) on pairs
+    of monomial keys, as two integer matrix products C_p K C_q^T.  C_p and
+    C_q hold the coefficient rows over the joint supports of ps and of qs;
+    each factor is scaled to ints by its common denominator (the kernel once
+    per distinct label), and each entry is divided back once at the end."""
+    keys_p, c_p, den_p = _integer_coefficients(ps)
+    keys_q, c_q, den_q = _integer_coefficients(qs)
+    if not (keys_p and keys_q):
+        return [[QZERO] * len(qs) for _ in ps]
+    labels = [[label(b, c) for c in keys_q] for b in keys_p]
+    distinct = list(dict.fromkeys(x for row in labels for x in row))
+    (ints,), den_k = xm.integer_form([[value(x) for x in distinct]])
+    scaled = dict(zip(distinct, ints))
+    k = [[scaled[x] for x in row] for row in labels]
+    products = xm.mat_mul(xm.mat_mul(c_p, k), list(zip(*c_q)))
+    den = den_p * den_q * den_k
+    return [[Q(x, den) for x in row] for row in products]
+
+
+def _integer_coefficients(polys):
+    """(support, rows, den): the sorted joint support of polys and their
+    coefficient rows over it, scaled to ints by their common denominator."""
+    support = sorted(set().union(*(p.coeffs for p in polys)))
+    rows, den = xm.integer_form([[p.coeffs.get(k, 0) for k in support] for p in polys])
+    return support, rows, den
+
+
+def pseudo_gram(n: int, ps, qs) -> list:
+    """[[E[p q] for q in qs] for p in ps]: the pseudoexpectation of every
+    product, as C_p A C_q^T with A[B, B'] = a_|B xor B'| (bilinear_gram),
+    without forming a product polynomial."""
+    for poly in (*ps, *qs):
+        if poly.n != n:
+            raise ValueError(f"polynomial lives on n={poly.n}, expected {n}")
+    a = _a_values(n)
+    return bilinear_gram(ps, qs, lambda b, c: (b ^ c).bit_count(), a.__getitem__)
 
 
 def ideal_annihilation_check(n: int) -> Report:

@@ -179,14 +179,6 @@ def _parity_split(y: PseudomomentMatrix):
     ]
 
 
-def _exact_int(value, where: str) -> int:
-    """value as a Python int, refusing any value that is not an integer."""
-    value = Q(value)
-    if value.denominator != 1:
-        raise InconsistentBlockError(f"{where} = {value} is not an integer")
-    return int(value.numerator)
-
-
 class _ParityPowers:
     """Powers of the parity blocks of Y, extended on demand and shared
     between the annihilation and trace-moment checks.
@@ -200,10 +192,9 @@ class _ParityPowers:
     def __init__(self, y: PseudomomentMatrix):
         self.n = y.n
         blocks = _parity_split(y)
-        entries = {x for block in blocks for row in block for x in row}
-        self.scale = math.lcm(*(int(Q(x).denominator) for x in entries))
-        scaled = {x: _exact_int(x * self.scale, f"scaled entry {x}") for x in entries}
-        self.blocks = [[[scaled[x] for x in row] for row in block] for block in blocks]
+        rows, self.scale = xm.integer_form([row for block in blocks for row in block])
+        rows = iter(rows)
+        self.blocks = [[next(rows) for _ in block] for block in blocks]
         self.powers = [
             [[[int(i == j) for j in range(len(block))] for i in range(len(block))], block]
             for block in self.blocks
@@ -227,8 +218,7 @@ class _ParityPowers:
         integer weights k_j = L c_j / D^j."""
         self.ensure(len(coeffs) - 1)
         scaled = [Q(c) / Q(self.scale) ** j for j, c in enumerate(coeffs)]
-        common = math.lcm(*(int(w.denominator) for w in scaled))
-        weights = [_exact_int(w * common, f"weight {j}") for j, w in enumerate(scaled)]
+        (weights,), common = xm.integer_form([scaled])
         values = []
         for plist in self.powers:
             used = plist[: len(weights)]

@@ -152,11 +152,11 @@ _PER_N = [
     ("pseudomoments.hypercube_decomposition", 2, 8, "exact rank",
      pm.hypercube_decomposition_check),
     ("apolar.harmonicity", 2, 7, "harmonicity sweep", ap.harmonicity_check),
-    ("apolar.specht_gram", 2, 7, "Gram rank", ap.specht_gram_check),
+    ("apolar.specht_gram", 2, 9, "Gram rank", ap.specht_gram_check),
     ("apolar.projection_consistency", 2, 7, "projection solve",
      ap.harmonic_projection_consistency),
     ("apolar.johnson_slice", 2, 10, "slice Gram", ap.johnson_slice_check),
-    ("apolar.sigma_bridge", 2, 7, "pairwise bridge", ap.sigma_bridge_check),
+    ("apolar.sigma_bridge", 2, 9, "bridge Gram", ap.sigma_bridge_check),
     ("apolar.ideal_kernel", 2, 7, "kernel sweep", ap.ideal_kernel_check),
     ("apolar.beta_identity", 2, 10, "pairing table", ap.beta_identity_check),
     ("spectrum.eta_routes", 2, 10, "overlap summation", sp.eta_routes_check),

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubemoments import apolar as ap
 from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
+from cubemoments import pseudomoments as pm
 from cubemoments.apolar import (
     SpanPoly,
     adjointness_check,
+    apolar_gram,
     apolar_ip,
     apply_operator,
     beta,
@@ -23,6 +26,7 @@ from cubemoments.apolar import (
     hS_span,
     is_frame_harmonic,
     johnson_slice_gram,
+    sigma_bridge_check,
     sigma_sq,
     span_monomial,
     specht_basis,
@@ -58,6 +62,50 @@ def test_pairing_of_monomials_is_gram_permanent(data, n, d):
     gram = [[frame_gram_entry(n, i, j) for j in b] for i in a]
     want = _permanent(gram) / math.factorial(d)
     assert apolar_ip(span_monomial(n, a), span_monomial(n, b)) == want
+
+
+def _spans(n, d):
+    """Random lists of multi-term degree-d SpanPolys on an n-frame."""
+    keys = st.lists(st.integers(1, n), min_size=d, max_size=d).map(lambda k: tuple(sorted(k)))
+    coeffs = st.builds(Q, st.integers(-3, 3), st.integers(1, 4))
+    polys = st.dictionaries(keys, coeffs, max_size=4).map(lambda c: SpanPoly(n, d, c))
+    return st.lists(polys, min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 6), st.integers(0, 3))
+def test_apolar_gram_is_bilinear_permanent_sum(data, n, d):
+    # each entry against the brute-force permanent, summed over term pairs;
+    # the two lists have different supports, so misaligned indexing shows
+    ps, qs = data.draw(_spans(n, d)), data.draw(_spans(n, d))
+    gram = apolar_gram(ps, qs)
+    assert len(gram) == len(ps) and all(len(row) == len(qs) for row in gram)
+    for p, row in zip(ps, gram):
+        for q, value in zip(qs, row):
+            want = sum(
+                (
+                    a_c * b_c * _permanent([[frame_gram_entry(n, i, j) for j in b] for i in a])
+                    for a, a_c in p.coeffs.items()
+                    for b, b_c in q.coeffs.items()
+                ),
+                Q(0),
+            ) / math.factorial(d)
+            assert value == want
+            assert type(value) is type(Q(0))  # exact, never a float
+
+
+def test_apolar_gram_shapes_and_refusals():
+    p, q = span_monomial(4, (1, 2)), span_monomial(4, (2, 3), 2)
+    assert apolar_gram([], [p]) == []
+    assert apolar_gram([p, q], []) == [[], []]
+    assert apolar_gram([SpanPoly(4, 2)], [p, q]) == [[0, 0]]
+    assert apolar_gram([p, q], [q]) == [[apolar_ip(p, q)], [apolar_ip(q, q)]]
+    with pytest.raises(ValueError):
+        apolar_gram([p], [span_monomial(4, (1,))])  # one degree per Gram
+    with pytest.raises(ValueError):
+        apolar_gram([p], [span_monomial(5, (1, 2))])
+    with pytest.raises(ValueError):
+        apolar_ip(p, span_monomial(5, (1,)))  # mixed frames refused before degrees
 
 
 def test_span_poly_arithmetic():
@@ -270,3 +318,41 @@ def test_harmonic_projection_consistency():
         assert report.ok, (n, report.details)
     with pytest.raises(ValueError):
         harmonic_projection_consistency(9)
+
+
+_CORRUPTED_BRIDGE_WITNESSES = {4: 52, 5: 125, 6: 661}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_bridge_fails_on_corrupted_moment(monkeypatch, n):
+    # a_2 + 1/1000 moves the hypercube side only
+    original = pm._a_values
+
+    def corrupted(m):
+        a = list(original(m))
+        a[2] += Q(1, 1000)
+        return tuple(a)
+
+    monkeypatch.setattr(pm, "_a_values", corrupted)
+    report = sigma_bridge_check(n)
+    assert not report.ok
+    assert len(report.details) == _CORRUPTED_BRIDGE_WITNESSES[n]
+    assert all(f"n={n}" in w for w in report.details)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_bridge_fails_on_corrupted_pattern_permanent(monkeypatch, n):
+    # +1 on the permanent of one profile moves the frame side only.  A
+    # uniform +1 on every permanent would be a weak probe: it adds
+    # (sum of coefficients)^2 / d! to a pairing, and the coefficients of h_S
+    # sum to 0 for d >= 1, so only the single d = 0 pair would fail.
+    original = ap._pattern_permanent
+
+    def corrupted(m, d, profile):
+        return original(m, d, profile) + (1 if profile == ((1, 1),) else 0)
+
+    monkeypatch.setattr(ap, "_pattern_permanent", corrupted)
+    report = sigma_bridge_check(n)
+    assert not report.ok
+    assert len(report.details) == _CORRUPTED_BRIDGE_WITNESSES[n]
+    assert all(f"n={n}" in w for w in report.details)

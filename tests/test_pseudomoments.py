@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemoments import combinatorics as cb
 from cubemoments import pseudomoments as pm
@@ -129,6 +131,27 @@ def test_pseudo_expect_kills_sum_x():
 def test_pseudo_expect_validates():
     with pytest.raises(ValueError):
         pm.pseudo_expect(4, pm.x_monomial(3, 1))
+    with pytest.raises(ValueError):
+        pm.pseudo_gram(4, [pm.x_monomial(4, 1)], [pm.x_monomial(3, 1)])
+
+
+def _multilinear_lists(n):
+    """Random lists of multi-term MultilinearPolys on n coordinates."""
+    coeffs = st.builds(Q, st.integers(-3, 3), st.integers(1, 4))
+    polys = st.dictionaries(st.integers(0, (1 << n) - 1), coeffs, max_size=5).map(
+        lambda c: pm.MultilinearPoly(n, c)
+    )
+    return st.lists(polys, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 7))
+def test_pseudo_gram_is_expectation_of_products(data, n):
+    # the product route, pseudo_expect of p * q, is the small-n reference
+    ps, qs = data.draw(_multilinear_lists(n)), data.draw(_multilinear_lists(n))
+    gram = pm.pseudo_gram(n, ps, qs)
+    assert gram == [[pm.pseudo_expect(n, p * q) for q in qs] for p in ps]
+    assert all(type(v) is type(Q(0)) for row in gram for v in row)  # never a float
 
 
 def test_balanced_measure_closed_vs_enumeration():

@@ -12,7 +12,6 @@ from cubemoments.pseudomoments import build_Y
 from cubemoments.scalars import Q
 from cubemoments.spectrum import (
     E_xS_hT_closed,
-    _exact_int,
     _parity_split,
     _ParityPowers,
     _poly_from_roots,
@@ -132,9 +131,10 @@ def test_parity_powers_scaled_to_integers():
         powers = _ParityPowers(build_Y(n))
         assert powers.scale == scale
         assert all(type(x) is int for b in powers.blocks for row in b for x in row)
-    assert _exact_int(Q(6, 3), "entry") == 2
+    assert xm.integer_form([[Q(6, 3), Q(1, 2)], [Q(-5, 6), 0]]) == ([[12, 3], [-5, 0]], 6)
+    assert xm._scaled_int(Q(2, 3), 3) == 2
     with pytest.raises(InconsistentBlockError):
-        _exact_int(Q(7, 3), "entry")  # refused, never truncated to 2
+        xm._scaled_int(Q(7, 3), 1)  # refused, never truncated to 2
 
 
 def test_parity_powers_match_rational_products():

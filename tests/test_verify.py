@@ -53,6 +53,16 @@ def test_guard_clamp_is_noted():
         assert "capped at 6" in c.witness
 
 
+def test_bridge_and_specht_gram_run_at_n8():
+    # both run as integer Gram products, inside their n <= 9 guards
+    checks = {c.name: c for c in run_verify(("apolar",), n_min=8, n_max=8).checks}
+    for name in ("apolar.sigma_bridge", "apolar.specht_gram"):
+        assert checks[name].status == "pass", checks[name].witness
+        assert "capped" not in checks[name].witness
+    # sigma_bridge_check(8): 8885 same-degree pairs plus 80 cross-degree comparisons
+    assert checks["apolar.sigma_bridge"].checked == 8965
+
+
 def test_fault_injection():
     rep = run_verify(("spectrum",), n_min=2, n_max=2, seed=3, inject_fault=True)
     assert not rep.ok
