@@ -5,16 +5,19 @@ arithmetic stays exact.  dot is the exact inner product of two vectors,
 skipping zero factors.  integer_form scales a rational matrix to ints by
 the lcm of its denominators, so products can run over Python ints and be
 divided back once at the end.  rank, det, solve_consistent and the Schur
-complement in schur.py share one Gaussian elimination kernel, eliminate,
-which divides by its pivots over Q and picks them deterministically (first
-nonzero entry of each column, from the top).  The semidefiniteness check
-psd_pivots runs its own sparse symmetric elimination with diagonal pivots.
+complement in schur.py share one elimination kernel, eliminate: a
+fraction-free (Bareiss) elimination over Python ints, whose every division
+by the previous pivot is exact and is checked to be.  It picks its pivots
+deterministically (first nonzero entry of each column, from the top);
+det, solve_consistent and the Schur complement divide its integer result
+back once per entry.  The semidefiniteness check psd_pivots runs its own
+sparse symmetric elimination with diagonal pivots.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import repeat
 from operator import mul
 
 from .errors import InconsistentBlockError
@@ -59,26 +62,41 @@ def is_symmetric(a: list) -> bool:
     return all(a[i][j] == a[j][i] for i in range(m) for j in range(i + 1, m))
 
 
+def _exact_quotients(values: list, divisor: int) -> list:
+    """Each of values divided by divisor, as Python ints; a remainder raises
+    InconsistentBlockError, so no entry is ever truncated."""
+    if divisor == 1 or not values:
+        return values
+    quotients, rests = zip(*map(divmod, values, repeat(divisor)))
+    if any(rests):
+        bad = next(v for v, rest in zip(values, rests) if rest)
+        raise InconsistentBlockError(f"{bad} is not divisible by {divisor}")
+    return list(quotients)
+
+
 def eliminate(
     work: list, cols: int, pivot_rows: int = None, reduce_above: bool = False
 ):
-    """Gaussian elimination of work's first cols columns, in place.
+    """Fraction-free (Bareiss) elimination of work's first cols columns, in
+    place, over Python ints.
 
     Columns go left to right; the pivot is the first nonzero entry from the
     top among the unused rows of range(pivot_rows) (default: every row), and
-    it is swapped up to the next pivot position.  Each pivot clears its
-    column in the rows below it, including rows past pivot_rows, and in the
-    rows above it too when reduce_above is set.  Rows with a zero in the
-    pivot column are skipped; the others are updated from the pivot column
-    onward.  Returns (pivot columns, number of row swaps); the pivot of
-    pivot_cols[i] sits in work[i].
+    it is swapped up to the next pivot position.  With pivot p in column c
+    and previous pivot prev (1 before the first), every row below it,
+    including rows past pivot_rows, becomes (p * row - row[c] * pivot_row)
+    / prev from column c on; with reduce_above the rows above it do too,
+    across their full width.  Every division is exact: each entry below the
+    pivots is a minor of the input, and each pivot row is the last pivot
+    times a row of the reduced echelon form.  Returns (pivot columns, number
+    of row swaps, last pivot); the pivot of pivot_cols[i] sits in work[i].
     """
     rows = len(work)
-    width = len(work[0]) if rows else 0
     if pivot_rows is None:
         pivot_rows = rows
     pivot_cols = []
     swaps = 0
+    prev = 1
     for c in range(cols):
         r = len(pivot_cols)
         if r == pivot_rows:
@@ -90,18 +108,26 @@ def eliminate(
             work[r], work[pivot_row] = work[pivot_row], work[r]
             swaps += 1
         wr = work[r]
-        inv = 1 / wr[c]
-        targets = range(r + 1, rows)
-        if reduce_above:
-            targets = chain(range(r), targets)
-        for i in targets:
+        p = wr[c]
+        # a row with a zero in column c is only scaled by p / prev, which
+        # divides by less, often by 1, in lowest terms
+        g = math.gcd(p, prev)
+        scale, shrink = p // g, prev // g
+        for i in range(0 if reduce_above else r + 1, rows):
+            if i == r:
+                continue
             wi = work[i]
-            if wi[c] != 0:
-                f = wi[c] * inv
-                for j in range(c, width):
-                    wi[j] = wi[j] - f * wr[j]
+            start = 0 if i < r else c
+            f = wi[c]
+            if f:
+                tail = [p * x - f * y for x, y in zip(wi[start:], wr[start:])]
+                wi[start:] = _exact_quotients(tail, prev)
+            else:
+                tail = [scale * x for x in wi[start:]]
+                wi[start:] = _exact_quotients(tail, shrink)
         pivot_cols.append(c)
-    return pivot_cols, swaps
+        prev = p
+    return pivot_cols, swaps, prev
 
 
 def require_zero_tails(rows: list, start: int) -> None:
@@ -115,25 +141,21 @@ def require_zero_tails(rows: list, start: int) -> None:
             )
 
 
-def _exact(a: list) -> list:
-    return [[Q(x) for x in row] for row in a]
-
-
 def rank(a: list) -> int:
     """Exact rank via row elimination; works for rectangular matrices."""
-    return len(eliminate(_exact(a), len(a[0]) if a else 0)[0])
+    work, _ = integer_form(a)
+    return len(eliminate(work, len(a[0]) if a else 0)[0])
 
 
 def det(a: list):
-    """Exact determinant via elimination with row swaps."""
+    """Exact determinant via elimination with row swaps: the last pivot of
+    den * a is den**m times the determinant of the row-swapped matrix."""
     m = len(a)
-    work = _exact(a)
-    pivot_cols, swaps = eliminate(work, m)
+    work, den = integer_form(a)
+    pivot_cols, swaps, last = eliminate(work, m)
     if len(pivot_cols) < m:
         return QZERO
-    out = Q(1)
-    for i in range(m):
-        out = out * work[i][i]
+    out = Q(last, den**m)
     return -out if swaps % 2 else out
 
 
@@ -148,14 +170,13 @@ def solve_consistent(a: list, b: list) -> list:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     width = len(b[0]) if rows else 0
-    work = [[Q(x) for x in a[i]] + [Q(y) for y in b[i]] for i in range(rows)]
-    pivot_cols, _ = eliminate(work, cols, reduce_above=True)
+    work, _ = integer_form([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    pivot_cols, _, _ = eliminate(work, cols, reduce_above=True)
     require_zero_tails(work[len(pivot_cols):], cols)
     x = [[QZERO] * width for _ in range(cols)]
     for idx, c in enumerate(pivot_cols):
-        inv = 1 / work[idx][c]
         for j in range(width):
-            x[c][j] = work[idx][cols + j] * inv
+            x[c][j] = Q(work[idx][cols + j], work[idx][c])
     return x
 
 

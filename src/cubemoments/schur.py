@@ -1,19 +1,21 @@
 """Schur complements of exact Gram matrices, without pseudoinverses.
 
 For a symmetric matrix M split into blocks by a leading index range, the
-complement M22 - M21 M11^+ M12 is computed here by Gaussian elimination over
-Q of the leading columns of M, with pivots taken from the leading rows only:
-the trailing block left behind is M22 - M21 X for a solution X of the
-consistent system M11 X = M12.  When M is the Gram matrix of vectors
-(a_1..a_m, b_1..b_n), any two solutions differ by kernel columns of M11, and
-those pair to zero against M21, so the complement never depends on the
-choice; it equals the Gram matrix of the b_j projected orthogonally off the
-span of the a_i.  That Gramian reading is what drives the iterated
-elimination of the pseudomoment matrix: after eliminating the degree blocks
-below k, the leading block is exactly sigma_k^2 times the apolar Gram of the
-harmonic projections h_S over |S| = k, and it lies in the Johnson scheme
-(entries depend only on |S cap T|).  A failure of consistency or of either
-structural claim is reported exactly, never approximated.
+complement M22 - M21 M11^+ M12 is computed here by fraction-free elimination
+over Python ints of the leading columns of M (exactmat.eliminate), with
+pivots taken from the leading rows only: the trailing block left behind,
+divided by the last pivot and the common denominator, is M22 - M21 X for
+a solution X of the consistent system M11 X = M12.  When M is the Gram
+matrix of vectors (a_1..a_m, b_1..b_n), any two solutions differ by kernel
+columns of M11, and those pair to zero against M21, so the complement never
+depends on the choice; it equals the Gram matrix of the b_j projected
+orthogonally off the span of the a_i.  That Gramian reading is what drives
+the iterated elimination of the pseudomoment matrix: after eliminating the
+degree blocks below k, the leading block is exactly sigma_k^2 times the
+apolar Gram of the harmonic projections h_S over |S| = k, and it lies in
+the Johnson scheme (entries depend only on |S cap T|).  A failure of
+consistency or of either structural claim is reported exactly, never
+approximated.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ def schur_complement(blocked: BlockedMatrix) -> list:
     when a leading row left without a pivot still has a nonzero tail; this
     cannot happen for a PSD leading block (Gram case)."""
     h = blocked.head
-    work = [[Q(x) for x in row] for row in blocked.matrix]
-    pivot_cols, _ = xm.eliminate(work, h, pivot_rows=h)
+    work, den = xm.integer_form(blocked.matrix)
+    pivot_cols, _, last = xm.eliminate(work, h, pivot_rows=h)
     xm.require_zero_tails(work[len(pivot_cols):h], h)
-    return [row[h:] for row in work[h:]]
+    scale = last * den
+    return [[Q(x, scale) for x in row[h:]] for row in work[h:]]
 
 
 def _gram(vectors) -> list:

@@ -1,6 +1,12 @@
+from fractions import Fraction
+from itertools import chain
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemoments import exactmat as xm
+from cubemoments import schur
 from cubemoments.errors import InconsistentBlockError
 from cubemoments.rng import SplitMix64
 from cubemoments.scalars import Q
@@ -128,3 +134,181 @@ def test_solve_consistent_overdetermined():
         match="right-hand side column 1 is outside the column space",
     ):
         xm.solve_consistent(a, [[1, 1], [2, 2], [3, 4]])
+
+
+# ---------------------------------------------------------------------------
+# reference: Gaussian elimination that divides by its pivots over Fraction,
+# with the same pivot rule as the fraction-free kernel
+
+
+def ref_eliminate(work, cols, pivot_rows=None, reduce_above=False):
+    rows = len(work)
+    width = len(work[0]) if rows else 0
+    if pivot_rows is None:
+        pivot_rows = rows
+    pivot_cols, swaps = [], 0
+    for c in range(cols):
+        r = len(pivot_cols)
+        if r == pivot_rows:
+            break
+        pivot_row = next((i for i in range(r, pivot_rows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            swaps += 1
+        wr = work[r]
+        targets = range(r + 1, rows)
+        if reduce_above:
+            targets = chain(range(r), targets)
+        for i in targets:
+            wi = work[i]
+            if wi[c] != 0:
+                f = wi[c] / wr[c]
+                for j in range(c, width):
+                    wi[j] = wi[j] - f * wr[j]
+        pivot_cols.append(c)
+    return pivot_cols, swaps
+
+
+def _fractions(a):
+    return [[Fraction(x) for x in row] for row in a]
+
+
+def ref_rank(a):
+    return len(ref_eliminate(_fractions(a), len(a[0]) if a else 0)[0])
+
+
+def ref_det(a):
+    work = _fractions(a)
+    pivot_cols, swaps = ref_eliminate(work, len(a))
+    if len(pivot_cols) < len(a):
+        return Fraction(0)
+    out = Fraction(1)
+    for i in range(len(a)):
+        out *= work[i][i]
+    return -out if swaps % 2 else out
+
+
+def ref_solve(a, b):
+    rows, cols, width = len(a), len(a[0]), len(b[0])
+    work = _fractions([list(a[i]) + list(b[i]) for i in range(rows)])
+    pivot_cols, _ = ref_eliminate(work, cols, reduce_above=True)
+    xm.require_zero_tails(work[len(pivot_cols):], cols)
+    x = [[Fraction(0)] * width for _ in range(cols)]
+    for idx, c in enumerate(pivot_cols):
+        for j in range(width):
+            x[c][j] = work[idx][cols + j] / work[idx][c]
+    return x
+
+
+def ref_schur(matrix, h):
+    work = _fractions(matrix)
+    pivot_cols, _ = ref_eliminate(work, h, pivot_rows=h)
+    xm.require_zero_tails(work[len(pivot_cols):h], h)
+    return [row[h:] for row in work[h:]]
+
+
+def _outcome(f, *args):
+    """f's result, or the message of the InconsistentBlockError it raised."""
+    try:
+        return f(*args)
+    except InconsistentBlockError as exc:
+        return f"InconsistentBlockError: {exc}"
+
+
+def _all_exact(a):
+    return all(type(x) is type(Q(0)) for row in a for x in row)
+
+
+_rationals = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.builds(Q, st.integers(-9, 9), st.integers(1, 8)),
+)
+
+
+def _entries(rows, cols):
+    return st.lists(
+        st.lists(_rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    """Rational matrices: dense, of a drawn low rank (a product U V), or zero."""
+    rows = draw(st.integers(1, 6)) if rows is None else rows
+    cols = draw(st.integers(1, 6)) if cols is None else cols
+    kind = draw(st.sampled_from(("dense", "low rank", "zero")))
+    if kind == "zero":
+        return [[0] * cols for _ in range(rows)]
+    if kind == "dense":
+        return draw(_entries(rows, cols))
+    k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+    return xm.mat_mul(draw(_entries(rows, k)), draw(_entries(k, cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rank_and_det_match_fraction_reference(a):
+    rank = xm.rank(a)
+    assert type(rank) is int and rank == ref_rank(a)
+    k = min(len(a), len(a[0]))
+    square = [row[:k] for row in a[:k]]
+    det = xm.det(square)
+    assert type(det) is type(Q(0)) and det == ref_det(square)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _matrices())
+def test_solve_consistent_matches_fraction_reference(data, a):
+    # b is A W, A W with one entry shifted, or drawn freely; the last two
+    # are often inconsistent when A is singular
+    width = data.draw(st.integers(1, 3))
+    kind = data.draw(st.sampled_from(("consistent", "shifted", "free")))
+    if kind == "free":
+        b = data.draw(_matrices(rows=len(a), cols=width))
+    else:
+        b = xm.mat_mul(a, data.draw(_matrices(rows=len(a[0]), cols=width)))
+        if kind == "shifted":
+            i = data.draw(st.integers(0, len(a) - 1))
+            j = data.draw(st.integers(0, width - 1))
+            b[i][j] += 1
+    got = _outcome(xm.solve_consistent, a, b)
+    assert got == _outcome(ref_solve, a, b)
+    assert isinstance(got, str) or _all_exact(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_schur_complement_matches_fraction_reference(data, size):
+    # a Gram matrix V V^T, whose leading block is singular whenever V's
+    # leading rows are dependent, or a symmetric matrix that need not be
+    # consistent at all
+    if data.draw(st.booleans()):
+        v = data.draw(_matrices(rows=size))
+        matrix = xm.mat_mul(v, [list(col) for col in zip(*v)])
+    else:
+        m = data.draw(_matrices(rows=size, cols=size))
+        matrix = [[m[i][j] + m[j][i] for j in range(size)] for i in range(size)]
+    h = data.draw(st.integers(0, size))
+    blocked = schur.BlockedMatrix(matrix, h)
+    got = _outcome(schur.schur_complement, blocked)
+    assert got == _outcome(ref_schur, matrix, h)
+    assert isinstance(got, str) or _all_exact(got)
+
+
+def test_schur_complement_with_singular_leading_block():
+    # leading vectors (1, 1) twice: M11 = [[2, 2], [2, 2]] has rank 1
+    vecs = [[1, 1], [1, 1], [1, 0]]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
+    blocked = schur.BlockedMatrix(gram, 2)
+    assert schur.schur_complement(blocked) == ref_schur(gram, 2) == [[Q(1, 2)]]
+
+
+def test_eliminate_divides_exactly_or_refuses():
+    # the last Bareiss pivot of a nonsingular int matrix is its determinant
+    work = [[2, 4, 6], [3, 5, 7], [1, 1, 2]]
+    assert xm.eliminate(work, 3) == ([0, 1, 2], 0, -2)
+    with pytest.raises(InconsistentBlockError, match="not divisible"):
+        xm._exact_quotients([6, 7], 3)  # refused, never truncated to 2

@@ -265,3 +265,23 @@ def test_hypercube_decomposition_check():
         assert report.ok, report.details
     with pytest.raises(ValueError):
         pm.hypercube_decomposition_check(9)
+
+
+def test_hypercube_decomposition_check_fails_on_duplicated_vector(monkeypatch):
+    # at even n the top degree d = n/2 has a chain of one vector, so a copy
+    # of one of its Specht vectors in place of another drops the rank by one
+    original = pm.specht_x_basis
+
+    def duplicated(n, d):
+        basis = original(n, d)
+        if d == n // 2:
+            basis[1] = basis[0]
+        return basis
+
+    monkeypatch.setattr(pm, "specht_x_basis", duplicated)
+    for n in (4, 6, 8):
+        report = pm.hypercube_decomposition_check(n)
+        assert not report.ok, n
+        assert report.details == [
+            f"decomposition rank at n={n}: {2 ** n - 1} != {2 ** n}"
+        ]

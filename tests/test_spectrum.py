@@ -1,12 +1,18 @@
 """Eigenvalue closed forms, exact certificates, frame constants."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cubemoments
 from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
+from cubemoments import spectrum as sp
 from cubemoments.errors import InconsistentBlockError
 from cubemoments.pseudomoments import build_Y
 from cubemoments.scalars import Q
@@ -186,6 +192,47 @@ def test_rank():
         assert rank_check(n).ok, n
     with pytest.raises(ValueError):
         rank_check(11)
+
+
+def test_rank_check_fails_on_corrupted_Y(monkeypatch):
+    # a_2 + 1/1000 on the symmetric pair (empty set, {1,2}); a same-parity
+    # entry, since a cross-parity one is refused by _parity_split first
+    def corrupted(n):
+        y = build_Y(n)
+        i, j = y.index[0], y.index[0b11]
+        y.rows[i][j] += Q(1, 1000)
+        y.rows[j][i] += Q(1, 1000)
+        return y
+
+    monkeypatch.setattr(sp, "build_Y", corrupted)
+    for n in range(4, 9):
+        report = rank_check(n)
+        expected = cb.binomial(n, cb.d_max(n))
+        assert not report.ok, n
+        assert report.details == [f"rank(Y) = {expected + 2} != {expected} at n={n}"]
+
+
+def test_fraction_fallback_without_gmpy2():
+    # gmpy2 is made unimportable before the package loads, so scalars.Q must
+    # fall back to fractions.Fraction and the exact routes must still pass;
+    # on a machine without gmpy2 this is the configuration every test runs in
+    package_root = str(Path(cubemoments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, fractions\n"
+        "sys.modules['gmpy2'] = None\n"
+        "from cubemoments import scalars, spectrum\n"
+        "assert scalars.Q is fractions.Fraction\n"
+        "assert spectrum.exact_spectrum_certificate(6).ok\n"
+        "assert spectrum.rank_check(7).ok\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_order_report():
