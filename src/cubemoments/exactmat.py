@@ -1,17 +1,16 @@
 """Dense exact matrix helpers over rational scalars.
 
 Matrices are plain list-of-list rows holding ints or exact rationals; all
-arithmetic stays exact.  dot is the exact inner product of two vectors,
-skipping zero factors.  integer_form scales a rational matrix to ints by
-the lcm of its denominators, so products can run over Python ints and be
-divided back once at the end.  rank, det, solve_consistent and the Schur
-complement in schur.py share one elimination kernel, eliminate: a
-fraction-free (Bareiss) elimination over Python ints, whose every division
-by the previous pivot is exact and is checked to be.  It picks its pivots
-deterministically (first nonzero entry of each column, from the top);
-det, solve_consistent and the Schur complement divide its integer result
-back once per entry.  The semidefiniteness check psd_pivots runs its own
-sparse symmetric elimination with diagonal pivots.
+arithmetic stays exact.  integer_form scales a rational matrix to ints by
+the lcm of its denominators, so products (mat_mul) can run over Python
+ints and be divided back once at the end.  rank, det, solve_consistent,
+the semidefiniteness test psd_pivots and the Schur complement in schur.py
+share one elimination kernel, eliminate: a fraction-free (Bareiss)
+elimination over Python ints, whose every division by the previous pivot
+is exact and is checked to be.  It picks its pivots deterministically
+(first nonzero entry of each column, from the top); det, solve_consistent,
+psd_pivots and the Schur complement divide its integer result back once
+per entry.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from .scalars import Q, QZERO
 def mat_mul(a: list, b: list) -> list:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
-def dot(u, v):
-    return sum((a * b for a, b in zip(u, v) if a != 0 and b != 0), QZERO)
 
 
 def _scaled_int(x, den: int) -> int:
@@ -183,43 +178,33 @@ def solve_consistent(a: list, b: list) -> list:
 def psd_pivots(a: list):
     """Exact semidefiniteness test for a symmetric matrix.
 
-    Symmetric elimination with diagonal pivoting: returns (True, pivots) when
-    the matrix is positive semidefinite, with pivots the rank-many positive
-    pivots encountered; returns (False, witness_string) otherwise.  Relies on
-    the fact that a PSD matrix with a zero diagonal entry has that whole row
-    zero, so finding a nonzero off-diagonal entry among zero-diagonal rows
-    refutes semidefiniteness.
+    Returns (True, pivots) when the matrix is positive semidefinite, with
+    pivots its rank-many positive LDL^T pivots; returns (False,
+    witness_string) otherwise.  Two eliminations decide it.  The first, of
+    the whole matrix, finds its pivot columns J, a basis of the column
+    space.  The second, of the principal block A[J, J] (nonsingular for a
+    symmetric A), must run without a row swap and with positive pivots:
+    with no swap its k-th pivot is the k-th leading principal minor, so
+    A[J, J] is positive definite (Sylvester), and since rank A[J, J] =
+    rank A, the Schur complement of A[J, J] in A is zero.  A PSD matrix
+    passes, because its columns J are Gram vectors that stay independent.
+    The pivots are minor_k / minor_(k-1), in the input's own units.
     """
-    m = len(a)
     if not is_symmetric(a):
         return (False, "matrix is not symmetric")
-    work = {i: {j: Q(a[i][j]) for j in range(m) if a[i][j] != 0} for i in range(m)}
-    active = set(range(m))
-    pivots = []
-    while True:
-        pivot = next((i for i in sorted(active) if work[i].get(i, QZERO) != 0), None)
-        if pivot is None:
-            for i in sorted(active):
-                row = work[i]
-                bad = next((j for j in sorted(row) if j in active and row[j] != 0), None)
-                if bad is not None:
-                    return (False, f"zero diagonal at {i} with nonzero entry at column {bad}")
-            return (True, pivots)
-        p = work[pivot].get(pivot)
-        if p < 0:
-            return (False, f"negative pivot {p} at index {pivot}")
-        pivots.append(p)
-        active.discard(pivot)
-        prow = work[pivot]
-        targets = [i for i in active if prow.get(i, QZERO) != 0]
-        for i in targets:
-            f = prow[i] / p
-            wi = work[i]
-            for j, v in prow.items():
-                if j in active:
-                    new = wi.get(j, QZERO) - f * v
-                    if new == 0:
-                        wi.pop(j, None)
-                    else:
-                        wi[j] = new
-    # unreachable
+    rows, den = integer_form(a)
+    independent, _, _ = eliminate([row[:] for row in rows], len(a))
+    lead = [[rows[i][j] for j in independent] for i in independent]
+    _, swaps, _ = eliminate(lead, len(lead))
+    if swaps:
+        return (
+            False,
+            f"zero leading minor of the principal block on the {len(lead)} "
+            "independent columns",
+        )
+    minors = [1] + [lead[k][k] for k in range(len(lead))]
+    pivots = [Q(minors[k + 1], minors[k] * den) for k in range(len(lead))]
+    bad = next((k for k, p in enumerate(pivots) if p < 0), None)
+    if bad is not None:
+        return (False, f"negative pivot {pivots[bad]} at index {independent[bad]}")
+    return (True, pivots)

@@ -67,7 +67,7 @@ def schur_complement(blocked: BlockedMatrix) -> list:
 
 
 def _gram(vectors) -> list:
-    return [[xm.dot(u, v) for v in vectors] for u in vectors]
+    return xm.mat_mul(vectors, list(zip(*vectors)))
 
 
 def _require_trials(trials: int) -> None:
@@ -116,10 +116,7 @@ def gram_schur_property_check(seed: int, trials: int = 100) -> Report:
         complement = schur_complement(BlockedMatrix(gram, GRAM_LEADS))
 
         lead_gram = [row[:GRAM_LEADS] for row in gram[:GRAM_LEADS]]
-        cross = [
-            [xm.dot(a_vecs[k], b_vecs[j]) for j in range(GRAM_TAILS)]
-            for k in range(GRAM_LEADS)
-        ]
+        cross = xm.mat_mul(a_vecs, list(zip(*b_vecs)))
         coeffs = xm.solve_consistent(lead_gram, cross)
         projected = []
         for j in range(GRAM_TAILS):

@@ -294,15 +294,17 @@ def trace_moment_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
     return report
 
 
-def rank_check(n: int) -> Report:
+def rank_check(n: int, powers: "_ParityPowers" = None) -> Report:
     """Exact rank of Y equals C(n, d_max), i.e. the kernel has dimension
-    C(n, <= d_max - 1); computed per parity block."""
+    C(n, <= d_max - 1); computed per parity block, on the integer blocks
+    D Y that powers holds (xm.rank works on a copy, so they stay intact)."""
     cb.check_n(n, cap=RANK_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if powers is None:
+        powers = _ParityPowers(build_Y(n))
     report = Report()
-    blocks = _parity_split(build_Y(n))
-    observed = sum(xm.rank(b) for b in blocks)
+    observed = sum(xm.rank(b) for b in powers.blocks)
     expected = cb.binomial(n, cb.d_max(n))
     report.expect(observed == expected, f"rank(Y) = {observed} != {expected} at n={n}")
     return report
@@ -352,7 +354,7 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
 
     rank_ok = None
     if n <= RANK_MAX_N:
-        rank_rep = rank_check(n)
+        rank_rep = rank_check(n, powers=powers)
         report.absorb(rank_rep)
         rank_ok = rank_rep.ok
 
@@ -549,7 +551,10 @@ def gram_reconstruction_check(n: int) -> Report:
     """Y = sum_d sigma_d^2 G_d exactly, where (G_d)_{S,T} is rebuilt from the
     tight-frame expansion (1/(f_{d,d} sigma_d^4)) sum_R E[x^S h_R] E[x^T h_R].
     Each G_d is a scaled product U U^T of a rational matrix with its own
-    transpose, hence positive semidefinite by construction."""
+    transpose, hence positive semidefinite by construction.  The product is
+    taken over Python ints: U is scaled to ints by the lcm den of its
+    denominators, and the integer Gram is folded into the total with
+    weight scale / den^2."""
     cb.check_n(n, cap=RECONSTRUCTION_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -577,12 +582,13 @@ def gram_reconstruction_check(n: int) -> Report:
         scale = sigma_sq(n, d) / (
             (Q(n, n - 1) ** d / math.factorial(d)) * sigma_sq(n, d) ** 2
         )
-        for i in range(size):
-            for j in range(i, size):
-                entry = scale * xm.dot(u[i], u[j])
-                total[i][j] = total[i][j] + entry
-                if i != j:
-                    total[j][i] = total[j][i] + entry
+        ints, den = xm.integer_form(u)
+        gram = xm.mat_mul(ints, list(zip(*ints)))
+        weight = scale / den**2
+        total = [
+            [t + weight * g for t, g in zip(trow, grow)]
+            for trow, grow in zip(total, gram)
+        ]
     report.expect(
         xm.mat_eq(total, y.rows),
         f"frame reconstruction does not reproduce Y at n={n}",

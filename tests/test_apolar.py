@@ -312,6 +312,21 @@ def test_johnson_slice_gram():
         johnson_slice_gram(13, 2)
 
 
+def test_johnson_slice_check_fails_below_floor(monkeypatch):
+    def corrupted(n, d):
+        g = johnson_slice_gram(n, d)
+        return [
+            [x - (Q(1, 1000) if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(g)
+        ]
+
+    monkeypatch.setattr(ap, "johnson_slice_gram", corrupted)
+    for n in range(4, 9):
+        report = ap.johnson_slice_check(n)
+        assert not report.ok, n
+        assert any("below floor" in w and f"at n={n}," in w for w in report.details), n
+
+
 def test_harmonic_projection_consistency():
     for n in range(2, 7):
         report = harmonic_projection_consistency(n)

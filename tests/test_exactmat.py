@@ -312,3 +312,89 @@ def test_eliminate_divides_exactly_or_refuses():
     assert xm.eliminate(work, 3) == ([0, 1, 2], 0, -2)
     with pytest.raises(InconsistentBlockError, match="not divisible"):
         xm._exact_quotients([6, 7], 3)  # refused, never truncated to 2
+
+
+# ---------------------------------------------------------------------------
+# reference: sparse symmetric elimination with diagonal pivots over Fraction.
+# A PSD matrix with a zero diagonal entry has that whole row zero, so a
+# nonzero off-diagonal entry among zero-diagonal rows refutes semidefiniteness.
+
+
+def ref_psd_pivots(a):
+    m = len(a)
+    if not xm.is_symmetric(a):
+        return (False, "matrix is not symmetric")
+    work = {i: {j: Fraction(a[i][j]) for j in range(m) if a[i][j] != 0} for i in range(m)}
+    active = set(range(m))
+    pivots = []
+    while True:
+        pivot = next((i for i in sorted(active) if work[i].get(i, 0) != 0), None)
+        if pivot is None:
+            for i in sorted(active):
+                row = work[i]
+                bad = next((j for j in sorted(row) if j in active and row[j] != 0), None)
+                if bad is not None:
+                    return (False, f"zero diagonal at {i} with nonzero entry at column {bad}")
+            return (True, pivots)
+        p = work[pivot].get(pivot)
+        if p < 0:
+            return (False, f"negative pivot {p} at index {pivot}")
+        pivots.append(p)
+        active.discard(pivot)
+        prow = work[pivot]
+        for i in [i for i in active if prow.get(i, 0) != 0]:
+            f = prow[i] / p
+            wi = work[i]
+            for j, v in prow.items():
+                if j in active:
+                    new = wi.get(j, 0) - f * v
+                    if new == 0:
+                        wi.pop(j, None)
+                    else:
+                        wi[j] = new
+
+
+@st.composite
+def _symmetric(draw):
+    """Symmetric rational matrices: Grams V V^T of drawn rank (deficient
+    whenever V has fewer columns than rows), zero, a zero diagonal with one
+    nonzero off-diagonal pair, or indefinite (M + M^T)."""
+    kind = draw(st.sampled_from(("gram", "zero", "zero diagonal", "indefinite")))
+    size = draw(st.integers(2 if kind == "zero diagonal" else 1, 6))
+    if kind == "gram":
+        v = draw(_matrices(rows=size, cols=draw(st.integers(1, size))))
+        return xm.mat_mul(v, [list(col) for col in zip(*v)])
+    matrix = [[Q(0)] * size for _ in range(size)]
+    if kind == "zero":
+        return matrix
+    if kind == "zero diagonal":
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        matrix[i][j] = matrix[j][i] = Q(draw(_rationals.filter(lambda x: x != 0)))
+        return matrix
+    m = draw(_entries(size, size))
+    return [[m[i][j] + m[j][i] for j in range(size)] for i in range(size)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_symmetric())
+def test_psd_pivots_matches_sparse_reference(a):
+    before = [row[:] for row in a]
+    ok, got = xm.psd_pivots(a)
+    ref_ok, ref_got = ref_psd_pivots(a)
+    assert a == before
+    assert ok == ref_ok
+    if ok:
+        assert got == ref_got
+        assert all(type(p) is type(Q(0)) for p in got)
+    else:
+        assert isinstance(got, str)
+
+
+def test_psd_pivots_witnesses():
+    ok, witness = xm.psd_pivots([[1, 0], [0, -2]])
+    assert (ok, witness) == (False, "negative pivot -2 at index 1")
+    ok, witness = xm.psd_pivots([[0, 1], [1, 0]])
+    assert not ok and "zero leading minor" in witness
+    # a zero column is dropped before the principal block is eliminated
+    ok, pivots = xm.psd_pivots([[4, 0, 2], [0, 0, 0], [2, 0, 2]])
+    assert ok and pivots == [Q(4), Q(1)]

@@ -212,6 +212,18 @@ def test_rank_check_fails_on_corrupted_Y(monkeypatch):
         assert report.details == [f"rank(Y) = {expected + 2} != {expected} at n={n}"]
 
 
+def test_rank_check_reads_powers_without_changing_them():
+    for n in range(4, 9):
+        powers = _ParityPowers(build_Y(n))
+        powers.ensure(2)
+        blocks = [[row[:] for row in block] for block in powers.blocks]
+        firsts = [[row[:] for row in plist[1]] for plist in powers.powers]
+        assert rank_check(n, powers=powers).ok, n
+        assert powers.blocks == blocks, n
+        assert [plist[1] for plist in powers.powers] == firsts, n
+        assert all(plist[1] is block for plist, block in zip(powers.powers, powers.blocks))
+
+
 def test_fraction_fallback_without_gmpy2():
     # gmpy2 is made unimportable before the package loads, so scalars.Q must
     # fall back to fractions.Fraction and the exact routes must still pass;
@@ -326,6 +338,18 @@ def test_gram_reconstruction():
         assert gram_reconstruction_check(n).ok, n
     with pytest.raises(ValueError):
         gram_reconstruction_check(9)
+
+
+def test_gram_reconstruction_fails_on_corrupted_moment(monkeypatch):
+    def corrupted(n, d_prime, d, ell):
+        value = E_xS_hT_closed(n, d_prime, d, ell)
+        return value + Q(1, 1000) if (d_prime, d, ell) == (2, 1, 1) else value
+
+    monkeypatch.setattr(sp, "E_xS_hT_closed", corrupted)
+    for n in range(4, 8):
+        report = gram_reconstruction_check(n)
+        assert not report.ok, n
+        assert report.details == [f"frame reconstruction does not reproduce Y at n={n}"]
 
 
 def test_numeric_eigensolve():
