@@ -180,22 +180,26 @@ def psd_pivots(a: list):
 
     Returns (True, pivots) when the matrix is positive semidefinite, with
     pivots its rank-many positive LDL^T pivots; returns (False,
-    witness_string) otherwise.  Two eliminations decide it.  The first, of
-    the whole matrix, finds its pivot columns J, a basis of the column
-    space.  The second, of the principal block A[J, J] (nonsingular for a
-    symmetric A), must run without a row swap and with positive pivots:
-    with no swap its k-th pivot is the k-th leading principal minor, so
-    A[J, J] is positive definite (Sylvester), and since rank A[J, J] =
-    rank A, the Schur complement of A[J, J] in A is zero.  A PSD matrix
-    passes, because its columns J are Gram vectors that stay independent.
-    The pivots are minor_k / minor_(k-1), in the input's own units.
+    witness_string) otherwise.  At most two eliminations decide it.  The
+    first, of the whole matrix, finds its pivot columns J, a basis of the
+    column space.  The second, of the principal block A[J, J] (nonsingular
+    for a symmetric A), must run without a row swap and with positive
+    pivots: with no swap its k-th pivot is the k-th leading principal
+    minor, so A[J, J] is positive definite (Sylvester), and since rank
+    A[J, J] = rank A, the Schur complement of A[J, J] in A is zero.  A PSD
+    matrix passes, because its columns J are Gram vectors that stay
+    independent.  When J is every column, A[J, J] is A and the first
+    elimination already is the second, so it is not run again.  The pivots
+    are minor_k / minor_(k-1), in the input's own units.
     """
     if not is_symmetric(a):
         return (False, "matrix is not symmetric")
     rows, den = integer_form(a)
-    independent, _, _ = eliminate([row[:] for row in rows], len(a))
-    lead = [[rows[i][j] for j in independent] for i in independent]
-    _, swaps, _ = eliminate(lead, len(lead))
+    lead = [row[:] for row in rows]
+    independent, swaps, _ = eliminate(lead, len(a))
+    if len(independent) < len(a):
+        lead = [[rows[i][j] for j in independent] for i in independent]
+        _, swaps, _ = eliminate(lead, len(lead))
     if swaps:
         return (
             False,

@@ -10,7 +10,11 @@ multiplicity counts, and three independent verification routes:
   contained in the claimed set;
 * exact trace moments: tr(Y^m) matches sum_d mult_d lambda_d^m, which pins
   the multiplicities (a Vandermonde argument on distinct values);
-* a floating eigensolver on the parity blocks as a numeric cross-check.
+* a floating eigensolver as a numeric cross-check: each parity block is
+  split into the sectors of the commuting transpositions (1 2), (3 4), ...
+  by an orthogonal change of basis, which rests only on Y[S,T] depending on
+  |S xor T|; a block that leaks mass off its sectors is refused, and each
+  sector goes to a dense symmetric eigensolver.
 
 Annihilation plus traces plus positivity of the closed-form values is an
 exact proof that Y is positive semidefinite.
@@ -61,6 +65,7 @@ RANK_MAX_N = 10
 ORDER_MAX_N = 40
 RECONSTRUCTION_MAX_N = 8
 NUMERIC_MAX_N = 14
+_FLOAT_CHUNK = 512  # rows or columns per pass of the float block work
 
 
 def lambda_closed(n: int, d: int):
@@ -206,8 +211,18 @@ class _ParityPowers:
                 plist.append(xm.mat_mul(plist[-1], base))
 
     def trace(self, m: int):
-        self.ensure(m)
-        return Q(sum(xm.mat_trace(plist[m]) for plist in self.powers), self.scale**m)
+        """tr(Y^m), as the Frobenius product <B^a, B^(m-a)> (B^(m-a) is
+        symmetric) with a = min(m, highest power held), so a power needed
+        only for its trace is never formed."""
+        self.ensure((m + 1) // 2)
+        a = min(m, len(self.powers[0]) - 1)
+        total = 0
+        for plist in self.powers:
+            if a == m:
+                total += xm.mat_trace(plist[m])
+            else:
+                total += sum(sum(map(mul, x, y)) for x, y in zip(plist[a], plist[m - a]))
+        return Q(total, self.scale**m)
 
     def polynomial(self, coeffs):
         """sum_j coeffs[j] Y^j as (L, blocks): integer blocks M_b with M_b / L
@@ -600,12 +615,79 @@ def gram_reconstruction_check(n: int) -> Report:
 # floating cross-check
 
 
+def _transposition_sectors(block, masks, n: int) -> list:
+    """Split one symmetric parity block into its transposition sectors.
+
+    The transpositions (1 2), (3 4), ..., on bits (2i, 2i+1) for i <
+    floor(n/2), commute with each other and with Y, since they keep
+    |S xor T|.  Each pairs the indices whose bits there read ...01... and
+    ...10... and fixes the rest; the rotation (x, y) -> ((x+y)/sqrt2,
+    (x-y)/sqrt2) on every such pair, the ...01... index taking the "+"
+    slot, is an orthogonal H with H Y H^T block diagonal.  The sector of an
+    index is the bitmask of the pairs where it took the "-" slot.
+
+    block (rows indexed by the int array masks) is overwritten with H Y;
+    for each sector with indices idx, H applied to the rows of
+    (H Y)[idx]^T = Y H_idx^T gives H Y H_idx^T, and its rows idx are the
+    sector.  Returns [(sector, H_idx Y H_idx^T)].  The squared Frobenius
+    norm of block is that of its sectors plus the mass H Y H^T holds off
+    them, which is zero for a block that commutes with every
+    transposition; unless it is within 1e-12 of the whole, relative,
+    InconsistentBlockError is raised.  The off-sector mass is summed
+    directly: the difference of the two totals would lose it to rounding.
+    """
+    total = float(np.vdot(block, block))
+    where = np.empty(1 << n, dtype=np.intp)
+    where[masks] = np.arange(len(masks))
+    sector = np.zeros(len(masks), dtype=np.intp)
+    pairs = []
+    for i in range(n // 2):
+        low, both = 1 << 2 * i, 3 << 2 * i
+        plus = np.flatnonzero(masks & both == low)
+        minus = where[masks[plus] ^ both]
+        sector[minus] |= 1 << i
+        pairs.append((plus, minus))
+    root_half = math.sqrt(0.5)
+
+    def rotate_rows(rows):
+        # column chunks keep the temporaries small next to the block
+        for plus, minus in pairs:
+            for start in range(0, rows.shape[1], _FLOAT_CHUNK):
+                cols = slice(start, start + _FLOAT_CHUNK)
+                x, y = rows[plus, cols], rows[minus, cols]
+                rows[plus, cols] = (x + y) * root_half
+                x -= y
+                x *= root_half
+                rows[minus, cols] = x
+
+    rotate_rows(block)
+    out = []
+    leaked = 0.0
+    for label in np.flatnonzero(np.bincount(sector)):
+        inside = sector == label
+        part = np.ascontiguousarray(block[inside].T)
+        rotate_rows(part)
+        off = part[~inside]
+        leaked += float(np.vdot(off, off))
+        out.append((int(label), part[inside]))
+    if leaked > 1e-12 * total:
+        raise InconsistentBlockError(
+            f"transposition sectors miss {leaked:.3e} of squared Frobenius "
+            f"norm {total:.6e} at n={n}, parity {int(masks[0]).bit_count() & 1}"
+        )
+    return out
+
+
 def numeric_eigensolve(n: int) -> list:
     """Floating eigenvalues of Y, sorted descending.
 
     The matrix is assembled per parity block (the blocks are exact direct
-    summands) and handed to a dense symmetric eigensolver, which converges
-    to machine precision; failure to converge raises ConvergenceError.
+    summands), each block is split into the sectors of the transpositions
+    (1 2), (3 4), ... (_transposition_sectors; this rests only on Y[S,T]
+    depending on |S xor T|, and a block that leaks off its sectors raises
+    InconsistentBlockError), and each sector is handed to a dense symmetric
+    eigensolver, which converges to machine precision; failure to converge
+    raises ConvergenceError naming n, the parity and the sector.
     """
     cb.check_n(n, cap=NUMERIC_MAX_N)
     if n < 2:
@@ -625,18 +707,19 @@ def numeric_eigensolve(n: int) -> list:
         marr = np.array(masks, dtype=np.int16)
         size = marr.shape[0]
         block = np.empty((size, size), dtype=np.float64)
-        chunk = 512
-        for start in range(0, size, chunk):
-            stop = min(start + chunk, size)
+        for start in range(0, size, _FLOAT_CHUNK):
+            stop = min(start + _FLOAT_CHUNK, size)
             xor = marr[start:stop, None] ^ marr[None, :]
             block[start:stop] = a_table[np.bitwise_count(xor)]
-        try:
-            eigs = np.linalg.eigvalsh(block)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"eigensolver failed at n={n}, parity {parity}, size {size}: {exc}"
-            ) from exc
-        out.extend(float(v) for v in eigs)
+        for label, part in _transposition_sectors(block, marr, n):
+            try:
+                eigs = np.linalg.eigvalsh(part)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    f"eigensolver failed at n={n}, parity {parity}, sector "
+                    f"{label}, size {len(part)}: {exc}"
+                ) from exc
+            out.extend(float(v) for v in eigs)
     out.sort(reverse=True)
     return out
 

@@ -398,3 +398,52 @@ def test_psd_pivots_witnesses():
     # a zero column is dropped before the principal block is eliminated
     ok, pivots = xm.psd_pivots([[4, 0, 2], [0, 0, 0], [2, 0, 2]])
     assert ok and pivots == [Q(4), Q(1)]
+
+
+def two_pass_psd_pivots(a):
+    """psd_pivots with the principal block always eliminated afresh."""
+    if not xm.is_symmetric(a):
+        return (False, "matrix is not symmetric")
+    rows, den = xm.integer_form(a)
+    independent, _, _ = xm.eliminate([row[:] for row in rows], len(a))
+    lead = [[rows[i][j] for j in independent] for i in independent]
+    _, swaps, _ = xm.eliminate(lead, len(lead))
+    if swaps:
+        return (
+            False,
+            f"zero leading minor of the principal block on the {len(lead)} "
+            "independent columns",
+        )
+    minors = [1] + [lead[k][k] for k in range(len(lead))]
+    pivots = [Q(minors[k + 1], minors[k] * den) for k in range(len(lead))]
+    bad = next((k for k, p in enumerate(pivots) if p < 0), None)
+    if bad is not None:
+        return (False, f"negative pivot {pivots[bad]} at index {independent[bad]}")
+    return (True, pivots)
+
+
+def test_psd_pivots_one_pass_matches_two_pass(monkeypatch):
+    calls = []
+    eliminate = xm.eliminate
+
+    def counted(work, cols, *args, **kwargs):
+        calls.append(len(work))
+        return eliminate(work, cols, *args, **kwargs)
+
+    cases = [
+        ([[4, 2, 0], [2, 3, Q(1, 2)], [0, Q(1, 2), 2]], 1),  # positive definite
+        ([[1, 2, 0], [2, 1, 0], [0, 0, 5]], 1),  # indefinite, nonsingular
+        ([[1, 1, 2], [1, 1, 2], [2, 2, 4]], 2),  # singular PSD, rank 1
+        ([[0, 1, 0], [1, 2, 0], [0, 0, 3]], 1),  # nonsingular, forces a swap
+    ]
+    for a, passes in cases:
+        want = two_pass_psd_pivots(a)
+        calls.clear()
+        monkeypatch.setattr(xm, "eliminate", counted)
+        got = xm.psd_pivots(a)
+        monkeypatch.setattr(xm, "eliminate", eliminate)
+        assert got == want and repr(got) == repr(want), a
+        assert len(calls) == passes, a
+    assert xm.psd_pivots(cases[0][0])[0] and not xm.psd_pivots(cases[1][0])[0]
+    assert xm.psd_pivots(cases[2][0]) == (True, [Q(1)])
+    assert "zero leading minor" in xm.psd_pivots(cases[3][0])[1]

@@ -7,20 +7,22 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cubemoments
 from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
 from cubemoments import spectrum as sp
-from cubemoments.errors import InconsistentBlockError
-from cubemoments.pseudomoments import build_Y
+from cubemoments.errors import ConvergenceError, InconsistentBlockError
+from cubemoments.pseudomoments import a_coeff, build_Y
 from cubemoments.scalars import Q
 from cubemoments.spectrum import (
     E_xS_hT_closed,
     _parity_split,
     _ParityPowers,
     _poly_from_roots,
+    _transposition_sectors,
     annihilation_check,
     contract_x_h,
     distinctness_and_order_report,
@@ -46,8 +48,6 @@ def test_lambda_closed_frozen():
     assert [lambda_closed(5, d) for d in range(3)] == [Q(13, 8), Q(5, 4), Q(15, 8)]
     # d = 0 reduces to the moment-vector eigenvalue sum
     for n in range(2, 12):
-        from cubemoments.pseudomoments import a_coeff
-
         direct = sum(
             cb.binomial(n, k) * a_coeff(n, k) ** 2 for k in range(cb.d_max(n) + 1)
         )
@@ -322,8 +322,6 @@ def test_eta_and_frame_const_frozen():
             assert frame_const(n, d, d) == Q(n, n - 1) ** d / math.factorial(d)
     assert eta_sq(3, 1, 1) == 1
     # d = 0 row: eta^2_{d',0} = a_{d'}^2
-    from cubemoments.pseudomoments import a_coeff
-
     for n in range(2, 9):
         for dp in range(cb.d_max(n) + 1):
             assert eta_sq(n, dp, 0) == a_coeff(n, dp) ** 2
@@ -370,3 +368,69 @@ def test_numeric_eigensolve():
         assert abs(got - want) <= 1e-9 * max(abs(want), 1.0)
     with pytest.raises(ValueError):
         numeric_eigensolve(15)
+
+
+def _parity_block(n, parity, a):
+    """Masks and dense float block a[|S xor T|] of one parity block."""
+    masks = np.array(
+        [m for size in range(parity, cb.d_max(n) + 1, 2) for m in cb.subsets_of_size(n, size)],
+        dtype=np.int16,
+    )
+    return masks, np.asarray(a, dtype=np.float64)[np.bitwise_count(masks[:, None] ^ masks[None, :])]
+
+
+def test_transposition_sectors_refuse_leaking_block():
+    for n, parity in ((4, 0), (7, 1), (8, 0)):
+        a = [float(a_coeff(n, k)) for k in range(n + 1)]
+        masks, block = _parity_block(n, parity, a)
+        sectors = _transposition_sectors(block.copy(), masks, n)
+        labels = [label for label, _ in sectors]
+        assert len(set(labels)) == len(labels)
+        assert sum(len(part) for _, part in sectors) == len(masks)
+        # Y[S,T] = Y[(1 2)S, (1 2)T]; raising one symmetric pair of entries
+        # with 1 in T and 2 not in T, and not its image, breaks it
+        i = 0
+        j = next(k for k, m in enumerate(masks) if k > 0 and m & 3 == 1)
+        block[i, j] += 0.5
+        block[j, i] += 0.5
+        with pytest.raises(InconsistentBlockError, match=f"at n={n}, parity {parity}$"):
+            _transposition_sectors(block, masks, n)
+
+
+def test_sector_spectrum_matches_unsplit_eigvalsh(monkeypatch):
+    # a random moment vector, not the paper's: the split rests only on
+    # Y[S,T] depending on |S xor T|
+    rng = np.random.default_rng(20)
+    for n in range(2, 11):
+        a = rng.uniform(-1.0, 1.0, n + 1)
+        monkeypatch.setattr(sp, "a_coeff", lambda _n, k: a[k])
+        got = numeric_eigensolve(n)
+        want = []
+        for parity in (0, 1):
+            want.extend(np.linalg.eigvalsh(_parity_block(n, parity, a)[1]))
+        want.sort(reverse=True)
+        assert len(got) == len(want) == cb.binomial_le(n, cb.d_max(n))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (n, g, w)
+
+
+def test_numeric_agreement_fails_on_corrupted_a2(monkeypatch):
+    # the float side sees a_2 + 1/1000, the closed side keeps the paper's a
+    closed = {(n, d): lambda_closed(n, d) for n in range(4, 9) for d in range(cb.d_max(n) + 1)}
+    monkeypatch.setattr(sp, "lambda_closed", lambda n, d: closed[(n, d)])
+    monkeypatch.setattr(
+        sp, "a_coeff", lambda n, k: a_coeff(n, k) + (Q(1, 1000) if k == 2 else 0)
+    )
+    for n in range(4, 9):
+        report = sp.numeric_agreement_check(n)
+        assert not report.ok, n
+        assert report.details[0].startswith("numeric spectrum off by"), report.details
+
+
+def test_numeric_eigensolve_names_failing_sector(monkeypatch):
+    def diverge(block):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+    with pytest.raises(ConvergenceError, match="at n=5, parity 0, sector 0, size 6: no convergence"):
+        numeric_eigensolve(5)
