@@ -10,13 +10,11 @@ of the matrix of pairwise Gram entries divided by (degree)!, extended
 bilinearly.  Since the Gram entries are only 1 and -1/(n-1), that permanent
 is evaluated in closed form by counting matchings of the pattern of equal
 indices, never by expanding a permanent.  apolar_gram pairs two lists of
-forms at once, as the integer product C_p P C_q^T / d! of their coefficient
+forms at once, as the exact product C_p P C_q^T / d! of their coefficient
 rows and the pattern permanents over the joint supports; apolar_ip is its
-1 x 1 case, and the sigma bridge and the Specht Grams read whole Gram
-matrices from it.  The pairing is positive definite
-on actual polynomials, and its kernel on formal multisets is exactly the
-ideal generated by sum_i <v_i, z>, which is what makes equals_zero a
-semantic zero test.
+1 x 1 case.  The pairing is positive definite on actual polynomials, and
+its kernel on formal multisets is exactly the ideal generated by
+sum_i <v_i, z>, which is what makes equals_zero a semantic zero test.
 
 SpanPoly shares its arithmetic with the hypercube's MultilinearPoly
 (pseudomoments.SparsePoly).  frame_image sends a degree-d homogeneous
@@ -39,7 +37,6 @@ from .pseudomoments import (
     SparsePoly,
     bilinear_gram,
     isotypic_h,
-    pseudo_expect,
     pseudo_gram,
     specht_x_basis,
 )
@@ -162,7 +159,7 @@ def _pattern_permanent(n: int, degree: int, profile):
 
 def apolar_gram(ps, qs) -> list:
     """[[<p, q> for q in qs] for p in ps] for forms of one degree d on one
-    frame: the integer product C_p P C_q^T / d! of bilinear_gram, with
+    frame: the product C_p P C_q^T / d! of bilinear_gram, with
     P[B, B'] the pattern permanent of the monomials B and B'."""
     polys = [*ps, *qs]
     if not polys:
@@ -343,16 +340,17 @@ def _specht_gram(n: int, d: int, report: Report):
 def harmonic_projection_consistency(n: int) -> Report:
     """hS_span really is the apolar-orthogonal projection of the frame
     monomial over S onto the harmonic space: for every degree d <= n/2,
-    solve the Specht Gram system exactly and compare (n <= 8)."""
+    solve the Specht Gram system exactly, for all size-d monomials at once,
+    and compare (n <= 8)."""
     cb.check_n(n, cap=PROJECTION_MAX_N)
     report = Report()
     for d in range(cb.d_max(n) + 1):
         basis, gram = _specht_gram(n, d, report)
-        for s in cb.subsets_of_size(n, d):
-            mono = span_monomial(n, cb.elements_of_mask(s))
-            rhs = apolar_gram(basis, [mono])
-            solution = xm.solve_consistent(gram, rhs)
-            terms = (bi.scaled(row[0]) for row, bi in zip(solution, basis))
+        masks = cb.subsets_of_size(n, d)
+        monomials = [span_monomial(n, cb.elements_of_mask(s)) for s in masks]
+        solution = xm.solve_consistent(gram, apolar_gram(basis, monomials))
+        for j, s in enumerate(masks):
+            terms = (bi.scaled(row[j]) for row, bi in zip(solution, basis))
             difference = sum(terms, SpanPoly(n, d)) - hS_span(n, s)
             report.expect(
                 equals_zero(difference),
@@ -412,15 +410,19 @@ def johnson_slice_check(n: int) -> Report:
 def sigma_bridge_check(n: int) -> Report:
     """sigma_d^2 <h_S, h_T> equals E[h_S h_T] for all same-size pairs, and
     both sides vanish for pairs of different sizes, in either order and at
-    every overlap (one pair per orbit, by relabeling invariance)."""
+    every overlap (one pair per orbit, by relabeling invariance).  Each h_S
+    is built once; the cross-degree moments are one pseudo_gram row per
+    pair of degrees, since every orbit representative shares S = {1..d}."""
     report = Report()
     dm = cb.d_max(n)
+    hs = {s: isotypic_h(n, s) for s in cb.enumerate_subsets(n, dm)}
+    spans = {s: frame_image(h, s.bit_count()) for s, h in hs.items()}  # hS_span
     for d in range(dm + 1):
         scale = sigma_sq(n, d)
         masks = cb.subsets_of_size(n, d)
-        polys = [isotypic_h(n, s) for s in masks]
-        spans = [frame_image(h, d) for h in polys]  # hS_span(n, s)
-        pairings = apolar_gram(spans, spans)
+        polys = [hs[s] for s in masks]
+        row = [spans[s] for s in masks]
+        pairings = apolar_gram(row, row)
         moments = pseudo_gram(n, polys, polys)
         for i, s in enumerate(masks):
             for j, t in enumerate(masks):
@@ -434,14 +436,16 @@ def sigma_bridge_check(n: int) -> Report:
         for e in range(dm + 1):
             if d == e:
                 continue
-            for ov, s, t in cb.overlap_pairs(n, d, e):
-                cross = pseudo_expect(n, isotypic_h(n, s) * isotypic_h(n, t))
+            pairs = cb.overlap_pairs(n, d, e)
+            s = pairs[0][1]
+            (cross,) = pseudo_gram(n, [hs[s]], [hs[t] for _, _, t in pairs])
+            for (ov, _, t), value in zip(pairs, cross):
                 report.expect(
-                    cross == 0,
+                    value == 0,
                     f"E[h_S h_T] != 0 for |S|={d}, |T|={e}, overlap {ov}, n={n}",
                 )
                 report.expect(
-                    apolar_ip(hS_span(n, s), hS_span(n, t)) == 0,
+                    apolar_ip(spans[s], spans[t]) == 0,
                     f"cross-degree pairing nonzero at n={n}, d={d}, e={e}, overlap {ov}",
                 )
     return report

@@ -1,9 +1,12 @@
 """Dense exact matrix helpers over rational scalars.
 
 Matrices are plain list-of-list rows holding ints or exact rationals; all
-arithmetic stays exact.  integer_form scales a rational matrix to ints by
-the lcm of its denominators, so products (mat_mul) can run over Python
-ints and be divided back once at the end.  rank, det, solve_consistent,
+arithmetic stays exact.  integer_form is the one helper that scales a
+rational matrix to ints, by the lcm of its denominators.  rational_product
+owns that step for every exact product outside the power and elimination
+kernels: it scales each factor, multiplies the chain over Python ints with
+mat_mul (which keeps ints as ints) and divides each entry back once, always
+returning rationals.  rank, det, solve_consistent,
 the semidefiniteness test psd_pivots and the Schur complement in schur.py
 share one elimination kernel, eliminate: a fraction-free (Bareiss)
 elimination over Python ints, whose every division by the previous pivot
@@ -16,6 +19,7 @@ per entry.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import repeat
 from operator import mul
 
@@ -39,9 +43,23 @@ def _scaled_int(x, den: int) -> int:
 
 def integer_form(rows: list):
     """(int_rows, den): den is the lcm of the denominators of the exact
-    entries of rows and int_rows = den * rows entrywise, over Python ints."""
-    den = math.lcm(*(int(x.denominator) for row in rows for x in row))
-    return [[_scaled_int(x, den) for x in row] for row in rows], den
+    entries of rows and int_rows = den * rows entrywise, over Python ints.
+    Entries repeat as objects (a Gram kernel holds one per distinct value),
+    so each distinct object is scaled once and looked up by identity."""
+    distinct = {id(x): x for row in rows for x in row}
+    den = math.lcm(*(int(x.denominator) for x in distinct.values()))
+    scaled = {key: _scaled_int(x, den) for key, x in distinct.items()}
+    return [[scaled[id(x)] for x in row] for row in rows], den
+
+
+def rational_product(*factors) -> list:
+    """The exact product of a chain of rational matrices, with Q entries
+    even when every factor holds ints: each factor is scaled to ints by
+    integer_form, the chain is multiplied by mat_mul and every entry is
+    divided once by the product of the scales."""
+    scaled, dens = zip(*map(integer_form, factors))
+    den = math.prod(dens)
+    return [[Q(x, den) for x in row] for row in reduce(mat_mul, scaled)]
 
 
 def mat_trace(a: list):

@@ -12,9 +12,10 @@ MultilinearPoly lives in the quotient by x_i^2 = 1, so monomials are subset
 masks and monomial products are symmetric differences; apolar.SpanPoly is
 the frame-side kind.  pseudo_expect applies the pseudoexpectation to one
 polynomial; pseudo_gram gives E[p q] for every pair from two lists at once,
-as the integer product C_p A C_q^T of coefficient rows and the moment
-kernel A[B, B'] = a_|B xor B'|, with no product polynomial formed
-(bilinear_gram, which apolar.apolar_gram shares).  h_S denotes the image of
+as the product C_p A C_q^T of coefficient rows and the moment kernel
+A[B, B'] = a_|B xor B'|, with no product polynomial formed (bilinear_gram,
+which apolar.apolar_gram shares; exactmat.rational_product scales its
+factors to ints and divides back once).  h_S denotes the image of
 the monomial x^S under isotypic projection onto the two-row component of
 shape (n-d, d), d = |S|; its coefficients have a hypergeometric closed form
 cross-checked here against the group-averaging definition.  h_S and the Specht products
@@ -289,30 +290,18 @@ def pseudo_expect(n: int, poly: MultilinearPoly):
 def bilinear_gram(ps, qs, label, value) -> list:
     """[[sum_(B,B') p[B] K(B, B') q[B'] for q in qs] for p in ps] for
     SparsePolys and the exact kernel K(B, B') = value(label(B, B')) on pairs
-    of monomial keys, as two integer matrix products C_p K C_q^T.  C_p and
-    C_q hold the coefficient rows over the joint supports of ps and of qs;
-    each factor is scaled to ints by its common denominator (the kernel once
-    per distinct label), and each entry is divided back once at the end."""
-    keys_p, c_p, den_p = _integer_coefficients(ps)
-    keys_q, c_q, den_q = _integer_coefficients(qs)
+    of monomial keys, as the rational product C_p K C_q^T.  C_p and C_q hold
+    the coefficient rows over the joint supports of ps and of qs, and value
+    is evaluated once per distinct label."""
+    keys_p, keys_q = (sorted(set().union(*(p.coeffs for p in side))) for side in (ps, qs))
     if not (keys_p and keys_q):
         return [[QZERO] * len(qs) for _ in ps]
     labels = [[label(b, c) for c in keys_q] for b in keys_p]
-    distinct = list(dict.fromkeys(x for row in labels for x in row))
-    (ints,), den_k = xm.integer_form([[value(x) for x in distinct]])
-    scaled = dict(zip(distinct, ints))
-    k = [[scaled[x] for x in row] for row in labels]
-    products = xm.mat_mul(xm.mat_mul(c_p, k), list(zip(*c_q)))
-    den = den_p * den_q * den_k
-    return [[Q(x, den) for x in row] for row in products]
-
-
-def _integer_coefficients(polys):
-    """(support, rows, den): the sorted joint support of polys and their
-    coefficient rows over it, scaled to ints by their common denominator."""
-    support = sorted(set().union(*(p.coeffs for p in polys)))
-    rows, den = xm.integer_form([[p.coeffs.get(k, 0) for k in support] for p in polys])
-    return support, rows, den
+    values = {x: value(x) for x in set().union(*labels)}
+    k = [[values[x] for x in row] for row in labels]
+    c_p = [[p.coeffs.get(b, 0) for b in keys_p] for p in ps]
+    c_q = [[q.coeffs.get(c, 0) for q in qs] for c in keys_q]
+    return xm.rational_product(c_p, k, c_q)
 
 
 def pseudo_gram(n: int, ps, qs) -> list:
@@ -445,10 +434,9 @@ def E_hS_squared(n: int, d: int):
 
 def E_hS_squared_direct(n: int, d: int):
     """The same value by contraction: since h_S is a projection of x^S,
-    the pseudoexpectation of h_S^2 equals that of h_S * x^S."""
+    the pseudoexpectation of h_S^2 equals E[h_S x^S]."""
     s_mask = (1 << d) - 1
-    h = isotypic_h(n, s_mask)
-    return pseudo_expect(n, h * x_monomial(n, s_mask))
+    return pseudo_gram(n, [isotypic_h(n, s_mask)], [x_monomial(n, s_mask)])[0][0]
 
 
 def isotypic_projection_check(n: int) -> Report:

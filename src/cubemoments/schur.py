@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import combinatorics as cb
 from . import exactmat as xm
-from .apolar import apolar_ip, hS_span, sigma_sq
+from .apolar import apolar_gram, hS_span, sigma_sq
 from .pseudomoments import build_Y
 from .report import Report
 from .rng import SplitMix64
@@ -67,7 +67,7 @@ def schur_complement(blocked: BlockedMatrix) -> list:
 
 
 def _gram(vectors) -> list:
-    return xm.mat_mul(vectors, list(zip(*vectors)))
+    return xm.rational_product(vectors, list(zip(*vectors)))
 
 
 def _require_trials(trials: int) -> None:
@@ -116,16 +116,14 @@ def gram_schur_property_check(seed: int, trials: int = 100) -> Report:
         complement = schur_complement(BlockedMatrix(gram, GRAM_LEADS))
 
         lead_gram = [row[:GRAM_LEADS] for row in gram[:GRAM_LEADS]]
-        cross = xm.mat_mul(a_vecs, list(zip(*b_vecs)))
+        cross = xm.rational_product(a_vecs, list(zip(*b_vecs)))
         coeffs = xm.solve_consistent(lead_gram, cross)
-        projected = []
-        for j in range(GRAM_TAILS):
-            vec = list(b_vecs[j])
-            for k in range(GRAM_LEADS):
-                t = coeffs[k][j]
-                if t != 0:
-                    vec = [x - t * y for x, y in zip(vec, a_vecs[k])]
-            projected.append(vec)
+        # b_j - sum_k t_kj a_k for every j: the product [I | -T^T] [B; A]
+        mix = [
+            [int(i == j) for i in range(GRAM_TAILS)] + [-row[j] for row in coeffs]
+            for j in range(GRAM_TAILS)
+        ]
+        projected = xm.rational_product(mix, b_vecs + a_vecs)
         report.expect(
             xm.mat_eq(complement, _gram(projected)),
             f"complement != projected Gram at trial {trial} (seed {seed})",
@@ -205,11 +203,12 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         )
 
         scale = sigma_sq(n, k)
-        pairs = cb.overlap_pairs(n, k, k)
-        span_s = hS_span(n, pairs[0][1])
-        for ov, _, rep_t in pairs:
+        pairs = cb.overlap_pairs(n, k, k)  # every pair shares S = {1..k}
+        spans = [hS_span(n, rep_t) for _, _, rep_t in pairs]
+        (pairings,) = apolar_gram([hS_span(n, pairs[0][1])], spans)
+        for (ov, _, _), pairing in zip(pairs, pairings):
             entry = by_overlap[ov]
-            expected = scale * apolar_ip(span_s, hS_span(n, rep_t))
+            expected = scale * pairing
             report.expect(
                 entry == expected,
                 f"step {k} overlap {ov}: block entry {entry} != {expected} at n={n}",

@@ -54,7 +54,7 @@ from .pseudomoments import (
     a_coeff,
     build_Y,
     isotypic_h,
-    pseudo_expect,
+    pseudo_gram,
     x_monomial,
 )
 from .report import Report
@@ -442,9 +442,9 @@ def E_xS_hT_closed(n: int, d_prime: int, d: int, ell: int):
 
 
 def contract_x_h(n: int, s_mask: int, t_mask: int):
-    """E[x^S h_T] by direct contraction: the pseudoexpectation of the
-    product x^S h_T; no size restriction on S."""
-    return pseudo_expect(n, x_monomial(n, s_mask) * isotypic_h(n, t_mask))
+    """E[x^S h_T] by direct contraction, C_x A C_h^T in pseudo_gram; no
+    size restriction on S."""
+    return pseudo_gram(n, [x_monomial(n, s_mask)], [isotypic_h(n, t_mask)])[0][0]
 
 
 def eta_sq(n: int, d_prime: int, d: int):
@@ -565,45 +565,34 @@ def moment_contractions_check(n: int) -> Report:
 def gram_reconstruction_check(n: int) -> Report:
     """Y = sum_d sigma_d^2 G_d exactly, where (G_d)_{S,T} is rebuilt from the
     tight-frame expansion (1/(f_{d,d} sigma_d^4)) sum_R E[x^S h_R] E[x^T h_R].
-    Each G_d is a scaled product U U^T of a rational matrix with its own
-    transpose, hence positive semidefinite by construction.  The product is
-    taken over Python ints: U is scaled to ints by the lcm den of its
-    denominators, and the integer Gram is folded into the total with
-    weight scale / den^2."""
+    Each G_d is a scaled product U_d U_d^T of a rational matrix with its own
+    transpose, hence positive semidefinite by construction.  The whole sum
+    is one product U W U^T (exactmat.rational_product, which owns the
+    scaling to ints): U holds the columns U_d side by side and the diagonal
+    W weights those of degree d by 1 / (f_{d,d} sigma_d^2)."""
     cb.check_n(n, cap=RECONSTRUCTION_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     report = Report()
     y = build_Y(n)
-    size = y.size
-    total = [[QZERO] * size for _ in range(size)]
+    u = [[] for _ in y.subsets]
+    weights = []
     for d in range(cb.d_max(n) + 1):
         # E[x^S h_R] depends only on (|S|, |S cap R|); build that table once
-        values = {}
-        for dp in range(cb.d_max(n) + 1):
-            for ell, rep_s, rep_t in cb.overlap_pairs(n, dp, d):
-                if dp >= d:
-                    values[(dp, ell)] = E_xS_hT_closed(n, dp, d, ell)
-                else:
-                    values[(dp, ell)] = contract_x_h(n, rep_s, rep_t)
+        values = {
+            (dp, ell): E_xS_hT_closed(n, dp, d, ell) if dp >= d else contract_x_h(n, s, t)
+            for dp in range(cb.d_max(n) + 1)
+            for ell, s, t in cb.overlap_pairs(n, dp, d)
+        }
         r_masks = cb.subsets_of_size(n, d)
-        u = [
-            [
-                values[(s.bit_count(), (s & r).bit_count())]
-                for r in r_masks
-            ]
-            for s in y.subsets
-        ]
+        for row, s in zip(u, y.subsets):
+            row.extend(values[(s.bit_count(), (s & r).bit_count())] for r in r_masks)
         scale = sigma_sq(n, d) / (
             (Q(n, n - 1) ** d / math.factorial(d)) * sigma_sq(n, d) ** 2
         )
-        ints, den = xm.integer_form(u)
-        gram = xm.mat_mul(ints, list(zip(*ints)))
-        weight = scale / den**2
-        total = [
-            [t + weight * g for t, g in zip(trow, grow)]
-            for trow, grow in zip(total, gram)
-        ]
+        weights += [scale] * len(r_masks)
+    w = [[x if i == j else 0 for j in range(len(weights))] for i, x in enumerate(weights)]
+    total = xm.rational_product(u, w, list(zip(*u)))
     report.expect(
         xm.mat_eq(total, y.rows),
         f"frame reconstruction does not reproduce Y at n={n}",

@@ -297,9 +297,8 @@ def _fault_injection(ctx, rep):
     n = min(max(ctx.n_min, 2), 6)
     corrupted = [sp.lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
     corrupted[0] = corrupted[0] + 1
-    powers = sp._ParityPowers(pm.build_Y(n))
-    ann = sp.annihilation_check(n, eigenvalues=corrupted, powers=powers)
-    tr = sp.trace_moment_check(n, eigenvalues=corrupted, powers=powers)
+    ann = sp.annihilation_check(n, eigenvalues=corrupted)
+    tr = sp.trace_moment_check(n, eigenvalues=corrupted)
     rep.count(ann.checked + tr.checked)
     if ann.ok and tr.ok:
         rep.fail(f"corrupted eigenvalues went undetected at n={n}")

@@ -356,6 +356,23 @@ def test_bridge_fails_on_corrupted_moment(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
+def test_bridge_cross_degree_fails_on_corrupted_h(monkeypatch, n):
+    # no corrupted moment a_k can reach the cross-degree half: any
+    # S_n-invariant moments give zero on pairs of different degrees (Schur's
+    # lemma).  A wrong coefficient of x^S in h_S, |S| = 2, makes E[h_S] != 0.
+    original = pm.isotypic_coefficient
+
+    def corrupted(m, d, overlap):
+        return original(m, d, overlap) + (Q(1, 7) if (d, overlap) == (2, 2) else 0)
+
+    monkeypatch.setattr(pm, "isotypic_coefficient", corrupted)
+    report = sigma_bridge_check(n)
+    assert not report.ok
+    assert any(w.startswith("E[h_S h_T] != 0 for |S|=0, |T|=2") for w in report.details)
+    assert all(f"n={n}" in w for w in report.details)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_bridge_fails_on_corrupted_pattern_permanent(monkeypatch, n):
     # +1 on the permanent of one profile moves the frame side only.  A
     # uniform +1 on every permanent would be a weak probe: it adds

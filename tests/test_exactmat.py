@@ -20,6 +20,10 @@ def test_mat_mul_and_trace():
     a = [[1, 2], [3, 4]]
     b = [[0, 1], [1, 0]]
     assert xm.mat_mul(a, b) == [[2, 1], [4, 3]]
+    assert all(type(x) is int for row in xm.mat_mul(a, b) for x in row)
+    # the same product with every denominator 1 still comes back as Q
+    assert xm.rational_product(a, b) == [[2, 1], [4, 3]]
+    assert _all_exact(xm.rational_product(a, b))
     assert xm.mat_trace(a) == 5
     assert xm.mat_eq(a, [[1, 2], [3, 4]]) and not xm.mat_eq(a, b)
 
@@ -257,6 +261,27 @@ def test_rank_and_det_match_fraction_reference(a):
     square = [row[:k] for row in a[:k]]
     det = xm.det(square)
     assert type(det) is type(Q(0)) and det == ref_det(square)
+
+
+def ref_product(a, b):
+    return [
+        [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
+         for col in zip(*b)]
+        for row in a
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _matrices())
+def test_rational_product_matches_fraction_reference(data, a):
+    # two- and three-factor chains; _matrices also draws zero and all-int
+    # matrices, whose products must still come back as Q
+    b = data.draw(_matrices(rows=len(a[0])))
+    c = data.draw(_matrices(rows=len(b[0])))
+    pair = xm.rational_product(a, b)
+    assert pair == ref_product(a, b) and _all_exact(pair)
+    chain = xm.rational_product(a, b, c)
+    assert chain == ref_product(ref_product(a, b), c) and _all_exact(chain)
 
 
 @settings(max_examples=300, deadline=None)

@@ -350,6 +350,20 @@ def test_gram_reconstruction_fails_on_corrupted_moment(monkeypatch):
         assert report.details == [f"frame reconstruction does not reproduce Y at n={n}"]
 
 
+def test_gram_reconstruction_fails_on_wrong_degree_weight(monkeypatch):
+    # sigma_1^2 + 1 changes only the weight of the degree-1 columns of U
+    original = sp.sigma_sq
+
+    def corrupted(n, d):
+        return original(n, d) + (1 if d == 1 else 0)
+
+    monkeypatch.setattr(sp, "sigma_sq", corrupted)
+    for n in range(4, 7):
+        report = gram_reconstruction_check(n)
+        assert not report.ok, n
+        assert report.details == [f"frame reconstruction does not reproduce Y at n={n}"]
+
+
 def test_numeric_eigensolve():
     eigs = numeric_eigensolve(3)
     assert len(eigs) == 4
