@@ -333,7 +333,7 @@ def _specht_gram(n: int, d: int, report: Report):
     dim = cb.two_row_tableau_count(n, d)
     report.expect(len(basis) == dim, f"Specht count at n={n}, d={d}")
     gram = apolar_gram(basis, basis)
-    report.expect(xm.rank(gram) == dim, f"singular Specht Gram at n={n}, d={d}")
+    report.expect(xm.rank_at_least(gram, dim), f"singular Specht Gram at n={n}, d={d}")
     return basis, gram
 
 

@@ -14,6 +14,15 @@ is exact and is checked to be.  It picks its pivots deterministically
 (first nonzero entry of each column, from the top); det, solve_consistent,
 psd_pivots and the Schur complement divide its integer result back once
 per entry.
+
+Rank claims go through rank_at_least, an exact lower bound: the rank of
+the integer form modulo a prime never exceeds its rank over Q, so one prime
+below 2^31 that reaches rank r proves rank >= r, by an elimination over
+numpy int64 residues.  Only when every listed prime falls short does it ask
+the Bareiss kernel.  An upper bound comes from the caller, as independent
+kernel vectors (spectrum.rank_check) or as the matrix's width
+(pseudomoments.hypercube_decomposition_check), so Bareiss rank runs only to
+write the exact rank into a failure's witness.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ import math
 from functools import reduce
 from itertools import repeat
 from operator import mul
+
+import numpy as np
 
 from .errors import InconsistentBlockError
 from .scalars import Q, QZERO
@@ -158,6 +169,55 @@ def rank(a: list) -> int:
     """Exact rank via row elimination; works for rectangular matrices."""
     work, _ = integer_form(a)
     return len(eliminate(work, len(a[0]) if a else 0)[0])
+
+
+# primes below 2^31: every residue is below 2^31, so each product of two
+# residues is below 2^62 and an int64 elimination step cannot overflow
+RANK_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def _rank_mod_at_least(rows: list, cols: int, p: int, r: int) -> bool:
+    """Whether the integer matrix rows has rank >= r modulo the prime p:
+    Gaussian elimination over numpy int64 residues, which stops at the r-th
+    pivot.  A rank modulo p is never larger than the rank over Q."""
+    assert 2 <= p < 2**31, p  # residues < 2^31, so products < 2^62 in int64
+    work = np.array(
+        [[x % p for x in row] for row in rows], dtype=np.int64
+    ).reshape(len(rows), cols)
+    found = 0
+    for c in range(cols):
+        nonzero = np.flatnonzero(work[found:, c])
+        if not nonzero.size:
+            continue
+        first = found + int(nonzero[0])
+        if first != found:
+            work[[found, first]] = work[[first, found]]
+        pivot = work[found, c:] * pow(int(work[found, c]), -1, p) % p
+        # after the swap the old row `found`, zero in column c, sits at first
+        targets = found + nonzero[1:]
+        if targets.size:
+            factors = work[targets, c : c + 1]
+            work[targets, c:] = (work[targets, c:] - factors * pivot) % p
+        found += 1
+        if found >= r:
+            return True
+    return False
+
+
+def rank_at_least(a: list, r: int) -> bool:
+    """Whether rank(a) >= r, exactly.  The integer form of a is reduced
+    modulo each of RANK_PRIMES in turn, and the answer is True as soon as
+    one of them reaches rank r; only if none does is the rank taken over
+    the integers by the Bareiss kernel."""
+    cols = len(a[0]) if a else 0
+    if r <= 0:
+        return True
+    if r > min(len(a), cols):
+        return False
+    work, _ = integer_form(a)
+    if any(_rank_mod_at_least(work, cols, p, r) for p in RANK_PRIMES):
+        return True
+    return len(eliminate(work, cols)[0]) >= r
 
 
 def det(a: list):

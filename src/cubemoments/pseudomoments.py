@@ -548,9 +548,9 @@ def hypercube_decomposition_check(n: int) -> Report:
         len(vectors) == 2 ** n,
         f"assembled {len(vectors)} vectors at n={n}, expected {2 ** n}",
     )
-    r = xm.rank(vectors)
-    report.expect(
-        r == 2 ** n,
-        f"decomposition rank at n={n}: {r} != {2 ** n}",
-    )
+    # 2^n columns cap the rank, so the modular lower bound proves full rank;
+    # the Bareiss rank is taken only for a failure's witness
+    full = xm.rank_at_least(vectors, 2 ** n)
+    r = 2 ** n if full else xm.rank(vectors)
+    report.expect(full, f"decomposition rank at n={n}: {r} != {2 ** n}")
     return report

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -197,6 +197,7 @@ class _ParityPowers:
     def __init__(self, y: PseudomomentMatrix):
         self.n = y.n
         blocks = _parity_split(y)
+        self.masks = [[s for s in y.subsets if s.bit_count() & 1 == e] for e in (0, 1)]
         rows, self.scale = xm.integer_form([row for block in blocks for row in block])
         rows = iter(rows)
         self.blocks = [[next(rows) for _ in block] for block in blocks]
@@ -309,17 +310,51 @@ def trace_moment_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
     return report
 
 
+def _pinned_rank(block: list, masks: list, n: int):
+    """len(block) - |V|, the rank of one integer parity block, when three
+    exact facts pin it, else None.  V holds the kernel vectors v_K of
+    (sum x) x^K for |K| <= d_max - 1 of the opposite parity, v_K having ones
+    at K xor {i} for i = 1..n.  The facts: rank(block) >= len(block) - |V|
+    (a modular lower bound), block v_K = 0 for every K (summed over ints
+    from the block's own entries) and rank(V) = |V|."""
+    index = {s: i for i, s in enumerate(masks)}
+    parity = masks[0].bit_count() & 1
+    kernel = [
+        [index[k ^ (1 << i)] for i in range(n)]
+        for k in cb.enumerate_subsets(n, cb.d_max(n) - 1)
+        if k.bit_count() & 1 != parity
+    ]
+    rank = len(block) - len(kernel)
+    if not xm.rank_at_least(block, rank):
+        return None
+    for cols in kernel:
+        pick = itemgetter(*cols)
+        if any(sum(pick(row)) for row in block):
+            return None
+    vectors = [[0] * len(block) for _ in kernel]
+    for vector, cols in zip(vectors, kernel):
+        for j in cols:
+            vector[j] = 1
+    return rank if xm.rank_at_least(vectors, len(kernel)) else None
+
+
 def rank_check(n: int, powers: "_ParityPowers" = None) -> Report:
     """Exact rank of Y equals C(n, d_max), i.e. the kernel has dimension
     C(n, <= d_max - 1); computed per parity block, on the integer blocks
-    D Y that powers holds (xm.rank works on a copy, so they stay intact)."""
+    D Y that powers holds, which stay intact.  Each block's rank is pinned
+    by a modular lower bound and a basis of kernel vectors (_pinned_rank);
+    a block that is not pinned has its rank taken by the Bareiss kernel, so
+    a failure's witness holds the exact rank."""
     cb.check_n(n, cap=RANK_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if powers is None:
         powers = _ParityPowers(build_Y(n))
     report = Report()
-    observed = sum(xm.rank(b) for b in powers.blocks)
+    observed = 0
+    for block, masks in zip(powers.blocks, powers.masks):
+        pinned = _pinned_rank(block, masks, n)
+        observed += xm.rank(block) if pinned is None else pinned
     expected = cb.binomial(n, cb.d_max(n))
     report.expect(observed == expected, f"rank(Y) = {observed} != {expected} at n={n}")
     return report
@@ -567,16 +602,17 @@ def gram_reconstruction_check(n: int) -> Report:
     tight-frame expansion (1/(f_{d,d} sigma_d^4)) sum_R E[x^S h_R] E[x^T h_R].
     Each G_d is a scaled product U_d U_d^T of a rational matrix with its own
     transpose, hence positive semidefinite by construction.  The whole sum
-    is one product U W U^T (exactmat.rational_product, which owns the
-    scaling to ints): U holds the columns U_d side by side and the diagonal
-    W weights those of degree d by 1 / (f_{d,d} sigma_d^2)."""
+    is one product (U W) U^T (exactmat.rational_product, which owns the
+    scaling to ints): U holds the columns U_d side by side, and U W is U
+    with the columns of degree d scaled by 1 / (f_{d,d} sigma_d^2), read
+    from a per-degree table of weighted values."""
     cb.check_n(n, cap=RECONSTRUCTION_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     report = Report()
     y = build_Y(n)
     u = [[] for _ in y.subsets]
-    weights = []
+    uw = [[] for _ in y.subsets]
     for d in range(cb.d_max(n) + 1):
         # E[x^S h_R] depends only on (|S|, |S cap R|); build that table once
         values = {
@@ -584,15 +620,16 @@ def gram_reconstruction_check(n: int) -> Report:
             for dp in range(cb.d_max(n) + 1)
             for ell, s, t in cb.overlap_pairs(n, dp, d)
         }
-        r_masks = cb.subsets_of_size(n, d)
-        for row, s in zip(u, y.subsets):
-            row.extend(values[(s.bit_count(), (s & r).bit_count())] for r in r_masks)
         scale = sigma_sq(n, d) / (
             (Q(n, n - 1) ** d / math.factorial(d)) * sigma_sq(n, d) ** 2
         )
-        weights += [scale] * len(r_masks)
-    w = [[x if i == j else 0 for j in range(len(weights))] for i, x in enumerate(weights)]
-    total = xm.rational_product(u, w, list(zip(*u)))
+        weighted = {key: value * scale for key, value in values.items()}
+        r_masks = cb.subsets_of_size(n, d)
+        for row, wrow, s in zip(u, uw, y.subsets):
+            keys = [(s.bit_count(), (s & r).bit_count()) for r in r_masks]
+            row.extend(values[key] for key in keys)
+            wrow.extend(weighted[key] for key in keys)
+    total = xm.rational_product(uw, list(zip(*u)))
     report.expect(
         xm.mat_eq(total, y.rows),
         f"frame reconstruction does not reproduce Y at n={n}",

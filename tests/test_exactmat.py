@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import chain
 
@@ -261,6 +262,86 @@ def test_rank_and_det_match_fraction_reference(a):
     square = [row[:k] for row in a[:k]]
     det = xm.det(square)
     assert type(det) is type(Q(0)) and det == ref_det(square)
+
+
+# integers that reach past int64, and multiples of the rank primes, whose
+# residues vanish modulo one prime but not over Q
+_rank_entries = st.one_of(
+    _rationals,
+    st.integers(-(2**66), -(2**63)),
+    st.integers(2**63, 2**66),
+    st.builds(lambda p, k: p * k, st.sampled_from(xm.RANK_PRIMES), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def _rank_cases(draw):
+    """(a, r): an empty matrix (no rows, or rows of width 0), a matrix of
+    the wide entries above, or a _matrices draw; r runs over 0..min + 1."""
+    kind = draw(st.sampled_from(("empty", "wide", "rational")))
+    if kind == "empty":
+        a = [[] for _ in range(draw(st.integers(0, 3)))]
+    elif kind == "wide":
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        a = draw(
+            st.lists(
+                st.lists(_rank_entries, min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+    else:
+        a = draw(_matrices())
+    cols = len(a[0]) if a else 0
+    return a, draw(st.integers(0, min(len(a), cols) + 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rank_cases())
+def test_rank_at_least_matches_bareiss_rank(case):
+    a, r = case
+    got = xm.rank_at_least(a, r)
+    assert type(got) is bool and got == (xm.rank(a) >= r)
+
+
+def test_rank_at_least_falls_back_to_bareiss_when_every_prime_fails(monkeypatch):
+    # the product of the rank primes vanishes modulo each of them, so every
+    # modular rank is 0, while the rank over Q is 1
+    big = [[math.prod(xm.RANK_PRIMES)]]
+    work, _ = xm.integer_form(big)
+    assert not any(xm._rank_mod_at_least(work, 1, p, 1) for p in xm.RANK_PRIMES)
+    calls = []
+    eliminate = xm.eliminate
+
+    def counted(work, cols, *args, **kwargs):
+        calls.append(len(work))
+        return eliminate(work, cols, *args, **kwargs)
+
+    monkeypatch.setattr(xm, "eliminate", counted)
+    assert xm.rank_at_least(big, 1) is True
+    assert calls == [1]
+    # one prime short of the product: the last prime already proves rank 1
+    calls.clear()
+    assert xm.rank_at_least([[math.prod(xm.RANK_PRIMES[:-1])]], 1) is True
+    assert calls == []
+
+
+def test_rank_at_least_returns_python_bool():
+    p = xm.RANK_PRIMES[0]
+    cases = [
+        ([[1, 2], [3, 4]], 2),  # a prime reaches r
+        ([[1, 2], [2, 4]], 2),  # every prime and Bareiss fall short
+        ([[p * 5]], 1),  # the first prime fails, the next one succeeds
+        ([[math.prod(xm.RANK_PRIMES)]], 1),  # Bareiss decides
+        ([], 0),  # r <= 0
+        ([[]], 1),  # r past the shape
+        ([[Q(1, 2), Q(1, 3)], [Q(3, 2), Q(1, 1)]], 2),  # rational, rank 1
+    ]
+    for a, r in cases:
+        assert type(xm.rank_at_least(a, r)) is bool, (a, r)
+    assert [xm.rank_at_least(a, r) for a, r in cases] == [
+        True, False, True, True, True, False, False
+    ]
 
 
 def ref_product(a, b):

@@ -260,7 +260,7 @@ def test_specht_x_basis_shape():
 
 
 def test_hypercube_decomposition_check():
-    for n in range(2, 7):
+    for n in range(2, 8):
         report = pm.hypercube_decomposition_check(n)
         assert report.ok, report.details
     with pytest.raises(ValueError):

@@ -188,7 +188,7 @@ def test_parity_powers_detect_tiny_perturbation():
 
 
 def test_rank():
-    for n in range(2, 8):
+    for n in range(2, 9):
         assert rank_check(n).ok, n
     with pytest.raises(ValueError):
         rank_check(11)
@@ -210,6 +210,42 @@ def test_rank_check_fails_on_corrupted_Y(monkeypatch):
         expected = cb.binomial(n, cb.d_max(n))
         assert not report.ok, n
         assert report.details == [f"rank(Y) = {expected + 2} != {expected} at n={n}"]
+
+
+def test_rank_check_reports_exact_rank_when_rank_drops(monkeypatch):
+    # Y minus the outer product of its first row on the even block: one
+    # exact Schur step on the pivot Y[0, 0] = 1, which lowers that block's
+    # rank by one.  Every kernel vector v_K still vanishes (the first row
+    # of Y does), so only the modular lower bound can refuse the block.
+    def lowered(n):
+        y = build_Y(n)
+        first = y.rows[0][:]
+        even = [i for i, s in enumerate(y.subsets) if not s.bit_count() & 1]
+        for i in even:
+            for j in even:
+                y.rows[i][j] -= first[i] * first[j]
+        return y
+
+    monkeypatch.setattr(sp, "build_Y", lowered)
+    for n in range(2, 9):
+        y = lowered(n)
+        bareiss = sum(xm.rank(block) for block in _parity_split(y))
+        expected = cb.binomial(n, cb.d_max(n))
+        assert bareiss == expected - 1, n
+        powers = _ParityPowers(y)
+        assert sp._pinned_rank(powers.blocks[0], powers.masks[0], n) is None, n
+        report = rank_check(n)
+        assert not report.ok, n
+        assert report.details == [f"rank(Y) = {bareiss} != {expected} at n={n}"]
+
+
+def test_rank_check_needs_no_bareiss_rank_on_a_true_Y(monkeypatch):
+    def refuse(a):
+        raise AssertionError("Bareiss rank called on a pinned block")
+
+    monkeypatch.setattr(xm, "rank", refuse)
+    for n in range(2, 9):
+        assert rank_check(n).ok, n
 
 
 def test_rank_check_reads_powers_without_changing_them():
