@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import combinatorics as cb
 from . import exactmat as xm
 from .characters import char_class_function
@@ -41,6 +43,11 @@ BALANCED_CLOSED_MAX_N = 20
 BALANCED_ENUM_MAX_N = 14
 ISOTYPIC_BRUTE_MAX_N = 8
 DECOMPOSITION_MAX_N = 8
+# hypercube_vectors holds w (sum x)^t in int64: a Specht product w of degree
+# d has 2^d terms of coefficient +-1 and each factor sum x multiplies the
+# coefficients' absolute sum by at most n, so every coefficient is at most
+# 2^d n^t <= n^n (t <= n - 2d)
+assert DECOMPOSITION_MAX_N**DECOMPOSITION_MAX_N < 2**63
 
 
 @lru_cache(maxsize=None)
@@ -522,6 +529,28 @@ def specht_x_basis(n: int, d: int) -> list:
     return out
 
 
+def hypercube_vectors(n: int) -> list:
+    """The coefficient vectors of w (sum x)^t over the masks 0..2^n - 1, for
+    each Specht product w of degree d <= d_max and t = 0..n - 2d, as lists
+    of Python ints.  Each chain runs over a dense int64 array: multiplying
+    by sum x sends the coefficient of mask m to sum_i vec[m xor 2^i], and
+    the bound asserted at DECOMPOSITION_MAX_N keeps it exact."""
+    cb.check_n(n, cap=DECOMPOSITION_MAX_N)
+    idx = np.arange(1 << n)
+    flips = [idx ^ (1 << i) for i in range(n)]
+    vectors = []
+    for d in range(cb.d_max(n) + 1):
+        for w in specht_x_basis(n, d):
+            vec = np.zeros(1 << n, dtype=np.int64)
+            for mask, c in w.coeffs.items():
+                vec[mask] = xm._scaled_int(c, 1)
+            for t in range(n - 2 * d + 1):
+                vectors.append(vec.tolist())
+                if t < n - 2 * d:
+                    vec = sum(vec[flip] for flip in flips)
+    return vectors
+
+
 def hypercube_decomposition_check(n: int) -> Report:
     """The multilinear function space splits as sums of (sum x)^t times the
     two-row pieces: counts the dimensions and certifies exact full rank 2^n
@@ -535,15 +564,7 @@ def hypercube_decomposition_check(n: int) -> Report:
         dim_total == 2 ** n,
         f"dimension count at n={n}: {dim_total} != {2 ** n}",
     )
-    all_masks = cb.enumerate_subsets(n, n)
-    sumx = x_sum(n)
-    vectors = []
-    for d in range(cb.d_max(n) + 1):
-        for w in specht_x_basis(n, d):
-            poly = w
-            for _ in range(n - 2 * d + 1):
-                vectors.append([poly.coeffs.get(m, QZERO) for m in all_masks])
-                poly = poly * sumx
+    vectors = hypercube_vectors(n)
     report.expect(
         len(vectors) == 2 ** n,
         f"assembled {len(vectors)} vectors at n={n}, expected {2 ** n}",

@@ -9,17 +9,25 @@ a solution X of the consistent system M11 X = M12.  When M is the Gram
 matrix of vectors (a_1..a_m, b_1..b_n), any two solutions differ by kernel
 columns of M11, and those pair to zero against M21, so the complement never
 depends on the choice; it equals the Gram matrix of the b_j projected
-orthogonally off the span of the a_i.  That Gramian reading is what drives
-the iterated elimination of the pseudomoment matrix: after eliminating the
-degree blocks below k, the leading block is exactly sigma_k^2 times the
-apolar Gram of the harmonic projections h_S over |S| = k, and it lies in
-the Johnson scheme (entries depend only on |S cap T|).  A failure of
+orthogonally off the span of the a_i.  The integer kernel
+integer_schur_complement maps (integer matrix, denominator) to the same
+pair for the complement, reduced by the gcd of its entries and the
+denominator; schur_complement wraps it for rational matrices.
+
+That Gramian reading is what drives the iterated elimination of the
+pseudomoment matrix: after eliminating the degree blocks below k, the
+leading block is exactly sigma_k^2 times the apolar Gram of the harmonic
+projections h_S over |S| = k, and it lies in the Johnson scheme (entries
+depend only on |S cap T|).  The chain holds one integer matrix and a
+running denominator from the integer form of Y on, reduced by a gcd after
+each step, and turns only each leading block into rationals.  A failure of
 consistency or of either structural claim is reported exactly, never
 approximated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import combinatorics as cb
@@ -52,18 +60,32 @@ class BlockedMatrix:
             raise ValueError(f"head {self.head} outside [0, {size}]")
 
 
-def schur_complement(blocked: BlockedMatrix) -> list:
-    """M22 - M21 M11^+ M12 by eliminating the leading columns of M.
+def integer_schur_complement(work: list, den: int, h: int):
+    """(work, den) -> (tail, tail_den): the Schur complement of the leading
+    h x h block of the symmetric rational matrix work / den, as an integer
+    matrix over a positive denominator, both divided by the gcd of all its
+    entries and the denominator.  work is eliminated in place.
 
     Raises InconsistentBlockError when M11 X = M12 has no solution, that is
     when a leading row left without a pivot still has a nonzero tail; this
     cannot happen for a PSD leading block (Gram case)."""
-    h = blocked.head
-    work, den = xm.integer_form(blocked.matrix)
+    if not xm.is_symmetric(work):
+        raise ValueError("blocked matrix must be symmetric")
     pivot_cols, _, last = xm.eliminate(work, h, pivot_rows=h)
     xm.require_zero_tails(work[len(pivot_cols):h], h)
-    scale = last * den
-    return [[Q(x, scale) for x in row[h:]] for row in work[h:]]
+    tail = [row[h:] for row in work[h:]]
+    den *= last
+    g = math.gcd(den, *(x for row in tail for x in row))
+    if den < 0:
+        g = -g
+    return [[x // g for x in row] for row in tail], den // g
+
+
+def schur_complement(blocked: BlockedMatrix) -> list:
+    """M22 - M21 M11^+ M12 by eliminating the leading columns of M, over Q
+    (integer_schur_complement on the integer form of M)."""
+    tail, den = integer_schur_complement(*xm.integer_form(blocked.matrix), blocked.head)
+    return [[Q(x, den) for x in row] for row in tail]
 
 
 def _gram(vectors) -> list:
@@ -182,11 +204,14 @@ def iterated_schur_on_Y(n: int, steps: int = None):
     if not (0 <= steps <= cb.d_max(n)):
         raise ValueError(f"need 0 <= steps <= d_max = {cb.d_max(n)}, got {steps}")
     report = Report()
-    current = [row[:] for row in build_Y(n).rows]
+    work, den = xm.integer_form(build_Y(n).rows)
     blocks = []
     for k in range(steps + 1):
         h = cb.binomial(n, k)
-        lead = [row[:h] for row in current[:h]]
+        lead_ints = [row[:h] for row in work[:h]]
+        # one Q per distinct value, so psd_pivots scales each value once
+        values = {x: Q(x, den) for row in lead_ints for x in row}
+        lead = [[values[x] for x in row] for row in lead_ints]
         blocks.append(lead)
 
         masks = cb.subsets_of_size(n, k)
@@ -195,8 +220,8 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         for i in range(h):
             for j in range(h):
                 ov = (masks[i] & masks[j]).bit_count()
-                ref = by_overlap.setdefault(ov, lead[i][j])
-                if ref != lead[i][j]:
+                ref = by_overlap.setdefault(ov, lead_ints[i][j])
+                if ref != lead_ints[i][j]:
                     johnson = False
         report.expect(
             johnson, f"step {k} block leaves the Johnson scheme at n={n}"
@@ -207,7 +232,7 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         spans = [hS_span(n, rep_t) for _, _, rep_t in pairs]
         (pairings,) = apolar_gram([hS_span(n, pairs[0][1])], spans)
         for (ov, _, _), pairing in zip(pairs, pairings):
-            entry = by_overlap[ov]
+            entry = values[by_overlap[ov]]
             expected = scale * pairing
             report.expect(
                 entry == expected,
@@ -218,7 +243,7 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         report.expect(psd, f"step {k} block not PSD at n={n}: {witness}")
 
         if k < steps:
-            current = schur_complement(BlockedMatrix(current, h))
+            work, den = integer_schur_complement(work, den, h)
     return blocks, report
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cubemoments import combinatorics as cb
 from cubemoments import pseudomoments as pm
+from cubemoments.errors import InconsistentBlockError
 from cubemoments.rng import SplitMix64
 from cubemoments.scalars import Q
 
@@ -265,6 +266,45 @@ def test_hypercube_decomposition_check():
         assert report.ok, report.details
     with pytest.raises(ValueError):
         pm.hypercube_decomposition_check(9)
+
+
+def test_hypercube_vectors_match_polynomial_products():
+    # the int64 chains against w * (sum x)^t as Fraction MultilinearPolys
+    for n in range(2, 8):
+        expected = []
+        for d in range(cb.d_max(n) + 1):
+            for poly in pm.specht_x_basis(n, d):
+                for _ in range(n - 2 * d + 1):
+                    expected.append([poly.coeffs.get(m, 0) for m in range(1 << n)])
+                    poly = poly * pm.x_sum(n)
+        got = pm.hypercube_vectors(n)
+        assert got == expected, n
+        assert all(type(x) is int for vec in got for x in vec), n
+
+
+def test_hypercube_vectors_stay_within_int64_bound():
+    # the bound asserted next to DECOMPOSITION_MAX_N, at every n it allows:
+    # each coefficient is at most 2^d n^t <= n^n < 2^63
+    for n in range(2, pm.DECOMPOSITION_MAX_N + 1):
+        assert n**n < 2**63, n
+        biggest = max(abs(x) for vec in pm.hypercube_vectors(n) for x in vec)
+        assert biggest <= n**n, (n, biggest)
+    with pytest.raises(ValueError):
+        pm.hypercube_vectors(pm.DECOMPOSITION_MAX_N + 1)
+
+
+def test_hypercube_vectors_refuse_non_integer_coefficient(monkeypatch):
+    # an int64 chain holds integers only; 1/2 is refused, never truncated
+    original = pm.specht_x_basis
+
+    def halved(n, d):
+        basis = original(n, d)
+        basis[0] = basis[0] * pm.x_monomial(n, 0, Q(1, 2))
+        return basis
+
+    monkeypatch.setattr(pm, "specht_x_basis", halved)
+    with pytest.raises(InconsistentBlockError):
+        pm.hypercube_vectors(4)
 
 
 def test_hypercube_decomposition_check_fails_on_duplicated_vector(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
+from cubemoments import schur
 from cubemoments.apolar import apolar_ip, hS_span, sigma_sq
 from cubemoments.errors import InconsistentBlockError
 from cubemoments.rng import SplitMix64
@@ -36,6 +37,18 @@ def test_blocked_matrix_validation():
         BlockedMatrix([[Q(1), Q(2)]], 1)  # not square
     with pytest.raises(ValueError):
         BlockedMatrix(_identity(2), 3)  # head out of range
+
+
+def test_integer_schur_complement_reduces_and_refuses():
+    # (work, den) -> (tail, den) over a positive denominator, in lowest terms
+    assert schur.integer_schur_complement([[2, 4], [4, 10]], 1, 1) == ([[2]], 1)
+    assert schur.integer_schur_complement([[-2, 2], [2, 3]], 1, 1) == ([[5]], 1)
+    assert schur.integer_schur_complement([[3, 1], [1, 3]], 6, 0) == ([[3, 1], [1, 3]], 6)
+    assert schur.integer_schur_complement([[3]], 6, 0) == ([[1]], 2)
+    with pytest.raises(ValueError, match="must be symmetric"):
+        schur.integer_schur_complement([[1, 2], [3, 4]], 1, 1)
+    with pytest.raises(InconsistentBlockError):
+        schur.integer_schur_complement([[0, 1], [1, 0]], 1, 1)
 
 
 def test_schur_complement_basics():
@@ -146,7 +159,7 @@ def test_volume_identity():
 
 
 def test_iterated_schur_small():
-    for n in range(2, 7):
+    for n in range(2, 9):
         blocks, report = iterated_schur_on_Y(n)
         assert report.ok, (n, report.details[:3])
         assert len(blocks) == cb.d_max(n) + 1
@@ -170,3 +183,38 @@ def test_iterated_schur_frozen_n3():
     scale = sigma_sq(3, 1)
     g = scale * apolar_ip(hS_span(3, 0b001), hS_span(3, 0b010))
     assert blocks[1][0][1] == g
+
+
+def test_iterated_schur_matches_rational_chain():
+    # the integer chain with a running denominator against a loop of
+    # rational Schur complements of Y
+    for n in range(2, 8):
+        blocks, report = iterated_schur_on_Y(n)
+        assert report.ok, (n, report.details[:3])
+        current = schur.build_Y(n).rows
+        for k, block in enumerate(blocks):
+            h = cb.binomial(n, k)
+            assert block == [row[:h] for row in current[:h]], (n, k)
+            current = schur_complement(BlockedMatrix(current, h))
+
+
+def test_iterated_schur_fails_on_perturbed_Y(monkeypatch):
+    # 1/1000 on one symmetric pair of singleton entries breaks the Johnson
+    # scheme of the degree-1 block and its match with the harmonic Gram
+    original = schur.build_Y
+
+    def perturbed(n):
+        y = original(n)
+        for i, j in ((1, 2), (2, 1)):
+            y.rows[i][j] += Q(1, 1000)
+        return y
+
+    monkeypatch.setattr(schur, "build_Y", perturbed)
+    for n in range(3, 7):
+        _, report = iterated_schur_on_Y(n)
+        assert not report.ok, n
+        assert f"step 1 block leaves the Johnson scheme at n={n}" in report.details
+        assert any(
+            d.startswith("step 1 overlap 0: block entry") and d.endswith(f"at n={n}")
+            for d in report.details
+        ), report.details
