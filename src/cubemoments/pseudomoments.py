@@ -35,6 +35,7 @@ import numpy as np
 from . import combinatorics as cb
 from . import exactmat as xm
 from .characters import char_class_function
+from .errors import InconsistentBlockError
 from .report import Report
 from .scalars import Q, QZERO, require_exact
 
@@ -134,6 +135,25 @@ def build_Y(n: int) -> PseudomomentMatrix:
     a = _a_values(n)
     rows = [[a[(s ^ t).bit_count()] for t in subsets] for s in subsets]
     return PseudomomentMatrix(n, subsets, {s: i for i, s in enumerate(subsets)}, rows)
+
+
+def parity_blocks(y: PseudomomentMatrix):
+    """([(masks, rows)] for the even- then the odd-size block of Y, den):
+    masks in Y's (size, mask) order, rows the block times den over Python
+    ints, den the lcm of the denominators of Y's entries.  Y is their direct
+    sum; a nonzero entry between them (an a_odd) raises InconsistentBlockError."""
+    groups = ([], [])
+    for i, s in enumerate(y.subsets):
+        groups[s.bit_count() & 1].append(i)
+    for i in groups[0]:
+        for j in groups[1]:
+            if y.rows[i][j] != 0 or y.rows[j][i] != 0:
+                raise InconsistentBlockError(
+                    f"cross-parity entry ({i},{j}) nonzero at n={y.n}"
+                )
+    rows, den = xm.integer_form([[y.rows[i][j] for j in idx] for idx in groups for i in idx])
+    rows = iter(rows)
+    return [([y.subsets[i] for i in idx], [next(rows) for _ in idx]) for idx in groups], den
 
 
 def matrix_structure_check(n: int) -> Report:

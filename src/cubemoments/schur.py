@@ -18,9 +18,11 @@ That Gramian reading is what drives the iterated elimination of the
 pseudomoment matrix: after eliminating the degree blocks below k, the
 leading block is exactly sigma_k^2 times the apolar Gram of the harmonic
 projections h_S over |S| = k, and it lies in the Johnson scheme (entries
-depend only on |S cap T|).  The chain holds one integer matrix and a
-running denominator from the integer form of Y on, reduced by a gcd after
-each step, and turns only each leading block into rationals.  A failure of
+depend only on |S cap T|).  Y is the direct sum of its two parity blocks
+(pseudomoments.parity_blocks), so the chain holds one integer matrix and a
+running denominator per block, reduced by a gcd after each step; step k
+eliminates only block k mod 2, whose leading rows are the size-k subsets,
+and turns only that leading block into rationals.  A failure of
 consistency or of either structural claim is reported exactly, never
 approximated.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from . import combinatorics as cb
 from . import exactmat as xm
 from .apolar import apolar_gram, hS_span, sigma_sq
-from .pseudomoments import build_Y
+from .pseudomoments import build_Y, parity_blocks
 from .report import Report
 from .rng import SplitMix64
 from .scalars import Q, QZERO
@@ -195,7 +197,8 @@ def iterated_schur_on_Y(n: int, steps: int = None):
     the current leading block must equal sigma_k^2 times the apolar Gram of
     the harmonic projections over size-k subsets, must lie in the Johnson
     scheme (entries a function of |S cap T| alone), and must be PSD by exact
-    pivots.  Returns (leading blocks per step, report)."""
+    pivots.  Returns (leading blocks per step, report); a nonzero entry
+    between the two parity blocks raises InconsistentBlockError."""
     cb.check_n(n, cap=ITERATED_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -204,10 +207,12 @@ def iterated_schur_on_Y(n: int, steps: int = None):
     if not (0 <= steps <= cb.d_max(n)):
         raise ValueError(f"need 0 <= steps <= d_max = {cb.d_max(n)}, got {steps}")
     report = Report()
-    work, den = xm.integer_form(build_Y(n).rows)
+    parts, den = parity_blocks(build_Y(n))
+    chains = [(rows, den) for _, rows in parts]
     blocks = []
     for k in range(steps + 1):
         h = cb.binomial(n, k)
+        work, den = chains[k & 1]
         lead_ints = [row[:h] for row in work[:h]]
         # one Q per distinct value, so psd_pivots scales each value once
         values = {x: Q(x, den) for row in lead_ints for x in row}
@@ -243,7 +248,7 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         report.expect(psd, f"step {k} block not PSD at n={n}: {witness}")
 
         if k < steps:
-            work, den = integer_schur_complement(work, den, h)
+            chains[k & 1] = integer_schur_complement(work, den, h)
     return blocks, report
 
 

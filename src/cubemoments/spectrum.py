@@ -54,6 +54,7 @@ from .pseudomoments import (
     a_coeff,
     build_Y,
     isotypic_h,
+    parity_blocks,
     pseudo_gram,
     x_monomial,
 )
@@ -166,41 +167,19 @@ def distinctness_and_order_report(n: int) -> OrderReport:
 # exact matrix certification: annihilation, traces, rank
 
 
-def _parity_split(y: PseudomomentMatrix):
-    """Split Y into its even- and odd-degree diagonal blocks.  Cross-parity
-    entries are a_{odd} = 0; any leakage would falsify the split."""
-    groups = ([], [])
-    for i, s in enumerate(y.subsets):
-        groups[s.bit_count() & 1].append(i)
-    for i in groups[0]:
-        row = y.rows[i]
-        for j in groups[1]:
-            if row[j] != 0:
-                raise InconsistentBlockError(
-                    f"cross-parity entry ({i},{j}) nonzero at n={y.n}"
-                )
-    return [
-        [[y.rows[i][j] for j in idx] for i in idx] for idx in groups if idx
-    ]
-
-
 class _ParityPowers:
     """Powers of the parity blocks of Y, extended on demand and shared
-    between the annihilation and trace-moment checks.
+    between the annihilation, trace-moment and rank checks.
 
-    The blocks are stored scaled by D, the lcm of the denominators of Y's
-    entries, so B = D Y holds only ints and its powers are taken over the
-    integers (rational products are the dominant cost otherwise).  Results
-    come back in Y's own rational units: tr(Y^m) = tr(B^m) / D^m.
+    masks, blocks and scale D come from pseudomoments.parity_blocks, so each
+    block B = D Y holds only ints and its powers are taken over the integers
+    (rational products are the dominant cost otherwise).  Results come back
+    in Y's own rational units: tr(Y^m) = tr(B^m) / D^m.
     """
 
     def __init__(self, y: PseudomomentMatrix):
-        self.n = y.n
-        blocks = _parity_split(y)
-        self.masks = [[s for s in y.subsets if s.bit_count() & 1 == e] for e in (0, 1)]
-        rows, self.scale = xm.integer_form([row for block in blocks for row in block])
-        rows = iter(rows)
-        self.blocks = [[next(rows) for _ in block] for block in blocks]
+        parts, self.scale = parity_blocks(y)
+        self.masks, self.blocks = map(list, zip(*parts))
         self.powers = [
             [[[int(i == j) for j in range(len(block))] for i in range(len(block))], block]
             for block in self.blocks
@@ -721,15 +700,10 @@ def numeric_eigensolve(n: int) -> list:
     a_table = np.array(
         [float(a_coeff(n, k)) for k in range(n + 1)], dtype=np.float64
     )
+    subsets = cb.enumerate_subsets(n, cb.d_max(n))
     out = []
     for parity in (0, 1):
-        masks = [
-            m
-            for size in range(parity, cb.d_max(n) + 1, 2)
-            for m in cb.subsets_of_size(n, size)
-        ]
-        if not masks:
-            continue
+        masks = [m for m in subsets if m.bit_count() & 1 == parity]
         marr = np.array(masks, dtype=np.int16)
         size = marr.shape[0]
         block = np.empty((size, size), dtype=np.float64)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,3 +327,13 @@ def test_hypercube_decomposition_check_fails_on_duplicated_vector(monkeypatch):
         assert report.details == [
             f"decomposition rank at n={n}: {2 ** n - 1} != {2 ** n}"
         ]
+
+
+def test_parity_blocks_split_Y():
+    for n in range(2, 9):
+        y = pm.build_Y(n)
+        parts, den = pm.parity_blocks(y)
+        assert den == math.lcm(*(x.denominator for row in y.rows for x in row)), n
+        for parity, (masks, rows) in enumerate(parts):
+            assert masks == [s for s in y.subsets if s.bit_count() & 1 == parity], n
+            assert rows == [[y.entry(s, t) * den for t in masks] for s in masks], n

@@ -7,6 +7,7 @@ from cubemoments import exactmat as xm
 from cubemoments import schur
 from cubemoments.apolar import apolar_ip, hS_span, sigma_sq
 from cubemoments.errors import InconsistentBlockError
+from cubemoments.pseudomoments import parity_blocks
 from cubemoments.rng import SplitMix64
 from cubemoments.schur import (
     BlockedMatrix,
@@ -187,8 +188,8 @@ def test_iterated_schur_frozen_n3():
 
 def test_iterated_schur_matches_rational_chain():
     # the integer chain with a running denominator against a loop of
-    # rational Schur complements of Y
-    for n in range(2, 8):
+    # rational Schur complements of the whole of Y
+    for n in range(2, 9):
         blocks, report = iterated_schur_on_Y(n)
         assert report.ok, (n, report.details[:3])
         current = schur.build_Y(n).rows
@@ -218,3 +219,12 @@ def test_iterated_schur_fails_on_perturbed_Y(monkeypatch):
             d.startswith("step 1 overlap 0: block entry") and d.endswith(f"at n={n}")
             for d in report.details
         ), report.details
+
+
+def test_exact_routes_return_no_float():
+    for n in range(2, 9):
+        blocks, _ = iterated_schur_on_Y(n)
+        assert all(type(x) is Q for block in blocks for row in block for x in row), n
+        parts, den = parity_blocks(schur.build_Y(n))
+        assert type(den) is int, n
+        assert all(type(x) is int for _, rows in parts for row in rows for x in row), n

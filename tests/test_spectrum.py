@@ -19,7 +19,6 @@ from cubemoments.pseudomoments import a_coeff, build_Y
 from cubemoments.scalars import Q
 from cubemoments.spectrum import (
     E_xS_hT_closed,
-    _parity_split,
     _ParityPowers,
     _poly_from_roots,
     _transposition_sectors,
@@ -132,6 +131,12 @@ def test_trace_moments():
     assert not trace_moment_check(4, eigenvalues=bad).ok
 
 
+def _split(y):
+    # Y's parity blocks, an oracle written apart from pseudomoments.parity_blocks
+    groups = [[i for i, s in enumerate(y.subsets) if s.bit_count() & 1 == e] for e in (0, 1)]
+    return [[[y.rows[i][j] for j in idx] for i in idx] for idx in groups]
+
+
 def test_parity_powers_scaled_to_integers():
     for n, scale in ((8, 35), (9, 128)):
         powers = _ParityPowers(build_Y(n))
@@ -149,7 +154,7 @@ def test_parity_powers_match_rational_products():
         y = build_Y(n)
         powers = _ParityPowers(y)
         rational = []
-        for block in _parity_split(y):
+        for block in _split(y):
             base = [[Fraction(str(x)) for x in row] for row in block]
             size = len(base)
             plist = [[[Fraction(int(i == j)) for j in range(size)] for i in range(size)], base]
@@ -196,7 +201,8 @@ def test_rank():
 
 def test_rank_check_fails_on_corrupted_Y(monkeypatch):
     # a_2 + 1/1000 on the symmetric pair (empty set, {1,2}); a same-parity
-    # entry, since a cross-parity one is refused by _parity_split first
+    # entry, since a cross-parity one is refused by pseudomoments.parity_blocks
+    # first (tests/test_verify.py::test_cross_parity_entry_is_refused)
     def corrupted(n):
         y = build_Y(n)
         i, j = y.index[0], y.index[0b11]
@@ -229,7 +235,7 @@ def test_rank_check_reports_exact_rank_when_rank_drops(monkeypatch):
     monkeypatch.setattr(sp, "build_Y", lowered)
     for n in range(2, 9):
         y = lowered(n)
-        bareiss = sum(xm.rank(block) for block in _parity_split(y))
+        bareiss = sum(xm.rank(block) for block in _split(y))
         expected = cb.binomial(n, cb.d_max(n))
         assert bareiss == expected - 1, n
         powers = _ParityPowers(y)

@@ -5,6 +5,11 @@ import importlib
 import pytest
 
 import cubemoments
+from cubemoments import pseudomoments as pm
+from cubemoments import schur as su
+from cubemoments import spectrum as sp
+from cubemoments.errors import InconsistentBlockError
+from cubemoments.scalars import Q
 from cubemoments.verify import (
     SUITE_NAMES,
     format_text,
@@ -172,3 +177,33 @@ def test_corrupted_closed_form_fails_its_check(
     result = {c.name: c for c in run_verify((suite,), n_min=n, n_max=n).checks}[verify_name]
     assert result.status == "fail"
     assert report.details[0] in result.witness
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_cross_parity_entry_is_refused(monkeypatch, n):
+    # 1/1000 on the symmetric pair (empty set, {1}), between Y's two parity
+    # blocks: every exact route refuses it when splitting Y, naming the entry
+    def corrupted(n):
+        y = pm.build_Y(n)
+        i, j = y.index[0], y.index[0b1]
+        y.rows[i][j] += Q(1, 1000)
+        y.rows[j][i] += Q(1, 1000)
+        return y
+
+    monkeypatch.setattr(sp, "build_Y", corrupted)
+    monkeypatch.setattr(su, "build_Y", corrupted)
+    witness = f"cross-parity entry (0,1) nonzero at n={n}"
+    for route in (
+        sp.rank_check,
+        sp.annihilation_check,
+        sp.trace_moment_check,
+        sp.exact_spectrum_certificate,
+        su.iterated_schur_on_Y,
+    ):
+        with pytest.raises(InconsistentBlockError) as excinfo:
+            route(n)
+        assert str(excinfo.value) == witness, route.__name__
+    checks = {c.name: c for c in run_verify(("schur", "spectrum"), n_min=n, n_max=n).checks}
+    for name in ("spectrum.exact_certificate", "schur.iterated_elimination"):
+        assert checks[name].status == "fail", name
+        assert checks[name].witness == f"unhandled InconsistentBlockError: {witness}"
