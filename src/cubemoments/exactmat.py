@@ -6,14 +6,14 @@ rational matrix to ints, by the lcm of its denominators.  rational_product
 owns that step for every exact product outside the power and elimination
 kernels: it scales each factor, multiplies the chain over Python ints with
 mat_mul (which keeps ints as ints) and divides each entry back once, always
-returning rationals.  rank, det, solve_consistent,
-the semidefiniteness test psd_pivots and the Schur complement in schur.py
-share one elimination kernel, eliminate: a fraction-free (Bareiss)
-elimination over Python ints, whose every division by the previous pivot
-is exact and is checked to be.  It picks its pivots deterministically
-(first nonzero entry of each column, from the top); det, solve_consistent,
-psd_pivots and the Schur complement divide its integer result back once
-per entry.
+returning rationals.  rank, det, solve_consistent and
+schur.schur_complement share one kernel, eliminate: a fraction-free
+(Bareiss) elimination over Python ints, whose every division by the
+previous pivot is exact and is checked to be, with the first nonzero entry
+of each column as pivot.  eliminate_symmetric takes the same steps with
+diagonal pivots only: its pivots decide semidefiniteness (psd_pivots), and
+the block it leaves is the Schur complement of the rows it eliminated, so
+schur's iterated chain reads both from one pass.
 
 Rank claims go through rank_at_least, an exact lower bound: the rank of
 the integer form modulo a prime never exceeds its rank over Q, so one prime
@@ -83,6 +83,8 @@ def mat_eq(a: list, b: list) -> bool:
 
 def is_symmetric(a: list) -> bool:
     m = len(a)
+    if any(len(row) != m for row in a):
+        return False
     return all(a[i][j] == a[j][i] for i in range(m) for j in range(i + 1, m))
 
 
@@ -96,6 +98,23 @@ def _exact_quotients(values: list, divisor: int) -> list:
         bad = next(v for v, rest in zip(values, rests) if rest)
         raise InconsistentBlockError(f"{bad} is not divisible by {divisor}")
     return list(quotients)
+
+
+def _bareiss_step(rows: list, wr: list, c: int, start: int, prev: int) -> None:
+    """Each of rows becomes (p * row - row[c] * wr) / prev from column start
+    on, in place, with pivot p = wr[c].  A row with a zero in column c is
+    only scaled by p / prev, which divides by less, often by 1, in lowest
+    terms."""
+    p = wr[c]
+    g = math.gcd(p, prev)
+    scale, shrink = p // g, prev // g
+    for wi in rows:
+        f = wi[c]
+        if f:
+            tail = [p * x - f * y for x, y in zip(wi[start:], wr[start:])]
+            wi[start:] = _exact_quotients(tail, prev)
+        else:
+            wi[start:] = _exact_quotients([scale * x for x in wi[start:]], shrink)
 
 
 def eliminate(
@@ -132,25 +151,11 @@ def eliminate(
             work[r], work[pivot_row] = work[pivot_row], work[r]
             swaps += 1
         wr = work[r]
-        p = wr[c]
-        # a row with a zero in column c is only scaled by p / prev, which
-        # divides by less, often by 1, in lowest terms
-        g = math.gcd(p, prev)
-        scale, shrink = p // g, prev // g
-        for i in range(0 if reduce_above else r + 1, rows):
-            if i == r:
-                continue
-            wi = work[i]
-            start = 0 if i < r else c
-            f = wi[c]
-            if f:
-                tail = [p * x - f * y for x, y in zip(wi[start:], wr[start:])]
-                wi[start:] = _exact_quotients(tail, prev)
-            else:
-                tail = [scale * x for x in wi[start:]]
-                wi[start:] = _exact_quotients(tail, shrink)
+        if reduce_above:
+            _bareiss_step(work[:r], wr, c, 0, prev)
+        _bareiss_step(work[r + 1 :], wr, c, c, prev)
         pivot_cols.append(c)
-        prev = p
+        prev = wr[c]
     return pivot_cols, swaps, prev
 
 
@@ -253,40 +258,55 @@ def solve_consistent(a: list, b: list) -> list:
     return x
 
 
-def psd_pivots(a: list):
-    """Exact semidefiniteness test for a symmetric matrix.
+def eliminate_symmetric(work: list, start: int, stop: int, prev: int = 1, den: int = 1):
+    """Fraction-free elimination with diagonal pivots of the symmetric int
+    matrix work, in place, over pivot indices start..stop-1; rows before
+    start are already eliminated, and prev is their last pivot.
 
-    Returns (True, pivots) when the matrix is positive semidefinite, with
-    pivots its rank-many positive LDL^T pivots; returns (False,
-    witness_string) otherwise.  At most two eliminations decide it.  The
-    first, of the whole matrix, finds its pivot columns J, a basis of the
-    column space.  The second, of the principal block A[J, J] (nonsingular
-    for a symmetric A), must run without a row swap and with positive
-    pivots: with no swap its k-th pivot is the k-th leading principal
-    minor, so A[J, J] is positive definite (Sylvester), and since rank
-    A[J, J] = rank A, the Schur complement of A[J, J] in A is zero.  A PSD
-    matrix passes, because its columns J are Gram vectors that stay
-    independent.  When J is every column, A[J, J] is A and the first
-    elimination already is the second, so it is not run again.  The pivots
-    are minor_k / minor_(k-1), in the input's own units.
+    Each pivot steps every later row as in eliminate, so the active block
+    stays symmetric, and over den * prev it is the Schur complement of the
+    rational matrix work / den on the pivots so far.  A zero diagonal entry
+    whose row is zero from there on is skipped; one whose row is nonzero
+    before column stop ends the pass, and one nonzero only from stop on
+    raises InconsistentBlockError (no pivot reaches its tail).  Returns
+    (prev, pivots, witness): the last pivot (None if the pass ended early),
+    the LDL^T pivots of work / den, and the first reason the block is not
+    PSD, counting indices from start, or None; a negative pivot does not
+    end the pass.
+    """
+    pivots = []
+    witness = None
+    for c in range(start, stop):
+        wc = work[c]
+        p = wc[c]
+        if not p:
+            j = next((j for j in range(c + 1, len(wc)) if wc[j]), None)
+            if j is None:
+                continue
+            if j >= stop:
+                raise InconsistentBlockError(
+                    f"right-hand side column {j - stop} is outside the column space"
+                )
+            return None, pivots, witness or (
+                f"zero diagonal at index {c - start} with nonzero entry at "
+                f"column {j - start}"
+            )
+        pivots.append(Q(p, prev * den))
+        if pivots[-1] < 0 and witness is None:
+            witness = f"negative pivot {pivots[-1]} at index {c - start}"
+        _bareiss_step(work[c + 1 :], wc, c, c, prev)
+        prev = p
+    return prev, pivots, witness
+
+
+def psd_pivots(a: list):
+    """Exact semidefiniteness test for a symmetric matrix, by one pass of
+    eliminate_symmetric over its integer form: (True, pivots) with its
+    rank-many positive LDL^T pivots when it is positive semidefinite, else
+    (False, witness_string).
     """
     if not is_symmetric(a):
         return (False, "matrix is not symmetric")
-    rows, den = integer_form(a)
-    lead = [row[:] for row in rows]
-    independent, swaps, _ = eliminate(lead, len(a))
-    if len(independent) < len(a):
-        lead = [[rows[i][j] for j in independent] for i in independent]
-        _, swaps, _ = eliminate(lead, len(lead))
-    if swaps:
-        return (
-            False,
-            f"zero leading minor of the principal block on the {len(lead)} "
-            "independent columns",
-        )
-    minors = [1] + [lead[k][k] for k in range(len(lead))]
-    pivots = [Q(minors[k + 1], minors[k] * den) for k in range(len(lead))]
-    bad = next((k for k, p in enumerate(pivots) if p < 0), None)
-    if bad is not None:
-        return (False, f"negative pivot {pivots[bad]} at index {independent[bad]}")
-    return (True, pivots)
+    work, den = integer_form(a)
+    _, pivots, witness = eliminate_symmetric(work, 0, len(a), den=den)
+    return (False, witness) if witness else (True, pivots)

@@ -2,35 +2,31 @@
 
 For a symmetric matrix M split into blocks by a leading index range, the
 complement M22 - M21 M11^+ M12 is computed here by fraction-free elimination
-over Python ints of the leading columns of M (exactmat.eliminate), with
-pivots taken from the leading rows only: the trailing block left behind,
-divided by the last pivot and the common denominator, is M22 - M21 X for
-a solution X of the consistent system M11 X = M12.  When M is the Gram
-matrix of vectors (a_1..a_m, b_1..b_n), any two solutions differ by kernel
-columns of M11, and those pair to zero against M21, so the complement never
-depends on the choice; it equals the Gram matrix of the b_j projected
-orthogonally off the span of the a_i.  The integer kernel
-integer_schur_complement maps (integer matrix, denominator) to the same
-pair for the complement, reduced by the gcd of its entries and the
-denominator; schur_complement wraps it for rational matrices.
+over Python ints of the leading columns of M, with pivots taken from the
+leading rows only (schur_complement, by exactmat.eliminate): the trailing
+block left behind, divided by the last pivot and the common denominator, is
+M22 - M21 X for a solution X of the consistent system M11 X = M12.  When M
+is the Gram matrix of vectors (a_1..a_m, b_1..b_n), any two solutions
+differ by kernel columns of M11, and those pair to zero against M21, so the
+complement never depends on the choice; it equals the Gram matrix of the
+b_j projected orthogonally off the span of the a_i.
 
 That Gramian reading is what drives the iterated elimination of the
 pseudomoment matrix: after eliminating the degree blocks below k, the
-leading block is exactly sigma_k^2 times the apolar Gram of the harmonic
-projections h_S over |S| = k, and it lies in the Johnson scheme (entries
-depend only on |S cap T|).  Y is the direct sum of its two parity blocks
-(pseudomoments.parity_blocks), so the chain holds one integer matrix and a
-running denominator per block, reduced by a gcd after each step; step k
-eliminates only block k mod 2, whose leading rows are the size-k subsets,
-and turns only that leading block into rationals.  A failure of
-consistency or of either structural claim is reported exactly, never
-approximated.
+leading block L_k is exactly sigma_k^2 times the apolar Gram of the
+harmonic projections h_S over |S| = k, and it lies in the Johnson scheme
+(entries depend only on |S cap T|).  Y is the direct sum of its two parity
+blocks (pseudomoments.parity_blocks), so the chain runs one symmetric
+elimination with diagonal pivots (exactmat.eliminate_symmetric) through
+each block, pausing at each degree: step k reads L_k from block k mod 2 as
+its active leading rows over den * prev, turns only L_k into rationals and
+then eliminates those rows, whose pivots are L_k's LDL^T pivots, so the
+same pass gives the PSD verdict of L_k and the next Schur complement.  A
+failure of consistency or of either structural claim is reported exactly,
+never approximated.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from . import combinatorics as cb
 from . import exactmat as xm
@@ -45,49 +41,22 @@ ITERATED_MAX_N = 8
 GRAM_LEADS, GRAM_TAILS, GRAM_AMBIENT = 2, 2, 4
 
 
-@dataclass
-class BlockedMatrix:
-    """A symmetric exact matrix with a designated leading block of size head."""
-
-    matrix: list
-    head: int
-
-    def __post_init__(self):
-        size = len(self.matrix)
-        if any(len(row) != size for row in self.matrix):
-            raise ValueError("blocked matrix must be square")
-        if not xm.is_symmetric(self.matrix):
-            raise ValueError("blocked matrix must be symmetric")
-        if not (0 <= self.head <= size):
-            raise ValueError(f"head {self.head} outside [0, {size}]")
-
-
-def integer_schur_complement(work: list, den: int, h: int):
-    """(work, den) -> (tail, tail_den): the Schur complement of the leading
-    h x h block of the symmetric rational matrix work / den, as an integer
-    matrix over a positive denominator, both divided by the gcd of all its
-    entries and the denominator.  work is eliminated in place.
-
-    Raises InconsistentBlockError when M11 X = M12 has no solution, that is
-    when a leading row left without a pivot still has a nonzero tail; this
-    cannot happen for a PSD leading block (Gram case)."""
-    if not xm.is_symmetric(work):
-        raise ValueError("blocked matrix must be symmetric")
-    pivot_cols, _, last = xm.eliminate(work, h, pivot_rows=h)
-    xm.require_zero_tails(work[len(pivot_cols):h], h)
-    tail = [row[h:] for row in work[h:]]
+def schur_complement(matrix: list, head: int) -> list:
+    """M22 - M21 M11^+ M12 over Q for the symmetric matrix M and its leading
+    head x head block M11.  Raises ValueError for a matrix that is not
+    square and symmetric or a head outside [0, size], and
+    InconsistentBlockError when M11 X = M12 has no solution, that is when a
+    leading row left without a pivot still has a nonzero tail; this cannot
+    happen for a PSD leading block (Gram case)."""
+    if not xm.is_symmetric(matrix):
+        raise ValueError("matrix must be square and symmetric")
+    if not (0 <= head <= len(matrix)):
+        raise ValueError(f"head {head} outside [0, {len(matrix)}]")
+    work, den = xm.integer_form(matrix)
+    pivot_cols, _, last = xm.eliminate(work, head, pivot_rows=head)
+    xm.require_zero_tails(work[len(pivot_cols):head], head)
     den *= last
-    g = math.gcd(den, *(x for row in tail for x in row))
-    if den < 0:
-        g = -g
-    return [[x // g for x in row] for row in tail], den // g
-
-
-def schur_complement(blocked: BlockedMatrix) -> list:
-    """M22 - M21 M11^+ M12 by eliminating the leading columns of M, over Q
-    (integer_schur_complement on the integer form of M)."""
-    tail, den = integer_schur_complement(*xm.integer_form(blocked.matrix), blocked.head)
-    return [[Q(x, den) for x in row] for row in tail]
+    return [[Q(x, den) for x in row[head:]] for row in work[head:]]
 
 
 def _gram(vectors) -> list:
@@ -137,7 +106,7 @@ def gram_schur_property_check(seed: int, trials: int = 100) -> Report:
                 b_vecs.append(combo)
 
         gram = _gram(a_vecs + b_vecs)
-        complement = schur_complement(BlockedMatrix(gram, GRAM_LEADS))
+        complement = schur_complement(gram, GRAM_LEADS)
 
         lead_gram = [row[:GRAM_LEADS] for row in gram[:GRAM_LEADS]]
         cross = xm.rational_product(a_vecs, list(zip(*b_vecs)))
@@ -182,7 +151,7 @@ def volume_identity_check(seed: int, trials: int = 50) -> Report:
         ]
         gram = _gram(vecs)
         head = rng.randint(1, count - 1)
-        complement = schur_complement(BlockedMatrix(gram, head))
+        complement = schur_complement(gram, head)
         lead = [row[:head] for row in gram[:head]]
         lhs = xm.det(gram)
         rhs = xm.det(lead) * xm.det(complement)
@@ -197,8 +166,11 @@ def iterated_schur_on_Y(n: int, steps: int = None):
     the current leading block must equal sigma_k^2 times the apolar Gram of
     the harmonic projections over size-k subsets, must lie in the Johnson
     scheme (entries a function of |S cap T| alone), and must be PSD by exact
-    pivots.  Returns (leading blocks per step, report); a nonzero entry
-    between the two parity blocks raises InconsistentBlockError."""
+    pivots.  Returns (leading blocks per step, report).  A zero diagonal
+    entry of L_k with a nonzero entry in L_k ends the chain after step k,
+    since diagonal pivots give no Schur step past it; one whose row is
+    nonzero only past L_k, like a nonzero entry between the two parity
+    blocks, raises InconsistentBlockError."""
     cb.check_n(n, cap=ITERATED_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -208,16 +180,17 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         raise ValueError(f"need 0 <= steps <= d_max = {cb.d_max(n)}, got {steps}")
     report = Report()
     parts, den = parity_blocks(build_Y(n))
-    chains = [(rows, den) for _, rows in parts]
+    # per parity block: its int rows, where its next degree starts, last pivot
+    chains = [[rows, 0, 1] for _, rows in parts]
     blocks = []
     for k in range(steps + 1):
         h = cb.binomial(n, k)
-        work, den = chains[k & 1]
-        lead_ints = [row[:h] for row in work[:h]]
-        # one Q per distinct value, so psd_pivots scales each value once
-        values = {x: Q(x, den) for row in lead_ints for x in row}
-        lead = [[values[x] for x in row] for row in lead_ints]
-        blocks.append(lead)
+        work, start, prev = chains[k & 1]
+        stop = start + h
+        lead_ints = [row[start:stop] for row in work[start:stop]]
+        # one Q per distinct value of L_k = lead_ints / (den * prev)
+        values = {x: Q(x, den * prev) for row in lead_ints for x in row}
+        blocks.append([[values[x] for x in row] for row in lead_ints])
 
         masks = cb.subsets_of_size(n, k)
         by_overlap: dict = {}
@@ -228,9 +201,7 @@ def iterated_schur_on_Y(n: int, steps: int = None):
                 ref = by_overlap.setdefault(ov, lead_ints[i][j])
                 if ref != lead_ints[i][j]:
                     johnson = False
-        report.expect(
-            johnson, f"step {k} block leaves the Johnson scheme at n={n}"
-        )
+        report.expect(johnson, f"step {k} block leaves the Johnson scheme at n={n}")
 
         scale = sigma_sq(n, k)
         pairs = cb.overlap_pairs(n, k, k)  # every pair shares S = {1..k}
@@ -244,11 +215,12 @@ def iterated_schur_on_Y(n: int, steps: int = None):
                 f"step {k} overlap {ov}: block entry {entry} != {expected} at n={n}",
             )
 
-        psd, witness = xm.psd_pivots(lead)
-        report.expect(psd, f"step {k} block not PSD at n={n}: {witness}")
-
-        if k < steps:
-            chains[k & 1] = integer_schur_complement(work, den, h)
+        # the PSD verdict of L_k and the Schur step past it, in one pass
+        prev, _, witness = xm.eliminate_symmetric(work, start, stop, prev, den)
+        report.expect(witness is None, f"step {k} block not PSD at n={n}: {witness}")
+        if prev is None:  # a zero diagonal with a nonzero row: no next step
+            break
+        chains[k & 1][1:] = [stop, prev]
     return blocks, report
 
 

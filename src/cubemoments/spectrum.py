@@ -101,19 +101,26 @@ def zero_multiplicity(n: int) -> int:
     return cb.binomial_le(n, cb.d_max(n) - 1)
 
 
-def lambda_recursion_check(n_max: int) -> Report:
+def eigenvalue_recursion_check(n: int) -> Report:
     """lambda_{n,d} = (n/(n-1)) lambda_{n-2,d-1} from the closed form alone,
-    for all 3 <= n <= n_max and every admissible d."""
+    for every admissible d at one n >= 3."""
+    if not 3 <= n <= ORDER_MAX_N:
+        raise ValueError(f"need 3 <= n <= {ORDER_MAX_N}, got {n}")
+    report = Report()
+    for d in range(1, cb.d_max(n) + 1):  # d - 1 <= d_max(n - 2) = d_max(n) - 1
+        lhs = lambda_closed(n, d)
+        rhs = Q(n, n - 1) * lambda_closed(n - 2, d - 1)
+        report.expect(lhs == rhs, f"recursion fails at n={n}, d={d}: {lhs} != {rhs}")
+    return report
+
+
+def lambda_recursion_check(n_max: int) -> Report:
+    """eigenvalue_recursion_check for all 3 <= n <= n_max."""
     if n_max > ORDER_MAX_N:
         raise ValueError(f"guarded at n <= {ORDER_MAX_N}, got {n_max}")
     report = Report()
     for n in range(3, n_max + 1):
-        for d in range(1, cb.d_max(n) + 1):
-            if d - 1 > cb.d_max(n - 2):
-                continue
-            lhs = lambda_closed(n, d)
-            rhs = Q(n, n - 1) * lambda_closed(n - 2, d - 1)
-            report.expect(lhs == rhs, f"recursion fails at n={n}, d={d}: {lhs} != {rhs}")
+        report.absorb(eigenvalue_recursion_check(n))
     return report
 
 

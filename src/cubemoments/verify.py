@@ -159,6 +159,8 @@ _PER_N = [
     ("apolar.sigma_bridge", 2, 9, "bridge Gram", ap.sigma_bridge_check),
     ("apolar.ideal_kernel", 2, 7, "kernel sweep", ap.ideal_kernel_check),
     ("apolar.beta_identity", 2, 10, "pairing table", ap.beta_identity_check),
+    ("spectrum.eigenvalue_recursion", 3, sp.ORDER_MAX_N, "closed form",
+     sp.eigenvalue_recursion_check),
     ("spectrum.eta_routes", 2, 10, "overlap summation", sp.eta_routes_check),
     ("spectrum.frame_decomposition", 2, 12, "frame table",
      sp.frame_decomposition_check),
@@ -237,16 +239,6 @@ def _adjointness(ctx, rep):
             )
 
 
-@_check("spectrum.eigenvalue_recursion")
-def _eigenvalue_recursion(ctx, rep):
-    top = min(ctx.n_max, sp.ORDER_MAX_N)
-    if top < 3:
-        raise _Skipped(f"the eigenvalue recursion needs n >= 3, got n_max={ctx.n_max}")
-    if ctx.n_max > sp.ORDER_MAX_N:
-        rep.note(f"n capped at {sp.ORDER_MAX_N} (closed form guard)")
-    rep.absorb(sp.lambda_recursion_check(top))
-
-
 @_check("spectrum.positivity_and_order")
 def _positivity_and_order(ctx, rep):
     """Positivity is asserted; distinctness and order are recorded."""
@@ -291,20 +283,24 @@ def _volume_identity(ctx, rep):
 
 
 def _fault_injection(ctx, rep):
-    """Feed deliberately corrupted eigenvalues to the exact certificate
-    machinery; the run must fail with a witness, proving the harness can
-    tell a wrong spectrum from a right one."""
-    n = min(max(ctx.n_min, 2), 6)
+    """Feed a corrupted lambda_0 to the exact certificate machinery; the
+    run must fail with a witness from annihilation and from the trace
+    moments each, proving that both can tell a wrong spectrum from a right
+    one.  n stays at most 5, where the lambda_{n,d} are pairwise distinct:
+    at n = 6 lambda_{n,0} = lambda_{n,2}, so lambda_0 stays a root of the
+    annihilating polynomial and only the traces could see the fault."""
+    n = min(max(ctx.n_min, 2), 5)
     corrupted = [sp.lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
     corrupted[0] = corrupted[0] + 1
     ann = sp.annihilation_check(n, eigenvalues=corrupted)
     tr = sp.trace_moment_check(n, eigenvalues=corrupted)
     rep.count(ann.checked + tr.checked)
-    if ann.ok and tr.ok:
-        rep.fail(f"corrupted eigenvalues went undetected at n={n}")
+    routes = (("annihilation", ann), ("traces", tr))
+    missed = " and ".join(name for name, r in routes if r.ok)
+    if missed:
+        rep.fail(f"corrupted eigenvalues went undetected by {missed} at n={n}")
     else:
-        detected = (ann.details + tr.details)[0]
-        rep.fail(f"injected fault detected as intended at n={n}: {detected}")
+        rep.fail(f"injected fault detected as intended at n={n}: {ann.details[0]}")
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,10 @@ def test_psd_pivots_accepts_gram_and_rejects_indefinite():
     assert not ok
     ok, witness = xm.psd_pivots([[1, 2], [3, 4]])
     assert not ok and "symmetric" in witness
+    # a matrix that is not square is not symmetric either
+    for a in ([[0, 1]], [[1, 2, 3], [2, 1]]):
+        assert not xm.is_symmetric(a)
+        assert xm.psd_pivots(a) == (False, "matrix is not symmetric")
 
 
 def test_psd_pivots_zero_matrix_and_semidefinite():
@@ -398,8 +402,7 @@ def test_schur_complement_matches_fraction_reference(data, size):
         m = data.draw(_matrices(rows=size, cols=size))
         matrix = [[m[i][j] + m[j][i] for j in range(size)] for i in range(size)]
     h = data.draw(st.integers(0, size))
-    blocked = schur.BlockedMatrix(matrix, h)
-    got = _outcome(schur.schur_complement, blocked)
+    got = _outcome(schur.schur_complement, matrix, h)
     assert got == _outcome(ref_schur, matrix, h)
     assert isinstance(got, str) or _all_exact(got)
 
@@ -408,8 +411,7 @@ def test_schur_complement_with_singular_leading_block():
     # leading vectors (1, 1) twice: M11 = [[2, 2], [2, 2]] has rank 1
     vecs = [[1, 1], [1, 1], [1, 0]]
     gram = [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
-    blocked = schur.BlockedMatrix(gram, 2)
-    assert schur.schur_complement(blocked) == ref_schur(gram, 2) == [[Q(1, 2)]]
+    assert schur.schur_complement(gram, 2) == ref_schur(gram, 2) == [[Q(1, 2)]]
 
 
 def test_eliminate_divides_exactly_or_refuses():
@@ -481,6 +483,12 @@ def _symmetric(draw):
     return [[m[i][j] + m[j][i] for j in range(size)] for i in range(size)]
 
 
+def _verdict(result):
+    """A semidefiniteness result with its witness text dropped."""
+    ok, got = result
+    return ok, got if ok else None
+
+
 @settings(max_examples=500, deadline=None)
 @given(_symmetric())
 def test_psd_pivots_matches_sparse_reference(a):
@@ -494,20 +502,27 @@ def test_psd_pivots_matches_sparse_reference(a):
         assert all(type(p) is type(Q(0)) for p in got)
     else:
         assert isinstance(got, str)
+    # the same verdict, and the same pivots, as the two-pass reference
+    assert _verdict((ok, got)) == _verdict(two_pass_psd_pivots(a))
 
 
 def test_psd_pivots_witnesses():
     ok, witness = xm.psd_pivots([[1, 0], [0, -2]])
     assert (ok, witness) == (False, "negative pivot -2 at index 1")
     ok, witness = xm.psd_pivots([[0, 1], [1, 0]])
-    assert not ok and "zero leading minor" in witness
-    # a zero column is dropped before the principal block is eliminated
+    assert (ok, witness) == (
+        False,
+        "zero diagonal at index 0 with nonzero entry at column 1",
+    )
+    # a zero row is skipped, and the next pivot divides by the last one
     ok, pivots = xm.psd_pivots([[4, 0, 2], [0, 0, 0], [2, 0, 2]])
     assert ok and pivots == [Q(4), Q(1)]
 
 
 def two_pass_psd_pivots(a):
-    """psd_pivots with the principal block always eliminated afresh."""
+    """The semidefiniteness test as two Bareiss eliminations: the first
+    finds the pivot columns J of a, the second must run through the
+    principal block a[J, J] without a row swap and with positive pivots."""
     if not xm.is_symmetric(a):
         return (False, "matrix is not symmetric")
     rows, den = xm.integer_form(a)
@@ -529,27 +544,80 @@ def two_pass_psd_pivots(a):
 
 
 def test_psd_pivots_one_pass_matches_two_pass(monkeypatch):
-    calls = []
-    eliminate = xm.eliminate
-
-    def counted(work, cols, *args, **kwargs):
-        calls.append(len(work))
-        return eliminate(work, cols, *args, **kwargs)
-
     cases = [
-        ([[4, 2, 0], [2, 3, Q(1, 2)], [0, Q(1, 2), 2]], 1),  # positive definite
-        ([[1, 2, 0], [2, 1, 0], [0, 0, 5]], 1),  # indefinite, nonsingular
-        ([[1, 1, 2], [1, 1, 2], [2, 2, 4]], 2),  # singular PSD, rank 1
-        ([[0, 1, 0], [1, 2, 0], [0, 0, 3]], 1),  # nonsingular, forces a swap
+        [[4, 2, 0], [2, 3, Q(1, 2)], [0, Q(1, 2), 2]],  # positive definite
+        [[1, 2, 0], [2, 1, 0], [0, 0, 5]],  # indefinite, nonsingular
+        [[1, 1, 2], [1, 1, 2], [2, 2, 4]],  # singular PSD, rank 1
+        [[0, 1, 0], [1, 2, 0], [0, 0, 3]],  # nonsingular, zero first diagonal
     ]
-    for a, passes in cases:
-        want = two_pass_psd_pivots(a)
-        calls.clear()
-        monkeypatch.setattr(xm, "eliminate", counted)
+    wants = [two_pass_psd_pivots(a) for a in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("psd_pivots called eliminate")
+
+    monkeypatch.setattr(xm, "eliminate", refuse)
+    for a, want in zip(cases, wants):
         got = xm.psd_pivots(a)
-        monkeypatch.setattr(xm, "eliminate", eliminate)
-        assert got == want and repr(got) == repr(want), a
-        assert len(calls) == passes, a
-    assert xm.psd_pivots(cases[0][0])[0] and not xm.psd_pivots(cases[1][0])[0]
-    assert xm.psd_pivots(cases[2][0]) == (True, [Q(1)])
-    assert "zero leading minor" in xm.psd_pivots(cases[3][0])[1]
+        assert _verdict(got) == _verdict(want), a
+        if want[0]:
+            assert repr(got) == repr(want), a
+    assert xm.psd_pivots(cases[0])[0] and not xm.psd_pivots(cases[1])[0]
+    assert xm.psd_pivots(cases[2]) == (True, [Q(1)])
+    assert xm.psd_pivots(cases[3]) == (
+        False,
+        "zero diagonal at index 0 with nonzero entry at column 1",
+    )
+
+
+def test_eliminate_symmetric_stops_on_zero_diagonal_with_leading_entry():
+    work = [[0, 1, 2], [1, 0, 0], [2, 0, 5]]
+    assert xm.eliminate_symmetric(work, 0, 2) == (
+        None,
+        [],
+        "zero diagonal at index 0 with nonzero entry at column 1",
+    )
+    # a negative pivot lets the pass go on, and its witness is the first
+    work = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert xm.eliminate_symmetric(work, 0, 3) == (
+        None,
+        [Q(-1)],
+        "negative pivot -1 at index 0",
+    )
+    # the sign of a pivot is that of the diagonal entry over prev
+    work = [[-1, 0], [0, 2]]
+    assert xm.eliminate_symmetric(work, 0, 2) == (
+        -2,
+        [Q(-1), Q(2)],
+        "negative pivot -1 at index 0",
+    )
+
+
+def test_eliminate_symmetric_refuses_tail_only_row():
+    # after the first pivot, row 1 is zero in the leading block and 1 in the
+    # tail: the leading block has no pivot there to reach that column
+    work = [[1, 1, 1], [1, 1, 2], [1, 2, 3]]
+    with pytest.raises(InconsistentBlockError, match="outside the column space"):
+        xm.eliminate_symmetric(work, 0, 2)
+    # the same row with a zero tail is skipped
+    work = [[1, 1, 1], [1, 1, 1], [1, 1, 3]]
+    assert xm.eliminate_symmetric(work, 0, 2) == (1, [Q(1)], None)
+    assert work[2][2] == 2
+
+
+def test_eliminate_symmetric_resumes_where_it_paused():
+    # a singular Gram in two passes, with den: the active block after the
+    # first is den * prev times the Schur complement, and the pivots of the
+    # two passes are those of one pass
+    vecs = [[1, 2, 0], [2, 4, 0], [0, 1, 1], [1, 0, 2], [3, 1, 1]]
+    gram = [[Q(sum(x * y for x, y in zip(u, v)), 3) for v in vecs] for u in vecs]
+    work, den = xm.integer_form(gram)
+    whole = [row[:] for row in work]
+    prev, first, witness = xm.eliminate_symmetric(work, 0, 2, den=den)
+    assert witness is None and first == [Q(5, 3)]
+    assert [[Q(x, den * prev) for x in row[2:]] for row in work[2:]] == (
+        schur.schur_complement(gram, 2)
+    )
+    prev, second, witness = xm.eliminate_symmetric(work, 2, 5, prev, den)
+    assert witness is None
+    assert xm.eliminate_symmetric(whole, 0, 5, den=den) == (prev, first + second, None)
+    assert first + second == xm.psd_pivots(gram)[1]

@@ -10,7 +10,6 @@ from cubemoments.errors import InconsistentBlockError
 from cubemoments.pseudomoments import parity_blocks
 from cubemoments.rng import SplitMix64
 from cubemoments.schur import (
-    BlockedMatrix,
     gram_schur_property_check,
     iterated_schur_on_Y,
     schur_complement,
@@ -31,55 +30,55 @@ def _identity(m):
     return [[Q(int(i == j)) for j in range(m)] for i in range(m)]
 
 
-def test_blocked_matrix_validation():
-    with pytest.raises(ValueError):
-        BlockedMatrix([[Q(1), Q(2)], [Q(3), Q(4)]], 1)  # not symmetric
-    with pytest.raises(ValueError):
-        BlockedMatrix([[Q(1), Q(2)]], 1)  # not square
-    with pytest.raises(ValueError):
-        BlockedMatrix(_identity(2), 3)  # head out of range
+def test_schur_complement_validation():
+    with pytest.raises(ValueError, match="square and symmetric"):
+        schur_complement([[Q(1), Q(2)], [Q(3), Q(4)]], 1)
+    with pytest.raises(ValueError, match="square and symmetric"):
+        schur_complement([[Q(1), Q(2)]], 1)
+    with pytest.raises(ValueError, match="outside"):
+        schur_complement(_identity(2), 3)
 
 
-def test_integer_schur_complement_reduces_and_refuses():
-    # (work, den) -> (tail, den) over a positive denominator, in lowest terms
-    assert schur.integer_schur_complement([[2, 4], [4, 10]], 1, 1) == ([[2]], 1)
-    assert schur.integer_schur_complement([[-2, 2], [2, 3]], 1, 1) == ([[5]], 1)
-    assert schur.integer_schur_complement([[3, 1], [1, 3]], 6, 0) == ([[3, 1], [1, 3]], 6)
-    assert schur.integer_schur_complement([[3]], 6, 0) == ([[1]], 2)
-    with pytest.raises(ValueError, match="must be symmetric"):
-        schur.integer_schur_complement([[1, 2], [3, 4]], 1, 1)
+def test_schur_complement_reduces_and_refuses():
+    assert schur_complement([[2, 4], [4, 10]], 1) == [[2]]
+    assert schur_complement([[-2, 2], [2, 3]], 1) == [[5]]
+    assert schur_complement([[Q(1, 2), Q(1, 6)], [Q(1, 6), Q(1, 2)]], 0) == [
+        [Q(1, 2), Q(1, 6)],
+        [Q(1, 6), Q(1, 2)],
+    ]
+    assert schur_complement([[Q(1, 2)]], 0) == [[Q(1, 2)]]
     with pytest.raises(InconsistentBlockError):
-        schur.integer_schur_complement([[0, 1], [1, 0]], 1, 1)
+        schur_complement([[0, 1], [1, 0]], 1)
 
 
 def test_schur_complement_basics():
-    assert xm.mat_eq(schur_complement(BlockedMatrix(_identity(5), 2)), _identity(3))
+    assert xm.mat_eq(schur_complement(_identity(5), 2), _identity(3))
     # Gram of a=(1,0), b=(1,1): complement is the squared norm of b off a
-    comp = schur_complement(BlockedMatrix([[Q(1), Q(1)], [Q(1), Q(2)]], 1))
+    comp = schur_complement([[Q(1), Q(1)], [Q(1), Q(2)]], 1)
     assert comp == [[Q(1)]]
     # trivial splits
     m = _gram([[Q(1), Q(2)], [Q(0), Q(1)]])
-    assert xm.mat_eq(schur_complement(BlockedMatrix(m, 0)), m)
-    assert schur_complement(BlockedMatrix(m, 2)) == []
+    assert xm.mat_eq(schur_complement(m, 0), m)
+    assert schur_complement(m, 2) == []
 
 
 def test_schur_complement_duplicate_lead():
     # duplicated Gram vector makes the leading block singular but consistent;
     # pseudoinverse semantics: same complement as without the duplicate
     a, b = [Q(1), Q(2)], [Q(3), Q(-1)]
-    with_dup = schur_complement(BlockedMatrix(_gram([a, a, b]), 2))
-    without = schur_complement(BlockedMatrix(_gram([a, b]), 1))
+    with_dup = schur_complement(_gram([a, a, b]), 2)
+    without = schur_complement(_gram([a, b]), 1)
     assert xm.mat_eq(with_dup, without)
 
 
 def test_schur_complement_inconsistent():
     with pytest.raises(InconsistentBlockError):
-        schur_complement(BlockedMatrix([[Q(0), Q(1)], [Q(1), Q(0)]], 1))
+        schur_complement([[Q(0), Q(1)], [Q(1), Q(0)]], 1)
 
 
 def test_schur_complement_zero_head_row():
     # symmetric, not PSD: the head row has no pivot and a zero tail
-    comp = schur_complement(BlockedMatrix([[Q(0), Q(0)], [Q(0), Q(5)]], 1))
+    comp = schur_complement([[Q(0), Q(0)], [Q(0), Q(5)]], 1)
     assert comp == [[Q(5)]]
 
 
@@ -102,7 +101,7 @@ def test_schur_complement_matches_solve_on_random_grams():
                 ]
                 for i in range(m - h)
             ]
-            assert xm.mat_eq(schur_complement(BlockedMatrix(gram, h)), expected)
+            assert xm.mat_eq(schur_complement(gram, h), expected)
 
 
 def test_solution_choice_independence():
@@ -124,7 +123,7 @@ def test_solution_choice_independence():
         perturbed = [
             [x[k][j] + shift * kernel[k] for j in range(1)] for k in range(2)
         ]
-        base = schur_complement(BlockedMatrix(gram, 2))
+        base = schur_complement(gram, 2)
         manual = [
             [
                 gram[2][2] - sum(cross[k][0] * perturbed[k][0] for k in range(2))
@@ -154,7 +153,7 @@ def test_volume_identity():
     # frozen singular instance: three dependent vectors, head 1
     vecs = [[Q(1), Q(0)], [Q(0), Q(1)], [Q(1), Q(1)]]
     gram = _gram(vecs)
-    comp = schur_complement(BlockedMatrix(gram, 1))
+    comp = schur_complement(gram, 1)
     assert xm.det(gram) == 0
     assert xm.det([[gram[0][0]]]) * xm.det(comp) == 0
 
@@ -196,7 +195,7 @@ def test_iterated_schur_matches_rational_chain():
         for k, block in enumerate(blocks):
             h = cb.binomial(n, k)
             assert block == [row[:h] for row in current[:h]], (n, k)
-            current = schur_complement(BlockedMatrix(current, h))
+            current = schur_complement(current, h)
 
 
 def test_iterated_schur_fails_on_perturbed_Y(monkeypatch):
@@ -228,3 +227,51 @@ def test_exact_routes_return_no_float():
         parts, den = parity_blocks(schur.build_Y(n))
         assert type(den) is int, n
         assert all(type(x) is int for _, rows in parts for row in rows for x in row), n
+
+
+def test_iterated_schur_runs_one_elimination_per_step(monkeypatch):
+    # the PSD verdict of each leading block comes from the Schur step's own
+    # pivots: neither Bareiss elimination nor psd_pivots is called
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain eliminated a block twice")
+
+    monkeypatch.setattr(xm, "eliminate", refuse)
+    monkeypatch.setattr(xm, "psd_pivots", refuse)
+    for n in range(2, 9):
+        blocks, report = iterated_schur_on_Y(n)
+        assert report.ok, (n, report.details[:3])
+        assert len(blocks) == cb.d_max(n) + 1
+
+
+def _with_singleton_diagonal(monkeypatch, value):
+    original = schur.build_Y
+
+    def corrupted(n):
+        y = original(n)
+        y.rows[1][1] = value  # row 1 is the singleton {1}
+        return y
+
+    monkeypatch.setattr(schur, "build_Y", corrupted)
+
+
+def test_iterated_schur_reports_negative_pivot(monkeypatch):
+    _with_singleton_diagonal(monkeypatch, Q(-1))
+    for n in range(3, 9):
+        blocks, report = iterated_schur_on_Y(n)
+        assert f"step 1 block not PSD at n={n}: negative pivot -1 at index 0" in (
+            report.details
+        ), report.details
+        # the pass goes on past a negative pivot, so every step still runs
+        assert len(blocks) == cb.d_max(n) + 1
+
+
+def test_iterated_schur_stops_on_zero_diagonal(monkeypatch):
+    # Y[{1},{1}] = 0 next to Y[{1},{2}] = a_2 != 0: no Schur step past it
+    _with_singleton_diagonal(monkeypatch, QZERO)
+    for n in range(3, 9):
+        blocks, report = iterated_schur_on_Y(n)
+        assert (
+            f"step 1 block not PSD at n={n}: zero diagonal at index 0 with "
+            "nonzero entry at column 1"
+        ) in report.details, report.details
+        assert len(blocks) == 2

@@ -9,13 +9,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubemoments
 from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
 from cubemoments import spectrum as sp
 from cubemoments.errors import ConvergenceError, InconsistentBlockError
-from cubemoments.pseudomoments import a_coeff, build_Y
+from cubemoments.apolar import sigma_sq
+from cubemoments.pseudomoments import (
+    E_hS_squared,
+    a_coeff,
+    build_Y,
+    finite_difference_a,
+    isotypic_coefficient,
+)
 from cubemoments.scalars import Q
 from cubemoments.spectrum import (
     E_xS_hT_closed,
@@ -490,3 +499,29 @@ def test_numeric_eigensolve_names_failing_sector(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
     with pytest.raises(ConvergenceError, match="at n=5, parity 0, sector 0, size 6: no convergence"):
         numeric_eigensolve(5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_forms_return_exact_rationals(data):
+    # every closed form is a Q, never a float, at any n up to the guard
+    n = data.draw(st.integers(2, sp.ORDER_MAX_N), label="n")
+    d = data.draw(st.integers(0, cb.d_max(n)), label="d")
+    d_prime = data.draw(st.integers(d, cb.d_max(n)), label="d_prime")
+    ell = data.draw(st.integers(0, d), label="ell")
+    overlap = data.draw(st.integers(max(0, 2 * d - n), d), label="overlap")
+    a = data.draw(st.integers(0, n // 2), label="a")
+    k = data.draw(st.integers(0, n // 2 - a), label="k")
+    values = {
+        "lambda_closed": lambda_closed(n, d),
+        "E_xS_hT_closed": E_xS_hT_closed(n, d_prime, d, ell),
+        "eta_sq": eta_sq(n, d_prime, d),
+        "sigma_sq": sigma_sq(n, d),
+        "frame_const": frame_const(n, d_prime, d),
+        "lambda_via_frames": lambda_via_frames(n, d),
+        "E_hS_squared": E_hS_squared(n, d),
+        "isotypic_coefficient": isotypic_coefficient(n, d, overlap),
+        "finite_difference_a": finite_difference_a(n, a, k),
+        "a_coeff": a_coeff(n, data.draw(st.integers(0, n), label="moment")),
+    }
+    assert {name: type(v) for name, v in values.items()} == dict.fromkeys(values, Q)

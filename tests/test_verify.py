@@ -8,10 +8,13 @@ import cubemoments
 from cubemoments import pseudomoments as pm
 from cubemoments import schur as su
 from cubemoments import spectrum as sp
+from cubemoments import verify
 from cubemoments.errors import InconsistentBlockError
+from cubemoments.report import Report
 from cubemoments.scalars import Q
 from cubemoments.verify import (
     SUITE_NAMES,
+    VerifyContext,
     format_text,
     normalize_suites,
     run_verify,
@@ -76,6 +79,42 @@ def test_fault_injection():
     assert failures[0].witness
     # without injection the same run is clean
     assert run_verify(("spectrum",), n_min=2, n_max=2, seed=3).ok
+
+
+def _run_one(name, n_min, n_max):
+    (fn,) = [fn for check, fn in verify._CHECKS if check == name]
+    return verify._run_check(name, fn, VerifyContext(n_min, n_max, 42))
+
+
+def test_fault_injection_needs_both_routes(monkeypatch):
+    # at n_min = 8 the fault goes in at n = 5, where the eigenvalues are
+    # pairwise distinct, so annihilation and the traces each see it
+    fault = verify._run_check(
+        "spectrum.fault_injection", verify._fault_injection, VerifyContext(8, 8, 42)
+    )
+    assert fault.status == "fail" and fault.checked > 0
+    assert fault.witness.startswith("injected fault detected as intended at n=5: ")
+    # a route that misses the fault is named, and the run does not count
+    # as detected
+    monkeypatch.setattr(sp, "annihilation_check", lambda *args, **kwargs: Report())
+    fault = verify._run_check(
+        "spectrum.fault_injection", verify._fault_injection, VerifyContext(8, 8, 42)
+    )
+    assert fault.witness == "corrupted eigenvalues went undetected by annihilation at n=5"
+
+
+def test_eigenvalue_recursion_covers_the_requested_range():
+    name = "spectrum.eigenvalue_recursion"
+    # d = 1..3 at n = 6 and at n = 7
+    assert (_run_one(name, 6, 7).status, _run_one(name, 6, 7).checked) == ("pass", 6)
+    for n_max in range(3, 9):
+        assert _run_one(name, 2, n_max).checked == sp.lambda_recursion_check(n_max).checked
+    assert _run_one(name, 2, 2).status == "skipped"
+    capped = _run_one(name, 39, sp.ORDER_MAX_N + 1)
+    assert capped.checked == sum(
+        sp.eigenvalue_recursion_check(n).checked for n in (39, sp.ORDER_MAX_N)
+    )
+    assert capped.witness == f"n capped at {sp.ORDER_MAX_N} (closed form guard)"
 
 
 def test_range_validation():
