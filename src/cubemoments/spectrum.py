@@ -10,11 +10,11 @@ multiplicity counts, and three independent verification routes:
   contained in the claimed set;
 * exact trace moments: tr(Y^m) matches sum_d mult_d lambda_d^m, which pins
   the multiplicities (a Vandermonde argument on distinct values);
-* a floating eigensolver as a numeric cross-check: each parity block is
-  split into the sectors of the commuting transpositions (1 2), (3 4), ...
-  by an orthogonal change of basis, which rests only on Y[S,T] depending on
-  |S xor T|; a block that leaks mass off its sectors is refused, and each
-  sector goes to a dense symmetric eigensolver.
+* a floating eigensolver as a numeric cross-check: each parity block
+  splits into the sectors of the commuting transpositions (1 2), (3 4), ...
+  (resting only on Y[S,T] depending on |S xor T|); one sector of each size
+  is built directly on orbits, with no dense block, for a dense symmetric
+  eigensolver, and sectors that do not add up to their block are refused.
 
 Annihilation plus traces plus positivity of the closed-form values is an
 exact proof that Y is positive semidefinite.
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, product
 from operator import itemgetter, mul
 
 import numpy as np
@@ -66,7 +67,6 @@ RANK_MAX_N = 10
 ORDER_MAX_N = 40
 RECONSTRUCTION_MAX_N = 8
 NUMERIC_MAX_N = 14
-_FLOAT_CHUNK = 512  # rows or columns per pass of the float block work
 
 
 def lambda_closed(n: int, d: int):
@@ -627,106 +627,106 @@ def gram_reconstruction_check(n: int) -> Report:
 # floating cross-check
 
 
-def _transposition_sectors(block, masks, n: int) -> list:
-    """Split one symmetric parity block into its transposition sectors.
+def _pair_counts(n: int, parity: int) -> list:
+    """P[k], the number of pairs (S, T) of one parity block with |S xor T| =
+    k: C(n,i) C(i,l) C(n-i, j-l) of them have sizes i, j and overlap l."""
+    counts = [0] * (n + 1)
+    sizes = range(parity, cb.d_max(n) + 1, 2)
+    for i, j in product(sizes, sizes):
+        for ell in range(min(i, j) + 1):
+            pairs = cb.binomial(n, i) * cb.binomial(i, ell) * cb.binomial(n - i, j - ell)
+            counts[i + j - 2 * ell] += pairs
+    return counts
 
-    The transpositions (1 2), (3 4), ..., on bits (2i, 2i+1) for i <
-    floor(n/2), commute with each other and with Y, since they keep
-    |S xor T|.  Each pairs the indices whose bits there read ...01... and
-    ...10... and fixes the rest; the rotation (x, y) -> ((x+y)/sqrt2,
-    (x-y)/sqrt2) on every such pair, the ...01... index taking the "+"
-    slot, is an orthogonal H with H Y H^T block diagonal.  The sector of an
-    index is the bitmask of the pairs where it took the "-" slot.
 
-    block (rows indexed by the int array masks) is overwritten with H Y;
-    for each sector with indices idx, H applied to the rows of
-    (H Y)[idx]^T = Y H_idx^T gives H Y H_idx^T, and its rows idx are the
-    sector.  Returns [(sector, H_idx Y H_idx^T)].  The squared Frobenius
-    norm of block is that of its sectors plus the mass H Y H^T holds off
-    them, which is zero for a block that commutes with every
-    transposition; unless it is within 1e-12 of the whole, relative,
-    InconsistentBlockError is raised.  The off-sector mass is summed
-    directly: the difference of the two totals would lose it to rounding.
-    """
-    total = float(np.vdot(block, block))
-    where = np.empty(1 << n, dtype=np.intp)
-    where[masks] = np.arange(len(masks))
-    sector = np.zeros(len(masks), dtype=np.intp)
-    pairs = []
-    for i in range(n // 2):
-        low, both = 1 << 2 * i, 3 << 2 * i
-        plus = np.flatnonzero(masks & both == low)
-        minus = where[masks[plus] ^ both]
-        sector[minus] |= 1 << i
-        pairs.append((plus, minus))
-    root_half = math.sqrt(0.5)
+def _shift(values: list, sign: int) -> list:
+    """The functional t^k -> values[k] (0 past the list) after a factor 1 + sign t^2."""
+    return [x + sign * y for x, y in zip(values, values[2:] + [0, 0])]
 
-    def rotate_rows(rows):
-        # column chunks keep the temporaries small next to the block
-        for plus, minus in pairs:
-            for start in range(0, rows.shape[1], _FLOAT_CHUNK):
-                cols = slice(start, start + _FLOAT_CHUNK)
-                x, y = rows[plus, cols], rows[minus, cols]
-                rows[plus, cols] = (x + y) * root_half
-                x -= y
-                x *= root_half
-                rows[minus, cols] = x
 
-    rotate_rows(block)
-    out = []
-    leaked = 0.0
-    for label in np.flatnonzero(np.bincount(sector)):
-        inside = sector == label
-        part = np.ascontiguousarray(block[inside].T)
-        rotate_rows(part)
-        off = part[~inside]
-        leaked += float(np.vdot(off, off))
-        out.append((int(label), part[inside]))
-    if leaked > 1e-12 * total:
-        raise InconsistentBlockError(
-            f"transposition sectors miss {leaked:.3e} of squared Frobenius "
-            f"norm {total:.6e} at n={n}, parity {int(masks[0]).bit_count() & 1}"
-        )
+def _orbit_sectors(n: int, a: list, scale: int) -> list:
+    """[(parity, s, C(p, s), M)]: per parity block and size s, one sector M
+    of the transpositions (1 2), (3 4), ... of Y[S,T] = a_|S xor T| / scale,
+    and the number of sectors it stands for.
+
+    Each bit pair (2i, 2i+1), i < p = floor(n/2), reads 00, 11, M = (01 +
+    10)/sqrt2 or A = (01 - 10)/sqrt2, and a sector is the set of pairs in
+    A.  Permuting pairs commutes with Y, so sectors of one size share the
+    spectrum of the one on the first s pairs, with basis the states of the
+    other q = p - s pairs (and free bit b at odd n) of weight s + #M + 2 #11
+    + b, at most floor(n/2) and of the block's parity.  An entry is t^k ->
+    a_k of a product over pairs: 1 - t^2 per A pair, t^(b xor b'), 1 or t^2
+    for 00/11 against 00/11, sqrt2 t for M against 00 or 11, 1 + t^2 for M
+    against M.  Coding a state as the subset reading 01 at its M pairs, that
+    is sqrt2^c_M times the functional after c_MM factors 1 + t^2 at k =
+    |code xor code'| (c_M, c_MM pairs have one or both states M), gathered
+    from a table that is exact until divided by scale."""
+    dmax, p = cb.d_max(n), n // 2
+    out, base = [], a
+    for s in range(p + 1):
+        q = p - s
+        rows = accumulate(range(q), lambda row, _: _shift(row, 1), initial=base)
+        values = [[x / scale for x in row] for row in rows]
+        table = np.sqrt(2.0) ** np.arange(q + 1)[:, None, None] * values
+        base = _shift(base, -1)
+        low = (4**q - 1) // 3  # the low bit of each of the q pairs
+        codes = np.arange(1 << (2 * q + n % 2))
+        codes = codes[(codes & (low << 1) & ~(codes << 1)) == 0]  # no pair reads 10
+        weight = s + np.bitwise_count(codes)
+        for parity in (0, 1):
+            kept = codes[(weight <= dmax) & (weight % 2 == parity)]
+            if kept.size:
+                m_pairs = kept & low & ~(kept >> 1)
+                part = table[
+                    np.bitwise_count(m_pairs[:, None] ^ m_pairs),
+                    np.bitwise_count(m_pairs[:, None] & m_pairs),
+                    np.bitwise_count(kept[:, None] ^ kept),
+                ]
+                out.append((parity, s, cb.binomial(p, s), part))
     return out
 
 
-def numeric_eigensolve(n: int) -> list:
-    """Floating eigenvalues of Y, sorted descending.
+def _sector_guard(n: int, a: list, scale: int, sectors: list) -> None:
+    """Raise InconsistentBlockError unless the sectors of each parity,
+    counted as often as they stand for, hold their block's rows and its
+    squared Frobenius norm sum_k a_k^2 P[k] / scale^2 (_pair_counts) to
+    1e-12 relative: the change of basis is orthogonal, Y sector-diagonal."""
+    for parity in (0, 1):
+        size = sum(cb.binomial(n, i) for i in range(parity, cb.d_max(n) + 1, 2))
+        mine = [(count, part) for par, _, count, part in sectors if par == parity]
+        rows = sum(count * len(part) for count, part in mine)
+        total = sum(x * x * c for x, c in zip(a, _pair_counts(n, parity))) / scale**2
+        held = sum(count * float(np.vdot(part, part)) for count, part in mine)
+        if rows != size:
+            problem = f"hold {rows} of {size} rows"
+        elif abs(total - held) > 1e-12 * total:
+            problem = f"miss {total - held:.3e} of squared Frobenius norm {total:.6e}"
+        else:
+            continue
+        raise InconsistentBlockError(f"transposition sectors {problem} at n={n}, parity {parity}")
 
-    The matrix is assembled per parity block (the blocks are exact direct
-    summands), each block is split into the sectors of the transpositions
-    (1 2), (3 4), ... (_transposition_sectors; this rests only on Y[S,T]
-    depending on |S xor T|, and a block that leaks off its sectors raises
-    InconsistentBlockError), and each sector is handed to a dense symmetric
-    eigensolver, which converges to machine precision; failure to converge
-    raises ConvergenceError naming n, the parity and the sector.
-    """
+
+def numeric_eigensolve(n: int) -> list:
+    """Floating eigenvalues of Y, sorted descending: each sector of
+    _orbit_sectors, checked by _sector_guard, goes to a dense symmetric
+    eigensolver, its eigenvalues counted once per sector of its size; failure
+    to converge raises ConvergenceError naming n, the parity and the sector."""
     cb.check_n(n, cap=NUMERIC_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    a_table = np.array(
-        [float(a_coeff(n, k)) for k in range(n + 1)], dtype=np.float64
-    )
-    subsets = cb.enumerate_subsets(n, cb.d_max(n))
+    (a,), scale = xm.integer_form([[Q(a_coeff(n, k)) for k in range(n + 1)]])
+    sectors = _orbit_sectors(n, a, scale)
+    _sector_guard(n, a, scale, sectors)
     out = []
-    for parity in (0, 1):
-        masks = [m for m in subsets if m.bit_count() & 1 == parity]
-        marr = np.array(masks, dtype=np.int16)
-        size = marr.shape[0]
-        block = np.empty((size, size), dtype=np.float64)
-        for start in range(0, size, _FLOAT_CHUNK):
-            stop = min(start + _FLOAT_CHUNK, size)
-            xor = marr[start:stop, None] ^ marr[None, :]
-            block[start:stop] = a_table[np.bitwise_count(xor)]
-        for label, part in _transposition_sectors(block, marr, n):
-            try:
-                eigs = np.linalg.eigvalsh(part)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"eigensolver failed at n={n}, parity {parity}, sector "
-                    f"{label}, size {len(part)}: {exc}"
-                ) from exc
-            out.extend(float(v) for v in eigs)
+    for parity, s, count, part in sectors:
+        try:
+            eigs = np.linalg.eigvalsh(part)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"eigensolver failed at n={n}, parity {parity}, sector "
+                f"{(1 << s) - 1}, size {len(part)}: {exc}"
+            ) from exc
+        out.extend(eigs.tolist() * count)
     out.sort(reverse=True)
     return out
 

@@ -30,7 +30,6 @@ from cubemoments.spectrum import (
     E_xS_hT_closed,
     _ParityPowers,
     _poly_from_roots,
-    _transposition_sectors,
     annihilation_check,
     contract_x_h,
     distinctness_and_order_report,
@@ -444,22 +443,39 @@ def _parity_block(n, parity, a):
     return masks, np.asarray(a, dtype=np.float64)[np.bitwise_count(masks[:, None] ^ masks[None, :])]
 
 
-def test_transposition_sectors_refuse_leaking_block():
+def test_sector_guard_refuses_inconsistent_sectors():
     for n, parity in ((4, 0), (7, 1), (8, 0)):
-        a = [float(a_coeff(n, k)) for k in range(n + 1)]
-        masks, block = _parity_block(n, parity, a)
-        sectors = _transposition_sectors(block.copy(), masks, n)
-        labels = [label for label, _ in sectors]
-        assert len(set(labels)) == len(labels)
-        assert sum(len(part) for _, part in sectors) == len(masks)
-        # Y[S,T] = Y[(1 2)S, (1 2)T]; raising one symmetric pair of entries
-        # with 1 in T and 2 not in T, and not its image, breaks it
-        i = 0
-        j = next(k for k, m in enumerate(masks) if k > 0 and m & 3 == 1)
-        block[i, j] += 0.5
-        block[j, i] += 0.5
-        with pytest.raises(InconsistentBlockError, match=f"at n={n}, parity {parity}$"):
-            _transposition_sectors(block, masks, n)
+        (a,), scale = xm.integer_form([[a_coeff(n, k) for k in range(n + 1)]])
+        sectors = sp._orbit_sectors(n, a, scale)
+        sp._sector_guard(n, a, scale, sectors)
+        index = next(
+            i for i, (par, _, _, part) in enumerate(sectors) if par == parity and len(part) > 1
+        )
+        _, s, count, part = sectors[index]
+        raised = part.copy()
+        raised[0, 1] += 0.5
+        raised[1, 0] += 0.5
+        for corrupt in (
+            (parity, s, count, raised),  # one symmetric pair of entries raised
+            (parity, s, count, part[1:, 1:]),  # one orbit dropped
+            (parity, s, count + 1, part),  # a multiplicity off by one
+        ):
+            bad = sectors[:index] + [corrupt] + sectors[index + 1 :]
+            with pytest.raises(InconsistentBlockError, match=f"at n={n}, parity {parity}$"):
+                sp._sector_guard(n, a, scale, bad)
+
+
+def test_pair_counts_match_enumeration():
+    # the guard's reference norm sum_k a_k^2 P[k] rests on these counts
+    for n in range(2, 11):
+        subsets = cb.enumerate_subsets(n, cb.d_max(n))
+        for parity in (0, 1):
+            masks = [m for m in subsets if m.bit_count() % 2 == parity]
+            want = [0] * (n + 1)
+            for s in masks:
+                for t in masks:
+                    want[(s ^ t).bit_count()] += 1
+            assert sp._pair_counts(n, parity) == want, (n, parity)
 
 
 def test_sector_spectrum_matches_unsplit_eigvalsh(monkeypatch):
