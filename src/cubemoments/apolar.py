@@ -187,10 +187,33 @@ def apolar_ip(p: SpanPoly, q: SpanPoly):
     return apolar_gram([p], [q])[0][0]
 
 
+def _integer_coeffs(p: SpanPoly):
+    """(ints, den): p's coefficients scaled to Python ints by the lcm den of
+    their denominators (exactmat.integer_form), keyed like p.coeffs."""
+    (row,), den = xm.integer_form([list(p.coeffs.values())])
+    return dict(zip(p.coeffs, row)), den
+
+
+def _derive_ints(n: int, coeffs: dict, j: int) -> dict:
+    """(n-1) <v_j, d/dz> on int coefficients: each factor <v_i, z> of a
+    monomial is replaced in turn by (n-1) <v_j, v_i>, which is n-1 for
+    i = j and -1 otherwise, so every coefficient stays an int."""
+    out: dict = {}
+    for key, c in coeffs.items():
+        for pos, i in enumerate(key):
+            if pos > 0 and key[pos - 1] == i:
+                continue  # same value handled once with its multiplicity
+            reduced = key[:pos] + key[pos + 1 :]
+            add = c * key.count(i) * (n - 1 if i == j else -1)
+            out[reduced] = out.get(reduced, 0) + add
+    return out
+
+
 def derive(p: SpanPoly, j: int) -> SpanPoly:
     """Directional frame derivative <v_j, d/dz> p.
 
-    On a monomial it replaces each factor <v_i, z> in turn by <v_j, v_i>.
+    On a monomial it replaces each factor <v_i, z> in turn by <v_j, v_i>;
+    the steps run over ints (_derive_ints) and divide once at the end.
     Differentiating a degree-0 form would need the degree -1 zero space,
     which is deliberately not represented: that case raises.
     """
@@ -198,16 +221,10 @@ def derive(p: SpanPoly, j: int) -> SpanPoly:
         raise ValueError("cannot differentiate a degree-0 frame polynomial")
     if not (1 <= j <= p.n):
         raise ValueError(f"frame index {j} outside [1, {p.n}]")
-    out: dict = {}
-    for key, c in p.coeffs.items():
-        for pos, i in enumerate(key):
-            if pos > 0 and key[pos - 1] == i:
-                continue  # same value handled once with its multiplicity
-            mult = key.count(i)
-            reduced = key[:pos] + key[pos + 1 :]
-            add = c * mult * frame_gram_entry(p.n, j, i)
-            out[reduced] = out.get(reduced, QZERO) + add
-    return SpanPoly(p.n, p.degree - 1, out)
+    ints, den = _integer_coeffs(p)
+    scale = den * (p.n - 1)
+    out = {key: Q(c, scale) for key, c in _derive_ints(p.n, ints, j).items()}
+    return p._new(out, (p.n, p.degree - 1))
 
 
 def equals_zero(p: SpanPoly) -> bool:
@@ -264,12 +281,17 @@ def specht_basis(n: int, d: int) -> list:
 
 
 def is_frame_harmonic(p: SpanPoly) -> bool:
-    """Whether every squared frame derivative <v_k, d/dz>^2 kills p.  Second
-    derivatives of forms of degree <= 1 vanish identically."""
+    """Whether every squared frame derivative <v_k, d/dz>^2 kills p, tested
+    on the int form (n-1)^2 L <v_k, d/dz>^2 p, L the lcm of p's coefficient
+    denominators.  Second derivatives of forms of degree <= 1 vanish
+    identically."""
     if p.degree <= 1:
         return True
+    ints, _ = _integer_coeffs(p)
+    shape = (p.n, p.degree - 2)
     for k in range(1, p.n + 1):
-        if not equals_zero(derive(derive(p, k), k)):
+        second = _derive_ints(p.n, _derive_ints(p.n, ints, k), k)
+        if not equals_zero(p._new(second, shape)):
             return False
     return True
 
@@ -341,7 +363,8 @@ def harmonic_projection_consistency(n: int) -> Report:
     """hS_span really is the apolar-orthogonal projection of the frame
     monomial over S onto the harmonic space: for every degree d <= n/2,
     solve the Specht Gram system exactly, for all size-d monomials at once,
-    and compare (n <= 8)."""
+    take every projection as one exact product of the solution with the
+    basis coefficient rows, and compare (n <= 8)."""
     cb.check_n(n, cap=PROJECTION_MAX_N)
     report = Report()
     for d in range(cb.d_max(n) + 1):
@@ -349,9 +372,11 @@ def harmonic_projection_consistency(n: int) -> Report:
         masks = cb.subsets_of_size(n, d)
         monomials = [span_monomial(n, cb.elements_of_mask(s)) for s in masks]
         solution = xm.solve_consistent(gram, apolar_gram(basis, monomials))
-        for j, s in enumerate(masks):
-            terms = (bi.scaled(row[j]) for row, bi in zip(solution, basis))
-            difference = sum(terms, SpanPoly(n, d)) - hS_span(n, s)
+        keys = sorted(set().union(*(b.coeffs for b in basis)))
+        rows = [[b.coeffs.get(key, 0) for key in keys] for b in basis]
+        projections = xm.rational_product([list(col) for col in zip(*solution)], rows)
+        for s, projection in zip(masks, projections):
+            difference = SpanPoly(n, d, dict(zip(keys, projection))) - hS_span(n, s)
             report.expect(
                 equals_zero(difference),
                 f"projection mismatch at n={n}, S={cb.elements_of_mask(s)}",

@@ -9,7 +9,11 @@ fixed d-subsets of a class representative one by one (n <= 9).  Class
 functions are stored as one exact value per cycle type.
 
 The restricted sums here average chi over all permutations mapping a fixed
-a-subset to meet a fixed b-subset in exactly k points.  The closed form is
+a-subset to meet a fixed b-subset in exactly k points.  The brute force
+behind them makes one full S_n sweep per subset pair (A, B), counting the
+permutations by image overlap and cycle type, with the cycle types read
+from the per-n table combinatorics.perm_cycle_types; every d and k reuse
+that sweep, and it stays independent of the closed form.  The closed form is
 proven only for a = b = d (zero when min(a, b) < d); anything larger raises
 UnsupportedCaseError rather than extrapolating.
 """
@@ -116,13 +120,26 @@ def restricted_char_sum_closed(n: int, d: int, a: int, b: int, overlap: int, k: 
     return Q(sign * cb.binomial(d, k), denom)
 
 
+@lru_cache(maxsize=None)
+def _image_overlap_counts(n: int, a_mask: int, b_mask: int) -> dict:
+    """{(|pi(A) cap B|, cycle type of pi): number of such pi}, by one full
+    S_n sweep (n <= 9)."""
+    counts = {}
+    for perm, ct in zip(cb.permutations_iter(n), cb.perm_cycle_types(n)):
+        key = ((cb.perm_image_mask(perm, a_mask) & b_mask).bit_count(), ct)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def restricted_char_sum_bruteforce(n: int, d: int, a_mask: int, b_mask: int, k: int):
-    """The same restricted sum by full S_n enumeration (n <= 9)."""
+    """The same restricted sum by full S_n enumeration (n <= 9): the sweep
+    for (a_mask, b_mask) is made once and serves every d and k."""
     chi = char_class_function(n, d).as_dict()
-    total = 0
-    for perm in cb.permutations_iter(n):
-        if (cb.perm_image_mask(perm, a_mask) & b_mask).bit_count() == k:
-            total += chi[cb.cycle_type_of_perm(perm)]
+    total = sum(
+        count * chi[ct]
+        for (overlap, ct), count in _image_overlap_counts(n, a_mask, b_mask).items()
+        if overlap == k
+    )
     return Q(total, math.factorial(n))
 
 

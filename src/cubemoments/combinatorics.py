@@ -6,13 +6,16 @@ i, with n capped at 62 so a subset always fits in one machine word.  The
 canonical enumeration order everywhere is by size, then by mask value within
 a size; every matrix row/column layout downstream derives from this order.
 Permutations are tuples p of length n with p[i] the 0-based image of
-position i.
+position i.  Brute-force sweeps over S_n read cycle types from one table per
+n, perm_cycle_types, aligned with permutations_iter and holding one shared
+tuple per conjugacy class; conjugacy_classes is memoized the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from .scalars import Q
 
@@ -159,9 +162,10 @@ def conjugacy_class_size(n: int, cycle_type) -> int:
     return math.factorial(n) // centralizer
 
 
-def conjugacy_classes(n: int) -> list:
+@lru_cache(maxsize=None)
+def conjugacy_classes(n: int) -> tuple:
     """(cycle_type, class_size) pairs for S_n, in descending lex order of type."""
-    return [(ct, conjugacy_class_size(n, ct)) for ct in partitions(n)]
+    return tuple((ct, conjugacy_class_size(n, ct)) for ct in partitions(n))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +195,15 @@ def cycle_type_of_perm(perm) -> tuple:
         lengths.append(length)
     lengths.sort(reverse=True)
     return tuple(lengths)
+
+
+@lru_cache(maxsize=None)
+def perm_cycle_types(n: int) -> tuple:
+    """cycle_type_of_perm of every permutation, in permutations_iter order,
+    with one shared tuple per class (n <= 9; about 3 MB at n = 9)."""
+    perms = permutations_iter(n)
+    shared = {ct: ct for ct, _ in conjugacy_classes(n)}
+    return tuple(shared[cycle_type_of_perm(p)] for p in perms)
 
 
 def perm_image_mask(perm, mask: int) -> int:

@@ -441,9 +441,9 @@ def isotypic_h_bruteforce(n: int, s_mask: int) -> MultilinearPoly:
     d = s_mask.bit_count()
     chi = char_class_function(n, d).as_dict()
     sums = {}
-    for perm in cb.permutations_iter(n):
+    for perm, ct in zip(cb.permutations_iter(n), cb.perm_cycle_types(n)):
         image = cb.perm_image_mask(perm, s_mask)
-        sums[image] = sums.get(image, 0) + chi[cb.cycle_type_of_perm(perm)]
+        sums[image] = sums.get(image, 0) + chi[ct]
     scale = Q(cb.two_row_tableau_count(n, d), math.factorial(n))
     return MultilinearPoly(n, {m: scale * v for m, v in sums.items()})
 

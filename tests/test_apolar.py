@@ -33,6 +33,7 @@ from cubemoments.apolar import (
 )
 from cubemoments.rng import SplitMix64
 from cubemoments.scalars import Q
+from cubemoments.verify import run_verify
 
 
 def test_frame_gram_entry():
@@ -160,6 +161,19 @@ def test_beta_alternating_identity():
             assert lhs == rhs, (n, d)
 
 
+def _fraction_derive(p, j):
+    """Reference <v_j, d/dz> p, one rational Gram entry per term."""
+    out = {}
+    for key, c in p.coeffs.items():
+        for pos, i in enumerate(key):
+            if pos > 0 and key[pos - 1] == i:
+                continue
+            reduced = key[:pos] + key[pos + 1 :]
+            add = c * key.count(i) * frame_gram_entry(p.n, j, i)
+            out[reduced] = out.get(reduced, Q(0)) + add
+    return SpanPoly(p.n, p.degree - 1, out)
+
+
 def test_derive():
     n = 4
     p = span_monomial(n, (1, 2))
@@ -173,6 +187,44 @@ def test_derive():
         derive(SpanPoly(n, 0, {(): Q(1)}), 1)
     with pytest.raises(ValueError):
         derive(p, 9)
+
+
+def test_derive_matches_fraction_reference():
+    for n in range(2, 7):
+        forms = [hS_span(n, s) for s in cb.enumerate_subsets(n, cb.d_max(n))]
+        for d in range(cb.d_max(n) + 1):
+            forms += specht_basis(n, d)
+        for p in forms:
+            if p.degree == 0:
+                continue
+            for j in range(1, n + 1):
+                got = derive(p, j)
+                assert got == _fraction_derive(p, j), (n, p, j)
+                assert all(type(c) is Q for c in got.coeffs.values())
+
+
+def _nudged(p):
+    """p with its first coefficient raised by 1/1000."""
+    key = min(p.coeffs)
+    return p + SpanPoly(p.n, p.degree, {key: Q(1, 1000)})
+
+
+def test_harmonicity_can_fail():
+    assert not is_frame_harmonic(span_monomial(4, (1, 2)))
+    assert is_frame_harmonic(hS_span(5, 0b11))
+    assert not is_frame_harmonic(_nudged(hS_span(5, 0b11)))
+
+
+def test_harmonicity_check_fails_on_corrupted_hS(monkeypatch):
+    original = ap.hS_span
+    monkeypatch.setattr(ap, "hS_span", lambda n, s: _nudged(original(n, s)))
+    report = ap.harmonicity_check(4)
+    assert not report.ok
+    witness = "h_S span not harmonic at n=4"
+    assert report.details[0].startswith(witness)
+    result = {c.name: c for c in run_verify(("apolar",), 4, 4).checks}["apolar.harmonicity"]
+    assert result.status == "fail"
+    assert report.details[0] in result.witness
 
 
 def test_ideal_kernel():

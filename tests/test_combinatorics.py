@@ -104,6 +104,23 @@ def test_permutation_helpers():
         cb.permutations_iter(10)
 
 
+def test_perm_cycle_types_table():
+    for n in range(1, 8):
+        table = cb.perm_cycle_types(n)
+        assert list(table) == [cb.cycle_type_of_perm(p) for p in cb.permutations_iter(n)]
+        # one shared tuple per conjugacy class
+        assert len({id(ct) for ct in table}) == len(cb.partitions(n))
+    with pytest.raises(ValueError):
+        cb.perm_cycle_types(cb.BRUTE_FORCE_MAX_N + 1)
+
+
+def test_conjugacy_classes_is_a_tuple():
+    classes = cb.conjugacy_classes(5)
+    assert isinstance(classes, tuple)
+    assert classes is cb.conjugacy_classes(5)
+    assert [ct for ct, _ in reversed(classes)] == cb.partitions(5)[::-1]
+
+
 def test_canonical_perm_of_cycle_type():
     for n in range(1, 8):
         for ct in cb.partitions(n):

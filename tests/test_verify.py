@@ -199,6 +199,8 @@ def test_checked_counts_frozen():
         ("spectrum", "eta_sq", "eta_routes_check", "spectrum.eta_routes"),
         ("spectrum", "E_xS_hT_closed", "moment_contractions_check",
          "spectrum.moment_contractions"),
+        ("pseudomoments", "isotypic_coefficient", "isotypic_projection_check",
+         "pseudomoments.isotypic_projection"),
     ],
 )
 def test_corrupted_closed_form_fails_its_check(
