@@ -121,24 +121,25 @@ def restricted_char_sum_closed(n: int, d: int, a: int, b: int, overlap: int, k: 
 
 
 @lru_cache(maxsize=None)
-def _image_overlap_counts(n: int, a_mask: int, b_mask: int) -> dict:
-    """{(|pi(A) cap B|, cycle type of pi): number of such pi}, by one full
-    S_n sweep (n <= 9)."""
+def _image_overlap_counts(n: int, a_mask: int) -> dict:
+    """{pi(A): {cycle type of pi: number of such pi}}, by one full S_n sweep
+    (n <= 9); every B then sums over the at most C(n, |A|) images."""
     counts = {}
     for perm, ct in zip(cb.permutations_iter(n), cb.perm_cycle_types(n)):
-        key = ((cb.perm_image_mask(perm, a_mask) & b_mask).bit_count(), ct)
-        counts[key] = counts.get(key, 0) + 1
+        by_type = counts.setdefault(cb.perm_image_mask(perm, a_mask), {})
+        by_type[ct] = by_type.get(ct, 0) + 1
     return counts
 
 
 def restricted_char_sum_bruteforce(n: int, d: int, a_mask: int, b_mask: int, k: int):
     """The same restricted sum by full S_n enumeration (n <= 9): the sweep
-    for (a_mask, b_mask) is made once and serves every d and k."""
+    for a_mask is made once and serves every d, b_mask and k."""
     chi = char_class_function(n, d).as_dict()
     total = sum(
         count * chi[ct]
-        for (overlap, ct), count in _image_overlap_counts(n, a_mask, b_mask).items()
-        if overlap == k
+        for image, by_type in _image_overlap_counts(n, a_mask).items()
+        if (image & b_mask).bit_count() == k
+        for ct, count in by_type.items()
     )
     return Q(total, math.factorial(n))
 

@@ -3,7 +3,7 @@
 Matrices are plain list-of-list rows holding ints or exact rationals; all
 arithmetic stays exact.  integer_form is the one helper that scales a
 rational matrix to ints, by the lcm of its denominators.  rational_product
-owns that step for every exact product outside the power and elimination
+owns that step for every exact product outside the modular and elimination
 kernels: it scales each factor, multiplies the chain over Python ints with
 mat_mul (which keeps ints as ints) and divides each entry back once, always
 returning rationals.  rank, det, solve_consistent and
@@ -23,6 +23,18 @@ the Bareiss kernel.  An upper bound comes from the caller, as independent
 kernel vectors (spectrum.rank_check) or as the matrix's width
 (pseudomoments.hypercube_decomposition_check), so Bareiss rank runs only to
 write the exact rank into a failure's witness.
+
+Integer matrix powers are taken modulo the primes of POWER_PRIMES, all below
+2^21, as numpy float64 products (spectrum._ParityPowers).  A product of two
+residues is below 2^42, and require_float_exact refuses a matrix of 2048
+rows or more, so a row of such products sums below 2^53 and every partial
+sum is an integer that float64 holds exactly, in any summation order;
+power_product and mod_combination reduce with fmod after every product and
+every weighted add, and no tolerance enters.  A value known to satisfy
+|x| <= S comes back exactly from its residues under primes_exceeding(2 * S),
+the shortest prefix of POWER_PRIMES whose product exceeds 2S, by crt_signed,
+which returns the representative of least absolute value; and it is zero
+exactly when every one of those residues is.
 """
 
 from __future__ import annotations
@@ -179,6 +191,70 @@ def rank(a: list) -> int:
 # primes below 2^31: every residue is below 2^31, so each product of two
 # residues is below 2^62 and an int64 elimination step cannot overflow
 RANK_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+# primes below 2^21, the largest first: a product of two residues is below
+# 2^42, so fewer than 2048 of them sum below 2^53 and a float64 matrix
+# product of residues is exact (listed, not computed on import)
+POWER_PRIMES = (
+    2097143, 2097133, 2097131, 2097097, 2097091, 2097083, 2097047, 2097041,
+    2097031, 2097023, 2097013, 2096993, 2096987, 2096971, 2096959, 2096957,
+    2096947, 2096923, 2096911, 2096909, 2096893, 2096881, 2096873, 2096867,
+    2096851, 2096837, 2096807, 2096791, 2096789, 2096777, 2096761, 2096741,
+)
+FLOAT_EXACT_ROWS = 2048  # 2048 * (2^21)^2 = 2^53
+
+
+def primes_exceeding(bound: int) -> tuple:
+    """The shortest prefix of POWER_PRIMES whose product exceeds bound; a
+    bound beyond the product of them all raises ValueError."""
+    product = 1
+    for count, p in enumerate(POWER_PRIMES, 1):
+        product *= p
+        if product > bound:
+            return POWER_PRIMES[:count]
+    raise ValueError(
+        f"a bound of {bound.bit_length()} bits exceeds the product of POWER_PRIMES"
+    )
+
+
+def crt_signed(residues, primes) -> int:
+    """The integer x of least absolute value with x = residues[i] modulo
+    primes[i] for every i (distinct primes): exact for |x| < P / 2, P the
+    product of the primes."""
+    modulus = math.prod(primes)
+    x = sum(
+        int(r) * (modulus // p) * pow(modulus // p, -1, p) for r, p in zip(residues, primes)
+    ) % modulus
+    return x - modulus if 2 * x > modulus else x
+
+
+def require_float_exact(rows: int) -> None:
+    """Refuse a matrix of FLOAT_EXACT_ROWS rows or more, whose float64
+    residue products could pass 2^53 and round."""
+    if rows >= FLOAT_EXACT_ROWS:
+        raise ValueError(
+            f"{rows} rows: float64 residue products are exact below {FLOAT_EXACT_ROWS}"
+        )
+
+
+def power_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a b modulo p for float64 residue matrices of POWER_PRIMES' size: each
+    entry sums fewer than 2048 products below 2^42, so it is exact."""
+    require_float_exact(a.shape[1])
+    return np.fmod(a @ b, p)
+
+
+def mod_combination(weights: list, powers: list, p: int) -> np.ndarray:
+    """weights[0] I + sum_j weights[j] powers[j - 1] modulo p, for int
+    weights and float64 residue matrices below p < 2^21: each weighted add
+    is reduced at once, so no entry reaches 2^43."""
+    acc = np.zeros_like(powers[0])
+    for k, power in zip(weights[1:], powers):
+        acc = np.fmod(acc + (k % p) * power, p)
+    diagonal = np.diag_indices_from(acc)
+    acc[diagonal] = np.fmod(acc[diagonal] + weights[0] % p, p)
+    return acc
 
 
 def _rank_mod_at_least(rows: list, cols: int, p: int, r: int) -> bool:

@@ -16,6 +16,13 @@ multiplicity counts, and three independent verification routes:
   is built directly on orbits, with no dense block, for a dense symmetric
   eigensolver, and sectors that do not add up to their block are refused.
 
+The two exact routes work on the integer parity blocks B = D Y and take
+their powers modulo primes below 2^21, as float64 matrix products that stay
+exact (exactmat's modular kernels).  Each check takes primes until their
+product exceeds twice a proven bound on the integers it decides, so a
+modular zero is a true zero, and a trace or a failure's witness comes back
+whole by signed CRT.
+
 Annihilation plus traces plus positivity of the closed-form values is an
 exact proof that Y is positive semidefinite.
 
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, product
-from operator import itemgetter, mul
+from operator import itemgetter
 
 import numpy as np
 
@@ -175,71 +182,96 @@ def distinctness_and_order_report(n: int) -> OrderReport:
 
 
 class _ParityPowers:
-    """Powers of the parity blocks of Y, extended on demand and shared
-    between the annihilation, trace-moment and rank checks.
+    """The parity blocks of Y and their powers modulo primes, shared between
+    the annihilation, trace-moment and rank checks.
 
     masks, blocks and scale D come from pseudomoments.parity_blocks, so each
-    block B = D Y holds only ints and its powers are taken over the integers
-    (rational products are the dominant cost otherwise).  Results come back
-    in Y's own rational units: tr(Y^m) = tr(B^m) / D^m.
+    block B = D Y holds only ints; rank_check reads blocks as they are.  The
+    powers B, B^2, ... are held per prime of exactmat.POWER_PRIMES, as
+    float64 residues (exactmat.power_product), and extended on demand.  Each
+    check bounds the integers it decides through T, the largest |entry| of
+    the blocks, and takes the primes that bound asks for, so every verdict
+    is exact.  Results come back in Y's own rational units: tr(Y^m) =
+    tr(B^m) / D^m.
     """
 
     def __init__(self, y: PseudomomentMatrix):
         parts, self.scale = parity_blocks(y)
         self.masks, self.blocks = map(list, zip(*parts))
-        self.powers = [
-            [[[int(i == j) for j in range(len(block))] for i in range(len(block))], block]
-            for block in self.blocks
-        ]
+        self._ints = [np.array(block, dtype=np.int64) for block in self.blocks]
+        self._max_rows = max(map(len, self.blocks))
+        xm.require_float_exact(self._max_rows)
+        self._max_entry = max(int(np.abs(block).max()) for block in self._ints)
+        self._residues = {}
 
-    def ensure(self, m: int) -> None:
-        for base, plist in zip(self.blocks, self.powers):
-            while len(plist) <= m:
-                plist.append(xm.mat_mul(plist[-1], base))
+    def _powers(self, p: int, top: int) -> list:
+        """[B, B^2, ..., B^top] modulo p for each block (at least B)."""
+        if p not in self._residues:
+            self._residues[p] = [[(block % p).astype(np.float64)] for block in self._ints]
+        held = self._residues[p]
+        for plist in held:
+            while len(plist) < top:
+                plist.append(xm.power_product(plist[-1], plist[0], p))
+        return held
 
     def trace(self, m: int):
-        """tr(Y^m), as the Frobenius product <B^a, B^(m-a)> (B^(m-a) is
-        symmetric) with a = min(m, highest power held), so a power needed
-        only for its trace is never formed."""
-        self.ensure((m + 1) // 2)
-        a = min(m, len(self.powers[0]) - 1)
-        total = 0
-        for plist in self.powers:
-            if a == m:
-                total += xm.mat_trace(plist[m])
-            else:
-                total += sum(sum(map(mul, x, y)) for x, y in zip(plist[a], plist[m - a]))
-        return Q(total, self.scale**m)
-
-    def polynomial(self, coeffs):
-        """sum_j coeffs[j] Y^j as (L, blocks): integer blocks M_b with M_b / L
-        the exact value on parity block b.
-
-        sum_j c_j Y^j = sum_j (c_j / D^j) B^j, and L is the lcm of the
-        denominators of the c_j / D^j, so every M_b = sum_j k_j B^j has
-        integer weights k_j = L c_j / D^j."""
-        self.ensure(len(coeffs) - 1)
-        scaled = [Q(c) / Q(self.scale) ** j for j, c in enumerate(coeffs)]
-        (weights,), common = xm.integer_form([scaled])
-        values = []
-        for plist in self.powers:
-            used = plist[: len(weights)]
-            values.append([
-                [sum(map(mul, weights, column)) for column in zip(*(p[r] for p in used))]
-                for r in range(len(plist[0]))
-            ])
-        return common, values
+        """tr(Y^m).  tr(B^m) is the sum over rows i of (B^a)_i . (B^(m-a))^T_i
+        with a = ceil(m/2), reduced row by row, under primes whose product
+        exceeds 2 sum_b size_b^m T^m, and comes back by signed CRT."""
+        a = (m + 1) // 2
+        bound = sum(len(block) ** m * self._max_entry**m for block in self.blocks)
+        primes = xm.primes_exceeding(2 * bound)
+        residues = []
+        for p in primes:
+            total = 0
+            for block, plist in zip(self.blocks, self._powers(p, a)):
+                if a == 0:
+                    total += len(block)
+                elif a == m:
+                    total += int(np.trace(plist[0]))
+                else:
+                    rows = np.einsum("ij,ji->i", plist[a - 1], plist[m - a - 1])
+                    total += int(np.fmod(rows, p).sum())
+            residues.append(total % p)
+        return Q(xm.crt_signed(residues, primes), self.scale**m)
 
     def polynomial_is_zero(self, coeffs):
-        """Whether sum_j coeffs[j] Y^j vanishes; returns (ok, witness)."""
-        common, values = self.polynomial(coeffs)
-        for block_index, block in enumerate(values):
-            for i, row in enumerate(block):
-                for j, total in enumerate(row):
-                    if total != 0:
-                        value = Q(total, common)
-                        return False, f"block {block_index} entry ({i},{j}) = {value}"
-        return True, None
+        """Whether sum_j coeffs[j] Y^j vanishes; returns (ok, witness).
+
+        sum_j c_j Y^j = sum_j (c_j / D^j) B^j, and L, the lcm of the
+        denominators of the c_j / D^j, makes it M_b / L on block b with M_b =
+        sum_j k_j B^j for integers k_j.  No entry of M_b passes S = |k_0| +
+        sum_{j>=1} |k_j| m^(j-1) T^j, m the largest block size, so M_b is
+        taken modulo primes whose product exceeds 2S: it is zero exactly when
+        every residue is, and its first nonzero entry, in block then
+        row-major order, comes back by signed CRT.  With h = ceil(len/2),
+        M_b = sum_{j<h} k_j B^j + B^h sum_j k_{h+j} B^j on the held powers
+        B..B^h, one product past them."""
+        scaled = [Q(c) / Q(self.scale) ** j for j, c in enumerate(coeffs)]
+        (weights,), common = xm.integer_form([scaled])
+        rows, top = self._max_rows, self._max_entry
+        bound = abs(weights[0]) + sum(
+            abs(k) * rows ** (j - 1) * top**j for j, k in enumerate(weights) if j
+        )
+        primes = xm.primes_exceeding(2 * bound)
+        h = (len(weights) + 1) // 2
+        nonzero = {}  # (block index, prime) -> residues of M_b, when not all zero
+        for p in primes:
+            for b, plist in enumerate(self._powers(p, h)):
+                value = xm.mod_combination(weights[:h], plist, p)
+                if len(weights) > h:
+                    high = xm.mod_combination(weights[h:], plist, p)
+                    value = np.fmod(value + xm.power_product(plist[h - 1], high, p), p)
+                if value.any():
+                    nonzero[b, p] = value
+        if not nonzero:
+            return True, None
+        b = min(block for block, _ in nonzero)
+        hit = np.logical_or.reduce([value != 0 for (c, _), value in nonzero.items() if c == b])
+        i, j = divmod(int(np.flatnonzero(hit)[0]), hit.shape[1])
+        residues = [nonzero[b, p][i, j] if (b, p) in nonzero else 0 for p in primes]
+        value = Q(xm.crt_signed(residues, primes), common)
+        return False, f"block {b} entry ({i},{j}) = {value}"
 
 
 def _poly_from_roots(roots):

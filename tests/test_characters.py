@@ -115,21 +115,23 @@ def test_restricted_sum_conjugation_invariance():
     assert values[0] == values[1] == values[2]
 
 
-def test_restricted_sums_sweep_once_per_subset_pair():
+def test_restricted_sums_sweep_once_per_a_subset():
     n = 5
-    pairs = {
-        (a_mask, b_mask)
+    a_masks = {
+        a_mask
         for d in range(1, cb.d_max(n) + 1)
         for a in range(d + 1)
         for b in range(d + 1)
-        for _, a_mask, b_mask in cb.overlap_pairs(n, a, b)
+        for _, a_mask, _ in cb.overlap_pairs(n, a, b)
     }
     ch._image_overlap_counts.cache_clear()
     assert ch.restricted_sums_check(n).ok
-    assert ch._image_overlap_counts.cache_info().misses == len(pairs)
-    for a_mask, b_mask in pairs:
-        counts = ch._image_overlap_counts(n, a_mask, b_mask)
-        assert sum(counts.values()) == math.factorial(n)
+    assert ch._image_overlap_counts.cache_info().misses == len(a_masks)
+    for a_mask in a_masks:
+        counts = ch._image_overlap_counts(n, a_mask)
+        assert len(counts) == cb.binomial(n, a_mask.bit_count())
+        assert all(image.bit_count() == a_mask.bit_count() for image in counts)
+        assert sum(sum(by_type.values()) for by_type in counts.values()) == math.factorial(n)
 
 
 def test_euler_transform_check():

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -346,6 +347,61 @@ def test_rank_at_least_returns_python_bool():
     assert [xm.rank_at_least(a, r) for a, r in cases] == [
         True, False, True, True, True, False, False
     ]
+
+
+def test_power_primes_are_distinct_primes_below_2_21():
+    primes = xm.POWER_PRIMES
+    assert len(set(primes)) == len(primes)
+    for p in primes:
+        assert 2 < p < 2**21, p
+        assert all(p % q for q in range(2, math.isqrt(p) + 1)), p
+
+
+def test_primes_exceeding_takes_the_shortest_prefix():
+    primes = xm.POWER_PRIMES
+    for bound in (0, 1, primes[0] - 1, primes[0], primes[0] * primes[1], 2**41, 2**200, 2**600):
+        chosen = xm.primes_exceeding(bound)
+        assert chosen == primes[: len(chosen)], bound
+        assert math.prod(chosen) > bound, bound
+        assert len(chosen) == 1 or math.prod(chosen[:-1]) <= bound, bound
+    with pytest.raises(ValueError):
+        xm.primes_exceeding(math.prod(primes))
+
+
+def test_crt_signed_recovers_values_below_half_the_product():
+    primes = xm.POWER_PRIMES[:3]
+    half = math.prod(primes) // 2
+    for x in (0, 1, -1, 2**40, -(2**40), 12345678901234567, half, -half):
+        assert xm.crt_signed([x % p for p in primes], primes) == x, x
+
+
+def test_float_exact_guard_refuses_2048_rows():
+    xm.require_float_exact(2047)
+    with pytest.raises(ValueError):
+        xm.require_float_exact(2048)
+
+
+def test_residue_products_are_exact_at_the_largest_size():
+    # 2047 products of (p - 1)^2 in one entry, the worst sum the guard admits
+    p = xm.POWER_PRIMES[0]
+    row = np.full((1, 2047), p - 1, dtype=np.float64)
+    assert int(xm.power_product(row, row.T, p)[0, 0]) == 2047 * (p - 1) ** 2 % p
+    rng = SplitMix64(7)
+    a = rand_matrix(rng, 6, 6, -(2**40), 2**40)
+    b = rand_matrix(rng, 6, 6, -(2**40), 2**40)
+    ra, rb = (np.array([[x % p for x in row] for row in m], dtype=np.float64) for m in (a, b))
+    want = [[x % p for x in row] for row in xm.mat_mul(a, b)]
+    assert xm.power_product(ra, rb, p).tolist() == want
+    weights = [-(2**50), 3, p + 5]
+    want = [
+        [
+            (weights[0] * (i == j) + weights[1] * x + weights[2] * y) % p
+            for j, (x, y) in enumerate(zip(r1, r2))
+        ]
+        for i, (r1, r2) in enumerate(zip(a, xm.mat_mul(a, a)))
+    ]
+    ra2 = xm.power_product(ra, ra, p)
+    assert xm.mod_combination(weights, [ra, ra2], p).tolist() == want
 
 
 def ref_product(a, b):

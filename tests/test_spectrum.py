@@ -177,18 +177,26 @@ def test_parity_powers_match_rational_products():
             _poly_from_roots(roots[1:]),
             [Q(1, 3), Q(-2), Q(0), Q(5, 7)],
         ):
-            common, values = powers.polynomial(coeffs)
-            for value, plist in zip(values, rational):
+            witness = None
+            for b, plist in enumerate(rational):
                 direct = [[Fraction(0)] * len(plist[0]) for _ in plist[0]]
                 for c, power in zip(coeffs, plist):
                     c = Fraction(str(c))
                     direct = [[x + c * y for x, y in zip(rd, rp)] for rd, rp in zip(direct, power)]
-                assert [[Fraction(v, common) for v in row] for row in value] == direct, n
+                first = next(
+                    ((i, j, v) for i, row in enumerate(direct) for j, v in enumerate(row) if v),
+                    None,
+                )
+                if first is not None:
+                    i, j, v = first
+                    witness = f"block {b} entry ({i},{j}) = {Q(v.numerator, v.denominator)}"
+                    break
+            assert powers.polynomial_is_zero(coeffs) == (witness is None, witness), n
 
 
 def test_parity_powers_detect_tiny_perturbation():
     # a shift far below the scale's resolution must still be seen exactly
-    for n in range(2, 8):
+    for n in range(2, 9):
         powers = _ParityPowers(build_Y(n))
         dmax = cb.d_max(n)
         eps = Q(1, powers.scale ** (dmax + 2))
@@ -198,6 +206,26 @@ def test_parity_powers_detect_tiny_perturbation():
             assert not trace_moment_check(n, eigenvalues=bad, powers=powers).ok, (n, d)
             if exact.count(exact[d]) == 1:  # a collision keeps the true root
                 assert not annihilation_check(n, eigenvalues=bad, powers=powers).ok, (n, d)
+
+
+def test_parity_powers_witness_needs_several_primes():
+    # -2^40 I needs two primes below 2^21 and comes back signed by CRT
+    assert len(xm.primes_exceeding(2 * 2**40)) == 2
+    powers = _ParityPowers(build_Y(4))
+    assert powers.polynomial_is_zero([Q(-(2**40))]) == (
+        False,
+        "block 0 entry (0,0) = -1099511627776",
+    )
+    assert powers.polynomial_is_zero([Q(0), Q(0)]) == (True, None)
+
+
+def test_certificate_takes_no_python_int_matrix_product(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("Python-int mat_mul called by the certificate")
+
+    monkeypatch.setattr(xm, "mat_mul", refuse)
+    for n in range(2, 10):
+        assert exact_spectrum_certificate(n).ok, n
 
 
 def test_rank():
@@ -265,13 +293,11 @@ def test_rank_check_needs_no_bareiss_rank_on_a_true_Y(monkeypatch):
 def test_rank_check_reads_powers_without_changing_them():
     for n in range(4, 9):
         powers = _ParityPowers(build_Y(n))
-        powers.ensure(2)
         blocks = [[row[:] for row in block] for block in powers.blocks]
-        firsts = [[row[:] for row in plist[1]] for plist in powers.powers]
+        assert annihilation_check(n, powers=powers).ok, n
+        assert trace_moment_check(n, powers=powers).ok, n
         assert rank_check(n, powers=powers).ok, n
         assert powers.blocks == blocks, n
-        assert [plist[1] for plist in powers.powers] == firsts, n
-        assert all(plist[1] is block for plist, block in zip(powers.powers, powers.blocks))
 
 
 def test_fraction_fallback_without_gmpy2():
