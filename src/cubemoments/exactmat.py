@@ -29,12 +29,13 @@ Integer matrix powers are taken modulo the primes of POWER_PRIMES, all below
 residues is below 2^42, and require_float_exact refuses a matrix of 2048
 rows or more, so a row of such products sums below 2^53 and every partial
 sum is an integer that float64 holds exactly, in any summation order;
-power_product and mod_combination reduce with fmod after every product and
-every weighted add, and no tolerance enters.  A value known to satisfy
-|x| <= S comes back exactly from its residues under primes_exceeding(2 * S),
-the shortest prefix of POWER_PRIMES whose product exceeds 2S, by crt_signed,
-which returns the representative of least absolute value; and it is zero
-exactly when every one of those residues is.
+power_product reduces with fmod after every product, mod_combination once
+per weighted sum (an asserted term count keeps it below 2^53), and no
+tolerance enters.  A value known to satisfy |x| <= S comes back exactly
+from its residues under primes_exceeding(2 * S), the shortest prefix of
+POWER_PRIMES whose product exceeds 2S, by crt_signed, which returns the
+representative of least absolute value; and it is zero exactly when every
+one of those residues is.
 """
 
 from __future__ import annotations
@@ -247,14 +248,15 @@ def power_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def mod_combination(weights: list, powers: list, p: int) -> np.ndarray:
     """weights[0] I + sum_j weights[j] powers[j - 1] modulo p, for int
-    weights and float64 residue matrices below p < 2^21: each weighted add
-    is reduced at once, so no entry reaches 2^43."""
+    weights and float64 residue matrices below p < 2^21: each of the at most
+    len(weights) terms is below p^2, and the asserted count keeps their sum
+    below 2^53, so it is exact and one fmod reduces it."""
+    assert len(weights) * p * p < 2**53, (len(weights), p)
     acc = np.zeros_like(powers[0])
     for k, power in zip(weights[1:], powers):
-        acc = np.fmod(acc + (k % p) * power, p)
-    diagonal = np.diag_indices_from(acc)
-    acc[diagonal] = np.fmod(acc[diagonal] + weights[0] % p, p)
-    return acc
+        acc += (k % p) * power
+    acc[np.diag_indices_from(acc)] += weights[0] % p
+    return np.fmod(acc, p)
 
 
 def _rank_mod_at_least(rows: list, cols: int, p: int, r: int) -> bool:

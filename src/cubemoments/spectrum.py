@@ -10,11 +10,11 @@ multiplicity counts, and three independent verification routes:
   contained in the claimed set;
 * exact trace moments: tr(Y^m) matches sum_d mult_d lambda_d^m, which pins
   the multiplicities (a Vandermonde argument on distinct values);
-* a floating eigensolver as a numeric cross-check: each parity block
-  splits into the sectors of the commuting transpositions (1 2), (3 4), ...
-  (resting only on Y[S,T] depending on |S xor T|); one sector of each size
-  is built directly on orbits, with no dense block, for a dense symmetric
-  eigensolver, and sectors that do not add up to their block are refused.
+* a floating eigensolver as a numeric cross-check: Y commutes with S_n, so
+  Schrijver's Terwilliger-algebra blocks (one of d_max - k + 1 rows per k,
+  multiplicity C(n,k) - C(n,k-1)) hold its spectrum; each is built over
+  ints for a dense symmetric eigensolver, and blocks whose rows or squared
+  Frobenius norm do not add up to Y's, exactly, are refused.
 
 The two exact routes work on the integer parity blocks B = D Y and take
 their powers modulo primes below 2^21, as float64 matrix products that stay
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import product
 from operator import itemgetter
 
 import numpy as np
@@ -659,11 +659,12 @@ def gram_reconstruction_check(n: int) -> Report:
 # floating cross-check
 
 
-def _pair_counts(n: int, parity: int) -> list:
-    """P[k], the number of pairs (S, T) of one parity block with |S xor T| =
-    k: C(n,i) C(i,l) C(n-i, j-l) of them have sizes i, j and overlap l."""
+def _pair_counts(n: int) -> list:
+    """P[k], the number of pairs (S, T) of subsets of size at most d_max with
+    |S xor T| = k: C(n,i) C(i,l) C(n-i, j-l) of them have sizes i, j and
+    overlap l."""
     counts = [0] * (n + 1)
-    sizes = range(parity, cb.d_max(n) + 1, 2)
+    sizes = range(cb.d_max(n) + 1)
     for i, j in product(sizes, sizes):
         for ell in range(min(i, j) + 1):
             pairs = cb.binomial(n, i) * cb.binomial(i, ell) * cb.binomial(n - i, j - ell)
@@ -671,94 +672,90 @@ def _pair_counts(n: int, parity: int) -> list:
     return counts
 
 
-def _shift(values: list, sign: int) -> list:
-    """The functional t^k -> values[k] (0 past the list) after a factor 1 + sign t^2."""
-    return [x + sign * y for x, y in zip(values, values[2:] + [0, 0])]
+def _beta(n: int, k: int, i: int, j: int, t: int) -> int:
+    """Schrijver's beta^t_{i,j,k} = sum_u (-1)^(u-t) C(u,t) C(n-2k,u-k)
+    C(n-k-u,i-u) C(n-k-u,j-u), over ints, the sign by a parity test.  Terms
+    vanish outside max(k, t) <= u <= min(i, j), and inside it every argument
+    of math.comb is nonnegative."""
+    total = 0
+    for u in range(max(k, t), min(i, j) + 1):
+        rest = n - k - u
+        term = math.comb(u, t) * math.comb(n - 2 * k, u - k)
+        term *= math.comb(rest, i - u) * math.comb(rest, j - u)
+        total += -term if (u - t) & 1 else term
+    return total
 
 
-def _orbit_sectors(n: int, a: list, scale: int) -> list:
-    """[(parity, s, C(p, s), M)]: per parity block and size s, one sector M
-    of the transpositions (1 2), (3 4), ... of Y[S,T] = a_|S xor T| / scale,
-    and the number of sectors it stands for.
-
-    Each bit pair (2i, 2i+1), i < p = floor(n/2), reads 00, 11, M = (01 +
-    10)/sqrt2 or A = (01 - 10)/sqrt2, and a sector is the set of pairs in
-    A.  Permuting pairs commutes with Y, so sectors of one size share the
-    spectrum of the one on the first s pairs, with basis the states of the
-    other q = p - s pairs (and free bit b at odd n) of weight s + #M + 2 #11
-    + b, at most floor(n/2) and of the block's parity.  An entry is t^k ->
-    a_k of a product over pairs: 1 - t^2 per A pair, t^(b xor b'), 1 or t^2
-    for 00/11 against 00/11, sqrt2 t for M against 00 or 11, 1 + t^2 for M
-    against M.  Coding a state as the subset reading 01 at its M pairs, that
-    is sqrt2^c_M times the functional after c_MM factors 1 + t^2 at k =
-    |code xor code'| (c_M, c_MM pairs have one or both states M), gathered
-    from a table that is exact until divided by scale."""
-    dmax, p = cb.d_max(n), n // 2
-    out, base = [], a
-    for s in range(p + 1):
-        q = p - s
-        rows = accumulate(range(q), lambda row, _: _shift(row, 1), initial=base)
-        values = [[x / scale for x in row] for row in rows]
-        table = np.sqrt(2.0) ** np.arange(q + 1)[:, None, None] * values
-        base = _shift(base, -1)
-        low = (4**q - 1) // 3  # the low bit of each of the q pairs
-        codes = np.arange(1 << (2 * q + n % 2))
-        codes = codes[(codes & (low << 1) & ~(codes << 1)) == 0]  # no pair reads 10
-        weight = s + np.bitwise_count(codes)
-        for parity in (0, 1):
-            kept = codes[(weight <= dmax) & (weight % 2 == parity)]
-            if kept.size:
-                m_pairs = kept & low & ~(kept >> 1)
-                part = table[
-                    np.bitwise_count(m_pairs[:, None] ^ m_pairs),
-                    np.bitwise_count(m_pairs[:, None] & m_pairs),
-                    np.bitwise_count(kept[:, None] ^ kept),
-                ]
-                out.append((parity, s, cb.binomial(p, s), part))
-    return out
+def terwilliger_blocks(n: int, a: list) -> list:
+    """[(k, multiplicity, M_k, c_k)] for k = 0..d_max: Schrijver's block
+    diagonalization of the Terwilliger algebra of the binary Hamming scheme
+    (IEEE Trans. IT 51, 2005), applied to Y[S,T] = a_|S xor T| for an
+    integer moment vector a.  Over Python ints, for i, j in k..d_max,
+    M_k[i][j] = sum_t beta^t_{i,j,k} a_{i+j-2t} (t the overlap |S cap T|) and
+    c_k[i] = C(n-2k, i-k).  Y is orthogonally similar to the direct sum of
+    the blocks M_k[i][j] / sqrt(c_i c_j), of d_max - k + 1 rows each, block
+    k repeated C(n,k) - C(n,k-1) times."""
+    cb.check_n(n)
+    blocks = []
+    for k in range(cb.d_max(n) + 1):
+        sizes = range(k, cb.d_max(n) + 1)
+        m = [
+            [
+                sum(_beta(n, k, i, j, t) * a[i + j - 2 * t] for t in range(min(i, j) + 1))
+                for j in sizes
+            ]
+            for i in sizes
+        ]
+        c = [cb.binomial(n - 2 * k, i - k) for i in sizes]
+        blocks.append((k, multiplicity(n, k), m, c))
+    return blocks
 
 
-def _sector_guard(n: int, a: list, scale: int, sectors: list) -> None:
-    """Raise InconsistentBlockError unless the sectors of each parity,
-    counted as often as they stand for, hold their block's rows and its
-    squared Frobenius norm sum_k a_k^2 P[k] / scale^2 (_pair_counts) to
-    1e-12 relative: the change of basis is orthogonal, Y sector-diagonal."""
-    for parity in (0, 1):
-        size = sum(cb.binomial(n, i) for i in range(parity, cb.d_max(n) + 1, 2))
-        mine = [(count, part) for par, _, count, part in sectors if par == parity]
-        rows = sum(count * len(part) for count, part in mine)
-        total = sum(x * x * c for x, c in zip(a, _pair_counts(n, parity))) / scale**2
-        held = sum(count * float(np.vdot(part, part)) for count, part in mine)
-        if rows != size:
-            problem = f"hold {rows} of {size} rows"
-        elif abs(total - held) > 1e-12 * total:
-            problem = f"miss {total - held:.3e} of squared Frobenius norm {total:.6e}"
-        else:
-            continue
-        raise InconsistentBlockError(f"transposition sectors {problem} at n={n}, parity {parity}")
+def _block_guard(n: int, a: list, blocks: list) -> None:
+    """Raise InconsistentBlockError unless the blocks, counted with their
+    multiplicities, hold Y's C(n, <= d_max) rows and, in exact rationals,
+    its squared Frobenius norm sum_k a_k^2 P[k] (_pair_counts): the change
+    of basis is orthogonal and Y block-diagonal."""
+    size = cb.binomial_le(n, cb.d_max(n))
+    rows = sum(mult * len(c) for _, mult, _, c in blocks)
+    want = sum(x * x * count for x, count in zip(a, _pair_counts(n)))
+    held = QZERO
+    for _, mult, m, c in blocks:
+        lcm = math.lcm(*c)
+        weights = [lcm // ci for ci in c]
+        total = sum(x * x * wi * wj for row, wi in zip(m, weights) for x, wj in zip(row, weights))
+        held += Q(mult * total, lcm * lcm)
+    if rows != size:
+        problem = f"hold {rows} of {size} rows"
+    elif held != want:
+        problem = f"hold squared Frobenius norm {held}, not {want}"
+    else:
+        return
+    raise InconsistentBlockError(f"Terwilliger blocks {problem} at n={n}")
 
 
 def numeric_eigensolve(n: int) -> list:
-    """Floating eigenvalues of Y, sorted descending: each sector of
-    _orbit_sectors, checked by _sector_guard, goes to a dense symmetric
-    eigensolver, its eigenvalues counted once per sector of its size; failure
-    to converge raises ConvergenceError naming n, the parity and the sector."""
+    """Floating eigenvalues of Y, sorted descending: each block of
+    terwilliger_blocks, checked by _block_guard, goes to a dense symmetric
+    eigensolver as M_k / (scale sqrt(c_i c_j)), its eigenvalues counted
+    once per copy of the block; failure to converge raises ConvergenceError
+    naming n, k and the block size."""
     cb.check_n(n, cap=NUMERIC_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     (a,), scale = xm.integer_form([[Q(a_coeff(n, k)) for k in range(n + 1)]])
-    sectors = _orbit_sectors(n, a, scale)
-    _sector_guard(n, a, scale, sectors)
+    blocks = terwilliger_blocks(n, a)
+    _block_guard(n, a, blocks)
     out = []
-    for parity, s, count, part in sectors:
+    for k, mult, m, c in blocks:
+        block = np.array([[x / scale for x in row] for row in m]) / np.sqrt(np.outer(c, c))
         try:
-            eigs = np.linalg.eigvalsh(part)
+            eigs = np.linalg.eigvalsh(block)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
-                f"eigensolver failed at n={n}, parity {parity}, sector "
-                f"{(1 << s) - 1}, size {len(part)}: {exc}"
+                f"eigensolver failed at n={n}, block k={k}, size {len(m)}: {exc}"
             ) from exc
-        out.extend(eigs.tolist() * count)
+        out.extend(eigs.tolist() * mult)
     out.sort(reverse=True)
     return out
 

@@ -404,6 +404,18 @@ def test_residue_products_are_exact_at_the_largest_size():
     assert xm.mod_combination(weights, [ra, ra2], p).tolist() == want
 
 
+def test_mod_combination_is_exact_with_one_fmod_at_the_largest_prime():
+    # every residue and every weight p - 1: the largest sum one fmod meets,
+    # for the at most 5 powers plus the diagonal an annihilation check takes
+    p = max(xm.POWER_PRIMES)
+    powers = [np.full((3, 3), p - 1, dtype=np.float64) for _ in range(5)]
+    weights = [p - 1] * 6
+    want = [[(5 * (p - 1) ** 2 + (p - 1) * (i == j)) % p for j in range(3)] for i in range(3)]
+    assert xm.mod_combination(weights, powers, p).tolist() == want
+    with pytest.raises(AssertionError):
+        xm.mod_combination([p - 1] * 2049, powers, p)
+
+
 def ref_product(a, b):
     return [
         [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))

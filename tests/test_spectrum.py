@@ -460,65 +460,76 @@ def test_numeric_eigensolve():
         numeric_eigensolve(15)
 
 
-def _parity_block(n, parity, a):
-    """Masks and dense float block a[|S xor T|] of one parity block."""
-    masks = np.array(
-        [m for size in range(parity, cb.d_max(n) + 1, 2) for m in cb.subsets_of_size(n, size)],
-        dtype=np.int16,
-    )
-    return masks, np.asarray(a, dtype=np.float64)[np.bitwise_count(masks[:, None] ^ masks[None, :])]
-
-
-def test_sector_guard_refuses_inconsistent_sectors():
-    for n, parity in ((4, 0), (7, 1), (8, 0)):
-        (a,), scale = xm.integer_form([[a_coeff(n, k) for k in range(n + 1)]])
-        sectors = sp._orbit_sectors(n, a, scale)
-        sp._sector_guard(n, a, scale, sectors)
-        index = next(
-            i for i, (par, _, _, part) in enumerate(sectors) if par == parity and len(part) > 1
-        )
-        _, s, count, part = sectors[index]
-        raised = part.copy()
-        raised[0, 1] += 0.5
-        raised[1, 0] += 0.5
+def test_block_guard_refuses_inconsistent_blocks():
+    for n in (4, 7, 8):
+        (a,), _ = xm.integer_form([[a_coeff(n, k) for k in range(n + 1)]])
+        blocks = sp.terwilliger_blocks(n, a)
+        sp._block_guard(n, a, blocks)
+        k, mult, m, c = blocks[1]
+        raised = [row[:] for row in m]
+        raised[0][1] += 1
+        raised[1][0] += 1
         for corrupt in (
-            (parity, s, count, raised),  # one symmetric pair of entries raised
-            (parity, s, count, part[1:, 1:]),  # one orbit dropped
-            (parity, s, count + 1, part),  # a multiplicity off by one
+            (k, mult, raised, c),  # one symmetric pair of entries raised
+            (k, mult, [row[:-1] for row in m[:-1]], c[:-1]),  # one row and column dropped
+            (k, mult + 1, m, c),  # a multiplicity off by one
         ):
-            bad = sectors[:index] + [corrupt] + sectors[index + 1 :]
-            with pytest.raises(InconsistentBlockError, match=f"at n={n}, parity {parity}$"):
-                sp._sector_guard(n, a, scale, bad)
+            bad = blocks[:1] + [corrupt] + blocks[2:]
+            with pytest.raises(InconsistentBlockError, match=f"at n={n}$"):
+                sp._block_guard(n, a, bad)
+
+
+def test_block_guard_refuses_a_beta_off_by_one(monkeypatch):
+    # beta^0_{1,1,1} + 1 adds a_2 to M_1[1][1] before the guard sees it
+    original = sp._beta
+
+    def off_by_one(n, k, i, j, t):
+        return original(n, k, i, j, t) + ((k, i, j, t) == (1, 1, 1, 0))
+
+    monkeypatch.setattr(sp, "_beta", off_by_one)
+    for n in (4, 7, 8):
+        with pytest.raises(InconsistentBlockError, match=f"at n={n}$"):
+            numeric_eigensolve(n)
 
 
 def test_pair_counts_match_enumeration():
     # the guard's reference norm sum_k a_k^2 P[k] rests on these counts
     for n in range(2, 11):
-        subsets = cb.enumerate_subsets(n, cb.d_max(n))
-        for parity in (0, 1):
-            masks = [m for m in subsets if m.bit_count() % 2 == parity]
-            want = [0] * (n + 1)
-            for s in masks:
-                for t in masks:
-                    want[(s ^ t).bit_count()] += 1
-            assert sp._pair_counts(n, parity) == want, (n, parity)
+        masks = cb.enumerate_subsets(n, cb.d_max(n))
+        want = [0] * (n + 1)
+        for s in masks:
+            for t in masks:
+                want[(s ^ t).bit_count()] += 1
+        assert sp._pair_counts(n) == want, n
 
 
-def test_sector_spectrum_matches_unsplit_eigvalsh(monkeypatch):
-    # a random moment vector, not the paper's: the split rests only on
-    # Y[S,T] depending on |S xor T|
+def test_block_spectrum_matches_dense_eigvalsh(monkeypatch):
+    # a random moment vector, not the paper's, odd a_k kept: the blocks rest
+    # only on Y[S,T] depending on |S xor T|, and each sees the whole Y
     rng = np.random.default_rng(20)
     for n in range(2, 11):
         a = rng.uniform(-1.0, 1.0, n + 1)
         monkeypatch.setattr(sp, "a_coeff", lambda _n, k: a[k])
         got = numeric_eigensolve(n)
-        want = []
-        for parity in (0, 1):
-            want.extend(np.linalg.eigvalsh(_parity_block(n, parity, a)[1]))
-        want.sort(reverse=True)
+        masks = np.array(cb.enumerate_subsets(n, cb.d_max(n)), dtype=np.int16)
+        want = np.linalg.eigvalsh(a[np.bitwise_count(masks[:, None] ^ masks[None, :])])[::-1]
         assert len(got) == len(want) == cb.binomial_le(n, cb.d_max(n))
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (n, g, w)
+
+
+def test_block_diagonal_is_the_frame_table():
+    # B_k[i][i] = sigma_k^2 f_{i,k} and tr B_k = lambda_{n,k}, exactly: the
+    # block route read against the paper's Gram construction
+    for n in range(2, 31):
+        (a,), scale = xm.integer_form([[a_coeff(n, k) for k in range(n + 1)]])
+        for k, mult, m, c in sp.terwilliger_blocks(n, a):
+            assert mult == multiplicity(n, k)
+            assert all(type(x) is int for row in m for x in row), (n, k)
+            diagonal = [Q(m[r][r], scale * c[r]) for r in range(len(m))]
+            frames = [sigma_sq(n, k) * frame_const(n, i, k) for i in range(k, cb.d_max(n) + 1)]
+            assert diagonal == frames, (n, k)
+            assert sum(diagonal) == lambda_closed(n, k), (n, k)
 
 
 def test_numeric_agreement_fails_on_corrupted_a2(monkeypatch):
@@ -534,12 +545,12 @@ def test_numeric_agreement_fails_on_corrupted_a2(monkeypatch):
         assert report.details[0].startswith("numeric spectrum off by"), report.details
 
 
-def test_numeric_eigensolve_names_failing_sector(monkeypatch):
+def test_numeric_eigensolve_names_failing_block(monkeypatch):
     def diverge(block):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
-    with pytest.raises(ConvergenceError, match="at n=5, parity 0, sector 0, size 6: no convergence"):
+    with pytest.raises(ConvergenceError, match="at n=5, block k=0, size 3: no convergence"):
         numeric_eigensolve(5)
 
 
