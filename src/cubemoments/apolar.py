@@ -47,13 +47,6 @@ JOHNSON_MAX_N = 12
 PROJECTION_MAX_N = 8
 
 
-def frame_gram_entry(n: int, i: int, j: int):
-    """<v_i, v_j>: 1 on the diagonal, -1/(n-1) off it (indices 1-based)."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"frame indices {i}, {j} outside [1, {n}]")
-    return Q(1) if i == j else Q(-1, n - 1)
-
-
 class SpanPoly(SparsePoly):
     """Homogeneous form in the frame coordinates: sorted index tuple -> coeff;
     monomials multiply by merging their index multisets."""

@@ -15,18 +15,20 @@ diagonal pivots only: its pivots decide semidefiniteness (psd_pivots), and
 the block it leaves is the Schur complement of the rows it eliminated, so
 schur's iterated chain reads both from one pass.
 
-Rank claims go through rank_at_least, an exact lower bound: the rank of
-the integer form modulo a prime never exceeds its rank over Q, so one prime
-below 2^31 that reaches rank r proves rank >= r, by an elimination over
-numpy int64 residues.  Only when every listed prime falls short does it ask
-the Bareiss kernel.  An upper bound comes from the caller, as independent
-kernel vectors (spectrum.rank_check) or as the matrix's width
-(pseudomoments.hypercube_decomposition_check), so Bareiss rank runs only to
-write the exact rank into a failure's witness.
+Every modular step uses one prime table, POWER_PRIMES, all below 2^21.
+Rank claims are lower bounds by rank_mod_at_least(residues, p, r): an
+elimination over numpy int64 residues modulo p, where every product of two
+residues is below 2^42.  The rank modulo a prime never exceeds the rank
+over Q, so reaching rank r proves rank >= r.  Callers holding int64 blocks
+(spectrum.rank_check, pseudomoments.hypercube_decomposition_check) call it
+on them and take the upper bound themselves, as independent kernel vectors
+or as the matrix's width, so Bareiss rank runs only to write a failure's
+exact rank into its witness.  rank_at_least(a, r) is the entry point for a
+rational matrix: it tries POWER_PRIMES[0] on the integer form and asks the
+Bareiss kernel only when that prime falls short.
 
-Integer matrix powers are taken modulo the primes of POWER_PRIMES, all below
-2^21, as numpy float64 products (spectrum._ParityPowers).  A product of two
-residues is below 2^42, and require_float_exact refuses a matrix of 2048
+Integer matrix powers are taken modulo the same primes, as numpy float64
+products (spectrum._ParityPowers): require_float_exact refuses a matrix of 2048
 rows or more, so a row of such products sums below 2^53 and every partial
 sum is an integer that float64 holds exactly, in any summation order;
 power_product reduces with fmod after every product, mod_combination once
@@ -84,10 +86,6 @@ def rational_product(*factors) -> list:
     scaled, dens = zip(*map(integer_form, factors))
     den = math.prod(dens)
     return [[Q(x, den) for x in row] for row in reduce(mat_mul, scaled)]
-
-
-def mat_trace(a: list):
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def mat_eq(a: list, b: list) -> bool:
@@ -189,11 +187,6 @@ def rank(a: list) -> int:
     return len(eliminate(work, len(a[0]) if a else 0)[0])
 
 
-# primes below 2^31: every residue is below 2^31, so each product of two
-# residues is below 2^62 and an int64 elimination step cannot overflow
-RANK_PRIMES = (2147483647, 2147483629, 2147483587)
-
-
 # primes below 2^21, the largest first: a product of two residues is below
 # 2^42, so fewer than 2048 of them sum below 2^53 and a float64 matrix
 # product of residues is exact (listed, not computed on import)
@@ -259,16 +252,19 @@ def mod_combination(weights: list, powers: list, p: int) -> np.ndarray:
     return np.fmod(acc, p)
 
 
-def _rank_mod_at_least(rows: list, cols: int, p: int, r: int) -> bool:
-    """Whether the integer matrix rows has rank >= r modulo the prime p:
-    Gaussian elimination over numpy int64 residues, which stops at the r-th
-    pivot.  A rank modulo p is never larger than the rank over Q."""
-    assert 2 <= p < 2**31, p  # residues < 2^31, so products < 2^62 in int64
-    work = np.array(
-        [[x % p for x in row] for row in rows], dtype=np.int64
-    ).reshape(len(rows), cols)
+def rank_mod_at_least(residues: np.ndarray, p: int, r: int) -> bool:
+    """Whether the 2-D int64 array residues has rank >= r modulo the prime
+    p < 2^21, by Gaussian elimination that stops at the r-th pivot.  Its
+    entries are reduced modulo p into a copy, so every product of two is
+    below 2^42.  A rank modulo p never exceeds the rank over Q."""
+    assert 2 <= p < 2**21, p
+    if r <= 0:
+        return True
+    if r > min(residues.shape):
+        return False
+    work = np.mod(residues, p)
     found = 0
-    for c in range(cols):
+    for c in range(work.shape[1]):
         nonzero = np.flatnonzero(work[found:, c])
         if not nonzero.size:
             continue
@@ -288,19 +284,16 @@ def _rank_mod_at_least(rows: list, cols: int, p: int, r: int) -> bool:
 
 
 def rank_at_least(a: list, r: int) -> bool:
-    """Whether rank(a) >= r, exactly.  The integer form of a is reduced
-    modulo each of RANK_PRIMES in turn, and the answer is True as soon as
-    one of them reaches rank r; only if none does is the rank taken over
-    the integers by the Bareiss kernel."""
+    """Whether rank(a) >= r, exactly, for a rational matrix a: True when
+    its integer form reaches rank r modulo POWER_PRIMES[0], else the rank
+    over the integers by the Bareiss kernel."""
     cols = len(a[0]) if a else 0
-    if r <= 0:
-        return True
-    if r > min(len(a), cols):
-        return False
+    if not 0 < r <= min(len(a), cols):
+        return r <= 0
     work, _ = integer_form(a)
-    if any(_rank_mod_at_least(work, cols, p, r) for p in RANK_PRIMES):
-        return True
-    return len(eliminate(work, cols)[0]) >= r
+    p = POWER_PRIMES[0]
+    residues = np.array([[x % p for x in row] for row in work], dtype=np.int64)
+    return rank_mod_at_least(residues, p, r) or len(eliminate(work, cols)[0]) >= r
 
 
 def det(a: list):

@@ -549,12 +549,12 @@ def specht_x_basis(n: int, d: int) -> list:
     return out
 
 
-def hypercube_vectors(n: int) -> list:
+def hypercube_vectors(n: int) -> np.ndarray:
     """The coefficient vectors of w (sum x)^t over the masks 0..2^n - 1, for
-    each Specht product w of degree d <= d_max and t = 0..n - 2d, as lists
-    of Python ints.  Each chain runs over a dense int64 array: multiplying
-    by sum x sends the coefficient of mask m to sum_i vec[m xor 2^i], and
-    the bound asserted at DECOMPOSITION_MAX_N keeps it exact."""
+    each Specht product w of degree d <= d_max and t = 0..n - 2d, as the
+    rows of one int64 array.  Multiplying by sum x sends the coefficient of
+    mask m to sum_i vec[m xor 2^i], and the bound asserted at
+    DECOMPOSITION_MAX_N keeps every chain exact."""
     cb.check_n(n, cap=DECOMPOSITION_MAX_N)
     idx = np.arange(1 << n)
     flips = [idx ^ (1 << i) for i in range(n)]
@@ -565,10 +565,10 @@ def hypercube_vectors(n: int) -> list:
             for mask, c in w.coeffs.items():
                 vec[mask] = xm._scaled_int(c, 1)
             for t in range(n - 2 * d + 1):
-                vectors.append(vec.tolist())
+                vectors.append(vec)
                 if t < n - 2 * d:
                     vec = sum(vec[flip] for flip in flips)
-    return vectors
+    return np.array(vectors, dtype=np.int64).reshape(-1, 1 << n)
 
 
 def hypercube_decomposition_check(n: int) -> Report:
@@ -590,8 +590,8 @@ def hypercube_decomposition_check(n: int) -> Report:
         f"assembled {len(vectors)} vectors at n={n}, expected {2 ** n}",
     )
     # 2^n columns cap the rank, so the modular lower bound proves full rank;
-    # the Bareiss rank is taken only for a failure's witness
-    full = xm.rank_at_least(vectors, 2 ** n)
-    r = 2 ** n if full else xm.rank(vectors)
-    report.expect(full, f"decomposition rank at n={n}: {r} != {2 ** n}")
+    # the Bareiss rank is taken only when that bound falls short
+    full = xm.rank_mod_at_least(vectors, xm.POWER_PRIMES[0], 2 ** n)
+    r = 2 ** n if full else xm.rank(vectors.tolist())
+    report.expect(r == 2 ** n, f"decomposition rank at n={n}: {r} != {2 ** n}")
     return report

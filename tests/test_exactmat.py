@@ -18,7 +18,7 @@ def rand_matrix(rng, rows, cols, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-def test_mat_mul_and_trace():
+def test_mat_mul():
     a = [[1, 2], [3, 4]]
     b = [[0, 1], [1, 0]]
     assert xm.mat_mul(a, b) == [[2, 1], [4, 3]]
@@ -26,7 +26,6 @@ def test_mat_mul_and_trace():
     # the same product with every denominator 1 still comes back as Q
     assert xm.rational_product(a, b) == [[2, 1], [4, 3]]
     assert _all_exact(xm.rational_product(a, b))
-    assert xm.mat_trace(a) == 5
     assert xm.mat_eq(a, [[1, 2], [3, 4]]) and not xm.mat_eq(a, b)
 
 
@@ -269,13 +268,13 @@ def test_rank_and_det_match_fraction_reference(a):
     assert type(det) is type(Q(0)) and det == ref_det(square)
 
 
-# integers that reach past int64, and multiples of the rank primes, whose
-# residues vanish modulo one prime but not over Q
+# integers that reach past int64, and multiples of POWER_PRIMES[0], whose
+# residues vanish modulo that prime but not over Q
 _rank_entries = st.one_of(
     _rationals,
     st.integers(-(2**66), -(2**63)),
     st.integers(2**63, 2**66),
-    st.builds(lambda p, k: p * k, st.sampled_from(xm.RANK_PRIMES), st.integers(-3, 3)),
+    st.builds(lambda k: xm.POWER_PRIMES[0] * k, st.integers(-3, 3)),
 )
 
 
@@ -309,12 +308,11 @@ def test_rank_at_least_matches_bareiss_rank(case):
     assert type(got) is bool and got == (xm.rank(a) >= r)
 
 
-def test_rank_at_least_falls_back_to_bareiss_when_every_prime_fails(monkeypatch):
-    # the product of the rank primes vanishes modulo each of them, so every
-    # modular rank is 0, while the rank over Q is 1
-    big = [[math.prod(xm.RANK_PRIMES)]]
-    work, _ = xm.integer_form(big)
-    assert not any(xm._rank_mod_at_least(work, 1, p, 1) for p in xm.RANK_PRIMES)
+def test_rank_at_least_falls_back_to_bareiss_when_the_prime_fails(monkeypatch):
+    # POWER_PRIMES[0] vanishes modulo itself, so its modular rank is 0,
+    # while its rank over Q is 1
+    p = xm.POWER_PRIMES[0]
+    assert not xm.rank_mod_at_least(np.array([[p]], dtype=np.int64), p, 1)
     calls = []
     eliminate = xm.eliminate
 
@@ -323,21 +321,20 @@ def test_rank_at_least_falls_back_to_bareiss_when_every_prime_fails(monkeypatch)
         return eliminate(work, cols, *args, **kwargs)
 
     monkeypatch.setattr(xm, "eliminate", counted)
-    assert xm.rank_at_least(big, 1) is True
+    assert xm.rank_at_least([[p]], 1) is True
     assert calls == [1]
-    # one prime short of the product: the last prime already proves rank 1
+    # any other prime table entry is a unit modulo p: no Bareiss call
     calls.clear()
-    assert xm.rank_at_least([[math.prod(xm.RANK_PRIMES[:-1])]], 1) is True
+    assert xm.rank_at_least([[xm.POWER_PRIMES[1]]], 1) is True
     assert calls == []
 
 
 def test_rank_at_least_returns_python_bool():
-    p = xm.RANK_PRIMES[0]
+    p = xm.POWER_PRIMES[0]
     cases = [
-        ([[1, 2], [3, 4]], 2),  # a prime reaches r
-        ([[1, 2], [2, 4]], 2),  # every prime and Bareiss fall short
-        ([[p * 5]], 1),  # the first prime fails, the next one succeeds
-        ([[math.prod(xm.RANK_PRIMES)]], 1),  # Bareiss decides
+        ([[1, 2], [3, 4]], 2),  # the prime reaches r
+        ([[1, 2], [2, 4]], 2),  # the prime and Bareiss fall short
+        ([[p * 5]], 1),  # the prime fails, Bareiss decides
         ([], 0),  # r <= 0
         ([[]], 1),  # r past the shape
         ([[Q(1, 2), Q(1, 3)], [Q(3, 2), Q(1, 1)]], 2),  # rational, rank 1
@@ -345,8 +342,61 @@ def test_rank_at_least_returns_python_bool():
     for a, r in cases:
         assert type(xm.rank_at_least(a, r)) is bool, (a, r)
     assert [xm.rank_at_least(a, r) for a, r in cases] == [
-        True, False, True, True, True, False, False
+        True, False, True, True, False, False
     ]
+
+
+def ref_rank_mod_p(rows, p):
+    """Rank modulo p by Gaussian elimination over Python ints."""
+    work = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inverse = pow(work[rank][c], -1, p)
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] * inverse
+            work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _residue_cases(draw):
+    """(a, p, r): an int64 array of any shape up to 6 x 6, empty ones
+    included, dense or a low-rank product U V, a prime p of the table or a
+    small one (which drops ranks often) and r over 0..min + 1."""
+    p = draw(st.sampled_from((2, 3, 7, xm.POWER_PRIMES[0], xm.POWER_PRIMES[-1])))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(2**62), 2**62),
+        st.builds(lambda k: p * k, st.integers(-3, 3)),
+    )
+
+    def matrix(h, w, elements):
+        drawn = draw(st.lists(st.lists(elements, min_size=w, max_size=w), min_size=h, max_size=h))
+        return np.array(drawn, dtype=np.int64).reshape(h, w)
+
+    if draw(st.booleans()):
+        a = matrix(rows, cols, entries)
+    else:
+        k = draw(st.integers(0, 3))
+        small = st.integers(-3, 3)
+        a = matrix(rows, k, small) @ matrix(k, cols, small)
+    return a, p, draw(st.integers(0, min(rows, cols) + 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_residue_cases())
+def test_rank_mod_at_least_matches_python_elimination(case):
+    a, p, r = case
+    before = a.copy()
+    got = xm.rank_mod_at_least(a, p, r)
+    assert type(got) is bool and got == (ref_rank_mod_p(a.tolist(), p) >= r)
+    assert np.array_equal(a, before)  # eliminates a copy
 
 
 def test_power_primes_are_distinct_primes_below_2_21():

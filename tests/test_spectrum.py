@@ -39,7 +39,6 @@ from cubemoments.spectrum import (
     frame_const,
     gram_reconstruction_check,
     lambda_closed,
-    lambda_recursion_check,
     lambda_via_frames,
     multiplicity,
     numeric_eigensolve,
@@ -83,10 +82,10 @@ def test_lambda_collisions_at_even_n():
 def test_lambda_recursion():
     assert lambda_closed(3, 1) == Q(3, 2) * lambda_closed(1, 0)
     assert lambda_closed(5, 2) == Q(5, 4) * lambda_closed(3, 1)
-    report = lambda_recursion_check(40)
-    assert report.ok and report.checked == 399
+    reports = [sp.eigenvalue_recursion_check(n) for n in range(3, 41)]
+    assert all(r.ok for r in reports) and sum(r.checked for r in reports) == 399
     with pytest.raises(ValueError):
-        lambda_recursion_check(41)
+        sp.eigenvalue_recursion_check(41)
 
 
 def test_multiplicities():
@@ -170,7 +169,8 @@ def test_parity_powers_match_rational_products():
                 plist.append(xm.mat_mul(plist[-1], base))
             rational.append(plist)
         for m in range(cb.d_max(n) + 4):
-            assert powers.trace(m) == sum(xm.mat_trace(p[m]) for p in rational), (n, m)
+            want = sum(sum(p[m][i][i] for i in range(len(p[m]))) for p in rational)
+            assert powers.trace(m) == want, (n, m)
         roots = [Q(0)] + [lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
         for coeffs in (
             _poly_from_roots(roots),
@@ -228,6 +228,23 @@ def test_certificate_takes_no_python_int_matrix_product(monkeypatch):
         assert exact_spectrum_certificate(n).ok, n
 
 
+def test_certificate_computes_the_closed_forms_once(monkeypatch):
+    # the certificate's values feed annihilation and traces; only the order
+    # report takes the closed forms a second time
+    calls = []
+    closed = sp.lambda_closed
+
+    def counted(n, d):
+        calls.append((n, d))
+        return closed(n, d)
+
+    monkeypatch.setattr(sp, "lambda_closed", counted)
+    for n in range(2, 8):
+        calls.clear()
+        assert exact_spectrum_certificate(n).ok, n
+        assert len(calls) == 2 * (cb.d_max(n) + 1), n
+
+
 def test_rank():
     for n in range(2, 9):
         assert rank_check(n).ok, n
@@ -275,29 +292,36 @@ def test_rank_check_reports_exact_rank_when_rank_drops(monkeypatch):
         expected = cb.binomial(n, cb.d_max(n))
         assert bareiss == expected - 1, n
         powers = _ParityPowers(y)
-        assert sp._pinned_rank(powers.blocks[0], powers.masks[0], n) is None, n
+        assert sp._pinned_rank(powers, 0, n) is None, n
         report = rank_check(n)
         assert not report.ok, n
         assert report.details == [f"rank(Y) = {bareiss} != {expected} at n={n}"]
 
 
 def test_rank_check_needs_no_bareiss_rank_on_a_true_Y(monkeypatch):
-    def refuse(a):
-        raise AssertionError("Bareiss rank called on a pinned block")
+    # every block is pinned on the int64 arrays the powers hold: no integer
+    # form, no Bareiss elimination and no Bareiss rank
+    held = {n: _ParityPowers(build_Y(n)) for n in range(2, 11)}
 
-    monkeypatch.setattr(xm, "rank", refuse)
-    for n in range(2, 9):
-        assert rank_check(n).ok, n
+    def refuse(*args, **kwargs):
+        raise AssertionError("Python-int route called on a pinned block")
+
+    for name in ("integer_form", "rank", "eliminate"):
+        monkeypatch.setattr(xm, name, refuse)
+    for n, powers in held.items():
+        assert rank_check(n, powers).ok, n
 
 
 def test_rank_check_reads_powers_without_changing_them():
     for n in range(4, 9):
         powers = _ParityPowers(build_Y(n))
         blocks = [[row[:] for row in block] for block in powers.blocks]
+        ints = [block.copy() for block in powers._ints]
         assert annihilation_check(n, powers=powers).ok, n
         assert trace_moment_check(n, powers=powers).ok, n
         assert rank_check(n, powers=powers).ok, n
         assert powers.blocks == blocks, n
+        assert all(map(np.array_equal, powers._ints, ints)), n
 
 
 def test_fraction_fallback_without_gmpy2():
@@ -530,6 +554,24 @@ def test_block_diagonal_is_the_frame_table():
             frames = [sigma_sq(n, k) * frame_const(n, i, k) for i in range(k, cb.d_max(n) + 1)]
             assert diagonal == frames, (n, k)
             assert sum(diagonal) == lambda_closed(n, k), (n, k)
+
+
+def test_terwilliger_blocks_are_symmetric_and_match_a_full_fill():
+    # the builder fills the upper triangle and mirrors it; the reference
+    # computes every entry M_k[i][j] on its own, over ints
+    for n in range(2, 15):
+        (a,), _ = xm.integer_form([[a_coeff(n, k) for k in range(n + 1)]])
+        for k, _, m, _ in sp.terwilliger_blocks(n, a):
+            sizes = range(k, cb.d_max(n) + 1)
+            full = [
+                [
+                    sum(sp._beta(n, k, i, j, t) * a[i + j - 2 * t] for t in range(min(i, j) + 1))
+                    for j in sizes
+                ]
+                for i in sizes
+            ]
+            assert m == [list(row) for row in zip(*m)], (n, k)
+            assert m == full, (n, k)
 
 
 def test_numeric_agreement_fails_on_corrupted_a2(monkeypatch):

@@ -108,7 +108,9 @@ def test_eigenvalue_recursion_covers_the_requested_range():
     # d = 1..3 at n = 6 and at n = 7
     assert (_run_one(name, 6, 7).status, _run_one(name, 6, 7).checked) == ("pass", 6)
     for n_max in range(3, 9):
-        assert _run_one(name, 2, n_max).checked == sp.lambda_recursion_check(n_max).checked
+        assert _run_one(name, 2, n_max).checked == sum(
+            sp.eigenvalue_recursion_check(n).checked for n in range(3, n_max + 1)
+        )
     assert _run_one(name, 2, 2).status == "skipped"
     capped = _run_one(name, 39, sp.ORDER_MAX_N + 1)
     assert capped.checked == sum(
