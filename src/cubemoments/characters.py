@@ -10,12 +10,12 @@ functions are stored as one exact value per cycle type.
 
 The restricted sums here average chi over all permutations mapping a fixed
 a-subset to meet a fixed b-subset in exactly k points.  The brute force
-behind them makes one full S_n sweep per subset pair (A, B), counting the
-permutations by image overlap and cycle type, with the cycle types read
-from the per-n table combinatorics.perm_cycle_types; every d and k reuse
-that sweep, and it stays independent of the closed form.  The closed form is
-proven only for a = b = d (zero when min(a, b) < d); anything larger raises
-UnsupportedCaseError rather than extrapolating.
+behind them makes one full S_n sweep per subset A (image_overlap_counts,
+also behind pseudomoments.isotypic_h_bruteforce), counting permutations by
+image pi(A) and cycle type from the per-n table combinatorics.perm_cycle_types;
+every B, d and k reuse it, and it stays independent of the closed form.  The
+closed form is proven only for a = b = d (zero when min(a, b) < d); anything
+larger raises UnsupportedCaseError rather than extrapolating.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ def restricted_char_sum_closed(n: int, d: int, a: int, b: int, overlap: int, k: 
 
 
 @lru_cache(maxsize=None)
-def _image_overlap_counts(n: int, a_mask: int) -> dict:
+def image_overlap_counts(n: int, a_mask: int) -> dict:
     """{pi(A): {cycle type of pi: number of such pi}}, by one full S_n sweep
-    (n <= 9); every B then sums over the at most C(n, |A|) images."""
+    (n <= 9); a sum over pi then runs over the at most C(n, |A|) images."""
     counts = {}
     for perm, ct in zip(cb.permutations_iter(n), cb.perm_cycle_types(n)):
         by_type = counts.setdefault(cb.perm_image_mask(perm, a_mask), {})
@@ -137,7 +137,7 @@ def restricted_char_sum_bruteforce(n: int, d: int, a_mask: int, b_mask: int, k: 
     chi = char_class_function(n, d).as_dict()
     total = sum(
         count * chi[ct]
-        for image, by_type in _image_overlap_counts(n, a_mask).items()
+        for image, by_type in image_overlap_counts(n, a_mask).items()
         if (image & b_mask).bit_count() == k
         for ct, count in by_type.items()
     )

@@ -72,10 +72,11 @@ def _emit_table(args, header, rows, key, meta) -> None:
 
 def _cmd_matrix(args) -> int:
     y = pm.build_Y(args.n)
+    labels = [_format_set(s) for s in y.subsets]
     rows = [
-        (_format_set(s), _format_set(t), str(y.rows[i][j]))
-        for i, s in enumerate(y.subsets)
-        for j, t in enumerate(y.subsets)
+        (s, t, str(value))
+        for s, row in zip(labels, y.rows)
+        for t, value in zip(labels, row)
     ]
     header = ("row_set", "col_set", "value")
     _emit_table(args, header, rows, "entries", {"n": y.n, "d_max": y.d_max})

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import combinatorics as cb
 from . import exactmat as xm
-from .characters import char_class_function
+from .characters import char_class_function, image_overlap_counts
 from .errors import InconsistentBlockError
 from .report import Report
 from .scalars import Q, QZERO, require_exact
@@ -440,10 +440,10 @@ def isotypic_h_bruteforce(n: int, s_mask: int) -> MultilinearPoly:
     cb.check_n(n, cap=ISOTYPIC_BRUTE_MAX_N)
     d = s_mask.bit_count()
     chi = char_class_function(n, d).as_dict()
-    sums = {}
-    for perm, ct in zip(cb.permutations_iter(n), cb.perm_cycle_types(n)):
-        image = cb.perm_image_mask(perm, s_mask)
-        sums[image] = sums.get(image, 0) + chi[ct]
+    sums = {
+        image: sum(count * chi[ct] for ct, count in by_type.items())
+        for image, by_type in image_overlap_counts(n, s_mask).items()
+    }
     scale = Q(cb.two_row_tableau_count(n, d), math.factorial(n))
     return MultilinearPoly(n, {m: scale * v for m, v in sums.items()})
 

@@ -174,29 +174,29 @@ class _ParityPowers:
     """The parity blocks of Y and their powers modulo primes, shared between
     the annihilation, trace-moment and rank checks.
 
-    masks, blocks and scale D come from pseudomoments.parity_blocks, so each
-    block B = D Y holds only ints; rank_check reads blocks as they are.  The
-    powers B, B^2, ... are held per prime of exactmat.POWER_PRIMES, as
-    float64 residues (exactmat.power_product), and extended on demand.  Each
-    check bounds the integers it decides through T, the largest |entry| of
-    the blocks, and takes the primes that bound asks for, so every verdict
-    is exact.  Results come back in Y's own rational units: tr(Y^m) =
-    tr(B^m) / D^m.
+    masks and scale D come from pseudomoments.parity_blocks, the even block
+    first, and blocks holds each integer block B = D Y once, as an int64
+    array; rank_check reads blocks as they are.  The powers B, B^2, ... are
+    held per prime of exactmat.POWER_PRIMES, as float64 residues
+    (exactmat.power_product), and extended on demand.  Each check bounds
+    the integers it decides through T, the largest |entry| of the blocks,
+    and takes the primes that bound asks for, so every verdict is exact.
+    Results come back in Y's own rational units: tr(Y^m) = tr(B^m) / D^m.
     """
 
     def __init__(self, y: PseudomomentMatrix):
         parts, self.scale = parity_blocks(y)
-        self.masks, self.blocks = map(list, zip(*parts))
-        self._ints = [np.array(block, dtype=np.int64) for block in self.blocks]
+        self.masks = [masks for masks, _ in parts]
+        self.blocks = [np.array(rows, dtype=np.int64) for _, rows in parts]
         self._max_rows = max(map(len, self.blocks))
         xm.require_float_exact(self._max_rows)
-        self._max_entry = max(int(np.abs(block).max()) for block in self._ints)
+        self._max_entry = max(int(np.abs(block).max()) for block in self.blocks)
         self._residues = {}
 
     def _powers(self, p: int, top: int) -> list:
         """[B, B^2, ..., B^top] modulo p for each block (at least B)."""
         if p not in self._residues:
-            self._residues[p] = [[(block % p).astype(np.float64)] for block in self._ints]
+            self._residues[p] = [[(block % p).astype(np.float64)] for block in self.blocks]
         held = self._residues[p]
         for plist in held:
             while len(plist) < top:
@@ -275,17 +275,22 @@ def _poly_from_roots(roots):
     return coeffs
 
 
+def _dense_powers(n: int, cap: int, powers: "_ParityPowers" = None) -> "_ParityPowers":
+    """The guard shared by the dense exact checks, 2 <= n <= cap; returns
+    powers, or the parity powers of a fresh Y(n) when it is None."""
+    cb.check_n(n, cap=cap)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return _ParityPowers(build_Y(n)) if powers is None else powers
+
+
 def annihilation_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None) -> Report:
     """Y prod_d (Y - lambda_{n,d} I) = 0 exactly, placing the spectrum inside
     {0} union {lambda_{n,d}}.  Passing explicit eigenvalues substitutes them
     for the closed form (used for fault injection in the verifier)."""
-    cb.check_n(n, cap=ANNIHILATION_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    powers = _dense_powers(n, ANNIHILATION_MAX_N, powers)
     if eigenvalues is None:
         eigenvalues = [lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
-    if powers is None:
-        powers = _ParityPowers(build_Y(n))
     report = Report()
     coeffs = _poly_from_roots([QZERO] + list(eigenvalues))
     ok, witness = powers.polynomial_is_zero(coeffs)
@@ -300,14 +305,10 @@ def trace_moment_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
     coincide, as happens at even n >= 6, the certified quantity is the total
     multiplicity of the shared value.  Passing explicit eigenvalues
     substitutes them for the closed form, as in annihilation_check."""
-    cb.check_n(n, cap=ANNIHILATION_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    powers = _dense_powers(n, ANNIHILATION_MAX_N, powers)
     dmax = cb.d_max(n)
     if eigenvalues is None:
         eigenvalues = [lambda_closed(n, d) for d in range(dmax + 1)]
-    if powers is None:
-        powers = _ParityPowers(build_Y(n))
     report = Report()
     mults = [multiplicity(n, d) for d in range(dmax + 1)]
     for m in range(1, dmax + 4):
@@ -318,21 +319,20 @@ def trace_moment_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
 
 
 def _pinned_rank(powers: "_ParityPowers", b: int, n: int):
-    """len(B) - |V|, the rank of the int64 parity block B = powers._ints[b],
-    when three exact facts pin it, else None.  V holds the kernel vectors
-    v_K of (sum x) x^K for |K| <= d_max - 1 of the opposite parity, v_K
-    having ones at K xor {i} for i = 1..n.  The facts: rank(B) >= len(B) -
-    |V| modulo POWER_PRIMES[0]; B v_K = 0 for every K, one gather-sum of n
-    entries of |x| <= T each, exact in int64 as n T < 2^63; and rank(V) =
-    |V| modulo the same prime, V a 0/1 array."""
-    block, masks = powers._ints[b], powers.masks[b]
-    index = {s: i for i, s in enumerate(masks)}
-    parity = masks[0].bit_count() & 1
+    """len(B) - |V|, the rank of the int64 parity block B = powers.blocks[b]
+    (b = 0 even, 1 odd), when three exact facts pin it, else None.  V holds
+    the kernel vectors v_K of (sum x) x^K for |K| <= d_max - 1 of parity
+    other than b, v_K having ones at K xor {i} for i = 1..n.  The facts:
+    rank(B) >= len(B) - |V| modulo POWER_PRIMES[0]; B v_K = 0 for every K,
+    one gather-sum of n entries of |x| <= T each, exact in int64 as n T <
+    2^63; and rank(V) = |V| modulo the same prime, V a 0/1 array."""
+    block = powers.blocks[b]
+    index = {s: i for i, s in enumerate(powers.masks[b])}
     kernel = np.array(
         [
             [index[k ^ (1 << i)] for i in range(n)]
             for k in cb.enumerate_subsets(n, cb.d_max(n) - 1)
-            if k.bit_count() & 1 != parity
+            if k.bit_count() & 1 != b
         ],
         dtype=np.intp,
     ).reshape(-1, n)
@@ -355,16 +355,12 @@ def rank_check(n: int, powers: "_ParityPowers" = None) -> Report:
     by a modular lower bound and a basis of kernel vectors (_pinned_rank);
     a block that is not pinned has its rank taken by the Bareiss kernel, so
     a failure's witness holds the exact rank."""
-    cb.check_n(n, cap=RANK_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if powers is None:
-        powers = _ParityPowers(build_Y(n))
+    powers = _dense_powers(n, RANK_MAX_N, powers)
     report = Report()
     observed = 0
     for b, block in enumerate(powers.blocks):
         pinned = _pinned_rank(powers, b, n)
-        observed += xm.rank(block) if pinned is None else pinned
+        observed += xm.rank(block.tolist()) if pinned is None else pinned
     expected = cb.binomial(n, cb.d_max(n))
     report.expect(observed == expected, f"rank(Y) = {observed} != {expected} at n={n}")
     return report
@@ -393,12 +389,12 @@ class SpectrumReport:
 
 def exact_spectrum_certificate(n: int) -> SpectrumReport:
     """Annihilation, trace moments, rank, distinctness, and positivity in one
-    pass, sharing the matrix powers between checks."""
-    cb.check_n(n, cap=ANNIHILATION_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    pass, sharing the matrix powers and the closed-form values between
+    checks."""
+    powers = _dense_powers(n, ANNIHILATION_MAX_N)
+    order = distinctness_and_order_report(n)
     dmax = cb.d_max(n)
-    values = [lambda_closed(n, d) for d in range(dmax + 1)]
+    values = [v for _, v in order.values]
     mults = [multiplicity(n, d) for d in range(dmax + 1)]
     report = Report()
     report.expect(
@@ -406,7 +402,6 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
         f"multiplicity total mismatch at n={n}",
     )
 
-    powers = _ParityPowers(build_Y(n))
     ann = annihilation_check(n, eigenvalues=values, powers=powers)
     traces = trace_moment_check(n, eigenvalues=values, powers=powers)
     report.absorb(ann)
@@ -418,7 +413,6 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
         report.absorb(rank_rep)
         rank_ok = rank_rep.ok
 
-    order = distinctness_and_order_report(n)
     report.absorb(order.report)
 
     return SpectrumReport(

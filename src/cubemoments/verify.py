@@ -170,7 +170,7 @@ _PER_N = [
      sp.moment_contractions_check),
     ("spectrum.gram_reconstruction", 2, sp.RECONSTRUCTION_MAX_N, "Gram reconstruction",
      sp.gram_reconstruction_check),
-    ("spectrum.numeric_agreement", 2, 12, "float eigensolve",
+    ("spectrum.numeric_agreement", 2, sp.NUMERIC_MAX_N, "float eigensolve",
      sp.numeric_agreement_check),
     ("schur.iterated_elimination", 2, su.ITERATED_MAX_N, "iterated elimination",
      su.iterated_elimination_check),

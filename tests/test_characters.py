@@ -124,11 +124,11 @@ def test_restricted_sums_sweep_once_per_a_subset():
         for b in range(d + 1)
         for _, a_mask, _ in cb.overlap_pairs(n, a, b)
     }
-    ch._image_overlap_counts.cache_clear()
+    ch.image_overlap_counts.cache_clear()
     assert ch.restricted_sums_check(n).ok
-    assert ch._image_overlap_counts.cache_info().misses == len(a_masks)
+    assert ch.image_overlap_counts.cache_info().misses == len(a_masks)
     for a_mask in a_masks:
-        counts = ch._image_overlap_counts(n, a_mask)
+        counts = ch.image_overlap_counts(n, a_mask)
         assert len(counts) == cb.binomial(n, a_mask.bit_count())
         assert all(image.bit_count() == a_mask.bit_count() for image in counts)
         assert sum(sum(by_type.values()) for by_type in counts.values()) == math.factorial(n)

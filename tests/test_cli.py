@@ -66,6 +66,33 @@ def test_matrix_json_roundtrip(tmp_path):
         assert got == y.entry(_mask(entry["row_set"]), _mask(entry["col_set"]))
 
 
+def test_matrix_export_matches_reference_rendering(tmp_path):
+    # each entry rendered on its own, with no label shared between entries
+    def label(n, mask):
+        return "-".join(str(i + 1) for i in range(n) if mask >> i & 1) or "0"
+
+    for n in range(2, 8):
+        y = build_Y(n)
+        entries = [
+            (label(n, s), label(n, t), str(y.rows[i][j]))
+            for i, s in enumerate(y.subsets)
+            for j, t in enumerate(y.subsets)
+        ]
+        header = ("row_set", "col_set", "value")
+        want = {
+            "csv": "".join(",".join(row) + "\n" for row in [header, *entries]),
+            "json": json.dumps(
+                {"n": n, "d_max": n // 2, "entries": [dict(zip(header, e)) for e in entries]},
+                indent=2,
+            )
+            + "\n",
+        }
+        for fmt, text in want.items():
+            out = tmp_path / f"y{n}.{fmt}"
+            assert main(["matrix", "--n", str(n), "--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == text.encode("utf-8"), (n, fmt)
+
+
 def test_matrix_capacity_error():
     assert main(["matrix", "--n", "99"]) == 2
     assert main(["matrix", "--n", "13"]) == 2  # dense export ends at n = 12

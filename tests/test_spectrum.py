@@ -24,6 +24,7 @@ from cubemoments.pseudomoments import (
     build_Y,
     finite_difference_a,
     isotypic_coefficient,
+    parity_blocks,
 )
 from cubemoments.scalars import Q
 from cubemoments.spectrum import (
@@ -116,8 +117,6 @@ def test_annihilation_frozen_small():
 def test_annihilation_sweep():
     for n in range(2, 7):
         assert annihilation_check(n).ok, n
-    with pytest.raises(ValueError):
-        annihilation_check(13)
 
 
 def test_annihilation_fault_injection():
@@ -146,9 +145,16 @@ def _split(y):
 
 def test_parity_powers_scaled_to_integers():
     for n, scale in ((8, 35), (9, 128)):
-        powers = _ParityPowers(build_Y(n))
+        y = build_Y(n)
+        powers = _ParityPowers(y)
         assert powers.scale == scale
-        assert all(type(x) is int for b in powers.blocks for row in b for x in row)
+        parts, den = parity_blocks(y)
+        assert den == scale and powers.masks == [masks for masks, _ in parts]
+        # each block is held once, as int64, equal to parity_blocks' ints
+        assert not hasattr(powers, "_ints")
+        for block, (_, rows) in zip(powers.blocks, parts):
+            assert block.dtype == np.int64
+            assert block.tolist() == rows
     assert xm.integer_form([[Q(6, 3), Q(1, 2)], [Q(-5, 6), 0]]) == ([[12, 3], [-5, 0]], 6)
     assert xm._scaled_int(Q(2, 3), 3) == 2
     with pytest.raises(InconsistentBlockError):
@@ -229,8 +235,8 @@ def test_certificate_takes_no_python_int_matrix_product(monkeypatch):
 
 
 def test_certificate_computes_the_closed_forms_once(monkeypatch):
-    # the certificate's values feed annihilation and traces; only the order
-    # report takes the closed forms a second time
+    # the order report's values feed annihilation and traces, so each
+    # lambda_closed(n, d) runs once per certificate
     calls = []
     closed = sp.lambda_closed
 
@@ -242,14 +248,12 @@ def test_certificate_computes_the_closed_forms_once(monkeypatch):
     for n in range(2, 8):
         calls.clear()
         assert exact_spectrum_certificate(n).ok, n
-        assert len(calls) == 2 * (cb.d_max(n) + 1), n
+        assert sorted(calls) == [(n, d) for d in range(cb.d_max(n) + 1)], n
 
 
 def test_rank():
     for n in range(2, 9):
         assert rank_check(n).ok, n
-    with pytest.raises(ValueError):
-        rank_check(11)
 
 
 def test_rank_check_fails_on_corrupted_Y(monkeypatch):
@@ -315,13 +319,24 @@ def test_rank_check_needs_no_bareiss_rank_on_a_true_Y(monkeypatch):
 def test_rank_check_reads_powers_without_changing_them():
     for n in range(4, 9):
         powers = _ParityPowers(build_Y(n))
-        blocks = [[row[:] for row in block] for block in powers.blocks]
-        ints = [block.copy() for block in powers._ints]
+        blocks = [block.copy() for block in powers.blocks]
         assert annihilation_check(n, powers=powers).ok, n
         assert trace_moment_check(n, powers=powers).ok, n
         assert rank_check(n, powers=powers).ok, n
-        assert powers.blocks == blocks, n
-        assert all(map(np.array_equal, powers._ints, ints)), n
+        assert all(map(np.array_equal, powers.blocks, blocks)), n
+
+
+def test_dense_checks_refuse_n_with_their_messages():
+    # one guard serves the three dense checks and the certificate
+    for check, n, message in (
+        (annihilation_check, 13, "n must be an int in [0, 12], got 13"),
+        (trace_moment_check, 1, "need n >= 2, got 1"),
+        (rank_check, 11, "n must be an int in [0, 10], got 11"),
+        (exact_spectrum_certificate, 13, "n must be an int in [0, 12], got 13"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            check(n)
+        assert str(excinfo.value) == message, check.__name__
 
 
 def test_fraction_fallback_without_gmpy2():

@@ -5,6 +5,8 @@ import importlib
 import pytest
 
 import cubemoments
+from cubemoments import apolar as ap
+from cubemoments import combinatorics as cb
 from cubemoments import pseudomoments as pm
 from cubemoments import schur as su
 from cubemoments import spectrum as sp
@@ -117,6 +119,46 @@ def test_eigenvalue_recursion_covers_the_requested_range():
         sp.eigenvalue_recursion_check(n).checked for n in (39, sp.ORDER_MAX_N)
     )
     assert capped.witness == f"n capped at {sp.ORDER_MAX_N} (closed form guard)"
+
+
+def test_numeric_agreement_runs_to_its_module_guard():
+    checks = {c.name: c for c in run_verify(("spectrum",), n_min=13, n_max=14).checks}
+    numeric = checks["spectrum.numeric_agreement"]
+    assert (numeric.status, numeric.checked) == ("pass", 4)
+    assert "capped" not in numeric.witness
+
+
+# the module guard each capped verify check reaches first
+_GUARDS = {
+    "characters.two_row_routes": cb.BRUTE_FORCE_MAX_N,
+    "characters.orthonormality": cb.PARTITION_MAX_N,
+    "characters.restricted_sums": cb.BRUTE_FORCE_MAX_N,
+    "appendix.g_to_f_expansion": cb.BRUTE_FORCE_MAX_N,
+    "appendix.euler_transform": cb.BRUTE_FORCE_MAX_N,
+    "appendix.char_inner": cb.BRUTE_FORCE_MAX_N,
+    "pseudomoments.matrix_structure": pm.BUILD_MAX_N,
+    "pseudomoments.isotypic_projection": pm.ISOTYPIC_BRUTE_MAX_N,
+    "pseudomoments.hypercube_decomposition": pm.DECOMPOSITION_MAX_N,
+    "apolar.projection_consistency": ap.PROJECTION_MAX_N,
+    "apolar.johnson_slice": ap.JOHNSON_MAX_N,
+    "spectrum.eigenvalue_recursion": sp.ORDER_MAX_N,
+    "spectrum.exact_certificate": sp.ANNIHILATION_MAX_N,
+    "spectrum.gram_reconstruction": sp.RECONSTRUCTION_MAX_N,
+    "spectrum.numeric_agreement": sp.NUMERIC_MAX_N,
+    "schur.iterated_elimination": su.ITERATED_MAX_N,
+}
+
+
+def test_verify_caps_stay_within_module_guards():
+    # a cap above its guard would only show as "unhandled ValueError" at a
+    # large --n-max; each guard is also shown to be the check's own
+    rows = {name: (hi, check) for name, _, hi, _, check in verify._PER_N}
+    assert set(_GUARDS) <= set(rows)
+    for name, guard in _GUARDS.items():
+        hi, check = rows[name]
+        assert hi <= guard, name
+        with pytest.raises(ValueError):
+            check(guard + 1)
 
 
 def test_range_validation():
