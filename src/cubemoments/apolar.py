@@ -319,25 +319,19 @@ def beta(n: int, d: int, k: int):
 
 def johnson_slice_gram(n: int, d: int) -> list:
     """The claimed Gram over (d-1)-subsets: diagonal n-d+1, entry 1 between
-    subsets meeting in d-2 points, zero otherwise (rows in canonical order).
-    Positive definiteness is certified by exact elimination pivots."""
+    subsets meeting in d-2 points, zero otherwise (rows in canonical order),
+    as Python ints.  johnson_slice_check certifies its spectrum floor
+    n-2d+2 by one exact elimination; since the floor is at least 2, that
+    also certifies positive definiteness."""
     if not (1 <= d <= cb.d_max(n)):
         raise ValueError(f"need 1 <= d <= n/2, got n={n}, d={d}")
     if n > JOHNSON_MAX_N:
         raise ValueError(f"guarded at n <= {JOHNSON_MAX_N}, got {n}")
     subsets = cb.subsets_of_size(n, d - 1)
-    out = []
-    for s in subsets:
-        row = []
-        for t in subsets:
-            if s == t:
-                row.append(Q(n - d + 1))
-            elif (s & t).bit_count() == d - 2:
-                row.append(Q(1))
-            else:
-                row.append(QZERO)
-        out.append(row)
-    return out
+    return [
+        [n - d + 1 if s == t else int((s & t).bit_count() == d - 2) for t in subsets]
+        for s in subsets
+    ]
 
 
 def _specht_gram(n: int, d: int, report: Report):
@@ -407,17 +401,16 @@ def specht_gram_check(n: int) -> Report:
 
 
 def johnson_slice_check(n: int) -> Report:
-    """Slice Grams are PSD with spectrum floor n - 2d + 2."""
+    """Slice Grams have spectrum floor n - 2d + 2: one exact PSD test of
+    G - floor * I per degree.  Since d <= n/2 the floor is at least 2, so a
+    pass gives G >= floor * I > 0, and G not PSD already fails the test; a
+    separate PSD test of G could only repeat its verdict."""
     report = Report()
     for d in range(1, cb.d_max(n) + 1):
-        g = johnson_slice_gram(n, d)
-        ok, witness = xm.psd_pivots(g)
-        report.expect(ok, f"slice Gram not PSD at n={n}, d={d}: {witness}")
-        floor = Q(n - 2 * d + 2)
-        shifted = [
-            [g[i][j] - (floor if i == j else 0) for j in range(len(g))]
-            for i in range(len(g))
-        ]
+        floor = n - 2 * d + 2
+        shifted = johnson_slice_gram(n, d)
+        for i, row in enumerate(shifted):
+            row[i] -= floor
         ok, witness = xm.psd_pivots(shifted)
         report.expect(
             ok, f"slice Gram below floor {floor} at n={n}, d={d}: {witness}"

@@ -73,8 +73,11 @@ def _emit_table(args, header, rows, key, meta) -> None:
 def _cmd_matrix(args) -> int:
     y = pm.build_Y(args.n)
     labels = [_format_set(s) for s in y.subsets]
+    # Y repeats its at most n + 1 values a_k as objects: render each once
+    distinct = {id(x): x for row in y.rows for x in row}
+    text = {key: str(x) for key, x in distinct.items()}
     rows = [
-        (s, t, str(value))
+        (s, t, text[id(value)])
         for s, row in zip(labels, y.rows)
         for t, value in zip(labels, row)
     ]

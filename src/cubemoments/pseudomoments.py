@@ -177,7 +177,6 @@ def matrix_structure_check(n: int) -> Report:
         if (s.bit_count() ^ t.bit_count()) & 1 and y.rows[i][j] != 0
     )
     report.expect(bad == 0, f"{bad} nonzero odd-parity entries at n={n}")
-    report.count()
     return report
 
 

@@ -353,36 +353,77 @@ def test_johnson_slice_gram():
     g = johnson_slice_gram(4, 2)
     # singletons of [4]: diagonal 3, all off-diagonal overlaps are 0 = d-2
     assert g[0][0] == 3 and g[0][1] == 1 and g[2][3] == 1
-    for n in range(3, 9):
-        for d in range(1, cb.d_max(n) + 1):
-            g = johnson_slice_gram(n, d)
-            ok, _ = xm.psd_pivots(g)
-            assert ok, (n, d)
-            # spectrum floor: G - (n-2d+2) I stays positive semidefinite
-            floor = Q(n - 2 * d + 2)
-            m = len(g)
-            shifted = [
-                [g[i][j] - (floor if i == j else 0) for j in range(m)] for i in range(m)
-            ]
-            ok2, _ = xm.psd_pivots(shifted)
-            assert ok2, (n, d)
+    assert {type(x) for row in johnson_slice_gram(7, 3) for x in row} == {int}
     with pytest.raises(ValueError):
         johnson_slice_gram(13, 2)
 
 
-def test_johnson_slice_check_fails_below_floor(monkeypatch):
-    def corrupted(n, d):
-        g = johnson_slice_gram(n, d)
-        return [
-            [x - (Q(1, 1000) if i == j else 0) for j, x in enumerate(row)]
-            for i, row in enumerate(g)
-        ]
+def test_johnson_slice_check_eliminates_once_per_degree_over_ints(monkeypatch):
+    calls = []
+    real = xm.psd_pivots
 
-    monkeypatch.setattr(ap, "johnson_slice_gram", corrupted)
+    def spy(a):
+        calls.append({type(x) for row in a for x in row})
+        return real(a)
+
+    monkeypatch.setattr(xm, "psd_pivots", spy)
+    assert ap.johnson_slice_check(8).ok
+    assert calls == [{int}] * cb.d_max(8)
+
+
+def _two_pass_verdict(g, n, d):
+    # the rule the one-pass check replaces: PSD(G) and PSD(G - floor I)
+    floor = n - 2 * d + 2
+    shifted = [
+        [x - (floor if i == j else 0) for j, x in enumerate(row)]
+        for i, row in enumerate(g)
+    ]
+    return xm.psd_pivots(g)[0] and xm.psd_pivots(shifted)[0]
+
+
+def _lowered(g):
+    # PSD, but 1/1000 below the floor
+    return [
+        [x - (Q(1, 1000) if i == j else 0) for j, x in enumerate(row)]
+        for i, row in enumerate(g)
+    ]
+
+
+def _negative_corner(g):
+    # not PSD
+    g[0][0] = -1
+    return g
+
+
+def test_johnson_slice_check_fails_below_floor(monkeypatch):
+    monkeypatch.setattr(
+        ap, "johnson_slice_gram", lambda n, d: _lowered(johnson_slice_gram(n, d))
+    )
     for n in range(4, 9):
         report = ap.johnson_slice_check(n)
         assert not report.ok, n
         assert any("below floor" in w and f"at n={n}," in w for w in report.details), n
+
+
+@pytest.mark.parametrize("corrupt", [None, _lowered, _negative_corner])
+def test_johnson_slice_check_matches_two_pass_rule(monkeypatch, corrupt):
+    def gram(n, d):
+        g = johnson_slice_gram(n, d)
+        return corrupt(g) if corrupt else g
+
+    monkeypatch.setattr(ap, "johnson_slice_gram", gram)
+    for n in range(2, 10):
+        degrees = range(1, cb.d_max(n) + 1)
+        failing = [d for d in degrees if not _two_pass_verdict(gram(n, d), n, d)]
+        assert failing == ([] if corrupt is None else list(degrees)), n
+        report = ap.johnson_slice_check(n)
+        assert report.ok == (not failing), n
+        assert report.checked == cb.d_max(n)
+        assert [
+            int(w.split(f"at n={n}, d=")[1].split(":")[0])
+            for w in report.details
+            if "below floor" in w
+        ] == failing, n
 
 
 def test_harmonic_projection_consistency():

@@ -11,7 +11,9 @@ import pytest
 
 import cubemoments
 import cubemoments.combinatorics as cb
+import cubemoments.pseudomoments as pm
 from cubemoments.cli import main
+from cubemoments.errors import InconsistentBlockError
 from cubemoments.pseudomoments import build_Y
 from cubemoments.scalars import Q
 
@@ -269,6 +271,24 @@ def test_schur_without_trials_is_usage_error(trials, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least one trial" in captured.err
+
+
+def test_matrix_writes_stdout_without_out(capsys):
+    assert main(["matrix", "--n", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("row_set,col_set,value\n0,0,1\n")
+    assert captured.err == ""
+
+
+def test_arithmetic_error_is_verification_failure(monkeypatch, capsys):
+    def refuted(n):
+        raise InconsistentBlockError(f"refuted at n={n}")
+
+    monkeypatch.setattr(pm, "build_Y", refuted)
+    assert main(["matrix", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: refuted at n=3\n"
 
 
 def test_missing_subcommand_is_usage_error():

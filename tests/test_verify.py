@@ -55,6 +55,13 @@ def test_out_of_guard_range_skips():
     assert all("guard" in c.witness for c in rep.checks)
 
 
+def test_balanced_moments_skip_an_odd_only_range():
+    rep = run_verify(("pseudomoments",), n_min=3, n_max=3, seed=1)
+    [check] = [c for c in rep.checks if c.name == "pseudomoments.balanced_moments"]
+    assert check.status == "skipped"
+    assert "exists only for even n; none in [3, 3]" in check.witness
+
+
 def test_guard_clamp_is_noted():
     rep = run_verify(("appendix",), n_min=2, n_max=7, seed=1)
     assert rep.ok
@@ -198,7 +205,7 @@ def test_checked_counts_frozen():
         "apolar.beta_identity": 6,
         "apolar.harmonicity": 47,
         "apolar.ideal_kernel": 13,
-        "apolar.johnson_slice": 12,
+        "apolar.johnson_slice": 6,
         "apolar.projection_consistency": 54,
         "apolar.sigma_bridge": 234,
         "apolar.specht_gram": 12,
@@ -215,7 +222,7 @@ def test_checked_counts_frozen():
         "pseudomoments.hypercube_decomposition": 12,
         "pseudomoments.ideal_annihilation": 60,
         "pseudomoments.isotypic_projection": 34,
-        "pseudomoments.matrix_structure": 50,
+        "pseudomoments.matrix_structure": 46,
         "pseudomoments.moment_recursion": 40,
         "schur.gram_property": 123,
         "schur.iterated_elimination": 56,
