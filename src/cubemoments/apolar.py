@@ -310,8 +310,6 @@ def beta(n: int, d: int, k: int):
     elements: permanent of the canonical pattern over the frame Gram, / d!."""
     if not (0 <= k <= d <= cb.d_max(n)):
         raise ValueError(f"need 0 <= k <= d <= n/2, got n={n}, d={d}, k={k}")
-    if 2 * d - k > n:
-        raise ValueError(f"pattern needs 2d-k <= n, got n={n}, d={d}, k={k}")
     a_idx = range(1, d + 1)
     b_idx = list(range(1, k + 1)) + list(range(d + 1, 2 * d - k + 1))
     return apolar_ip(span_monomial(n, a_idx), span_monomial(n, b_idx))
@@ -420,9 +418,10 @@ def johnson_slice_check(n: int) -> Report:
 
 def sigma_bridge_check(n: int) -> Report:
     """sigma_d^2 <h_S, h_T> equals E[h_S h_T] for all same-size pairs, and
-    both sides vanish for pairs of different sizes, in either order and at
-    every overlap (one pair per orbit, by relabeling invariance).  Each h_S
-    is built once; the cross-degree moments are one pseudo_gram row per
+    E[h_S h_T] vanishes for pairs of different sizes, in either order and at
+    every overlap (one pair per orbit, by relabeling invariance); apolar_ip
+    pairs forms of different degrees to zero by convention.  Each h_S is
+    built once; the cross-degree moments are one pseudo_gram row per
     pair of degrees, since every orbit representative shares S = {1..d}."""
     report = Report()
     dm = cb.d_max(n)
@@ -450,14 +449,10 @@ def sigma_bridge_check(n: int) -> Report:
             pairs = cb.overlap_pairs(n, d, e)
             s = pairs[0][1]
             (cross,) = pseudo_gram(n, [hs[s]], [hs[t] for _, _, t in pairs])
-            for (ov, _, t), value in zip(pairs, cross):
+            for (ov, _, _), value in zip(pairs, cross):
                 report.expect(
                     value == 0,
                     f"E[h_S h_T] != 0 for |S|={d}, |T|={e}, overlap {ov}, n={n}",
-                )
-                report.expect(
-                    apolar_ip(spans[s], spans[t]) == 0,
-                    f"cross-degree pairing nonzero at n={n}, d={d}, e={e}, overlap {ov}",
                 )
     return report
 

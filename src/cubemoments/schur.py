@@ -14,16 +14,18 @@ b_j projected orthogonally off the span of the a_i.
 That Gramian reading is what drives the iterated elimination of the
 pseudomoment matrix: after eliminating the degree blocks below k, the
 leading block L_k is exactly sigma_k^2 times the apolar Gram of the
-harmonic projections h_S over |S| = k, and it lies in the Johnson scheme
+harmonic projections h_S over |S| = k, so it lies in the Johnson scheme
 (entries depend only on |S cap T|).  Y is the direct sum of its two parity
 blocks (pseudomoments.parity_blocks), so the chain runs one symmetric
 elimination with diagonal pivots (exactmat.eliminate_symmetric) through
 each block, pausing at each degree: step k reads L_k from block k mod 2 as
-its active leading rows over den * prev, turns only L_k into rationals and
-then eliminates those rows, whose pivots are L_k's LDL^T pivots, so the
-same pass gives the PSD verdict of L_k and the next Schur complement.  A
-failure of consistency or of either structural claim is reported exactly,
-never approximated.
+its active leading rows over den * prev and compares every entry, in those
+integer units, with sigma_k^2 <h_S0, h_T> for its overlap |S cap T|, read
+from one apolar_gram row; one pass over the entries decides both the
+Johnson scheme and the harmonic Gram.  It then eliminates those rows, whose
+pivots are L_k's LDL^T pivots, so the same pass gives the PSD verdict of L_k
+and the next Schur complement.  A failure of consistency or of the Gram
+claim is reported exactly, never approximated.
 """
 
 from __future__ import annotations
@@ -163,14 +165,15 @@ def volume_identity_check(seed: int, trials: int = 50) -> Report:
 
 def iterated_schur_on_Y(n: int, steps: int = None):
     """Eliminate the degree blocks of Y in order d = 0, 1, ...; at each step
-    the current leading block must equal sigma_k^2 times the apolar Gram of
-    the harmonic projections over size-k subsets, must lie in the Johnson
-    scheme (entries a function of |S cap T| alone), and must be PSD by exact
-    pivots.  Returns (leading blocks per step, report).  A zero diagonal
-    entry of L_k with a nonzero entry in L_k ends the chain after step k,
-    since diagonal pivots give no Schur step past it; one whose row is
-    nonzero only past L_k, like a nonzero entry between the two parity
-    blocks, raises InconsistentBlockError."""
+    every entry of the current leading block must equal sigma_k^2 times the
+    apolar pairing of the harmonic projections h_S, h_T over size-k subsets,
+    in one C(n, k)^2 pass against the pairing for each overlap |S cap T|
+    (which also puts the block in the Johnson scheme), and the block must
+    be PSD by exact pivots.  Returns (leading blocks per step, report).  A
+    zero diagonal entry of L_k with a nonzero entry in L_k ends the chain
+    after step k, since diagonal pivots give no Schur step past it; one
+    whose row is nonzero only past L_k, like a nonzero entry between the two
+    parity blocks, raises InconsistentBlockError."""
     cb.check_n(n, cap=ITERATED_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -192,28 +195,25 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         values = {x: Q(x, den * prev) for row in lead_ints for x in row}
         blocks.append([[values[x] for x in row] for row in lead_ints])
 
-        masks = cb.subsets_of_size(n, k)
-        by_overlap: dict = {}
-        johnson = True
-        for i in range(h):
-            for j in range(h):
-                ov = (masks[i] & masks[j]).bit_count()
-                ref = by_overlap.setdefault(ov, lead_ints[i][j])
-                if ref != lead_ints[i][j]:
-                    johnson = False
-        report.expect(johnson, f"step {k} block leaves the Johnson scheme at n={n}")
-
         scale = sigma_sq(n, k)
         pairs = cb.overlap_pairs(n, k, k)  # every pair shares S = {1..k}
         spans = [hS_span(n, rep_t) for _, _, rep_t in pairs]
         (pairings,) = apolar_gram([hS_span(n, pairs[0][1])], spans)
-        for (ov, _, _), pairing in zip(pairs, pairings):
-            entry = values[by_overlap[ov]]
-            expected = scale * pairing
-            report.expect(
-                entry == expected,
-                f"step {k} overlap {ov}: block entry {entry} != {expected} at n={n}",
-            )
+        want = {ov: scale * pairing for (ov, _, _), pairing in zip(pairs, pairings)}
+        targets = {}  # want[ov] in L_k's integer units: a non-integer matches nothing
+        for ov, w in want.items():
+            unit = w * den * prev
+            targets[ov] = int(unit) if unit.denominator == 1 else None
+        masks = cb.subsets_of_size(n, k)
+        report.count(h * h)
+        for s, row in zip(masks, lead_ints):
+            for t, x in zip(masks, row):
+                ov = (s & t).bit_count()
+                if x != targets[ov]:
+                    report.fail(
+                        f"step {k} entry S={s:b}, T={t:b} (overlap {ov}): "
+                        f"{values[x]} != {want[ov]} at n={n}"
+                    )
 
         # the PSD verdict of L_k and the Schur step past it, in one pass
         prev, _, witness = xm.eliminate_symmetric(work, start, stop, prev, den)

@@ -528,8 +528,6 @@ def eta_sq_summation(n: int, d_prime: int, d: int):
     total = QZERO
     for ell in range(0, d + 1):
         count = cb.binomial(d_prime, ell) * cb.binomial(n - d_prime, d - ell)
-        if count == 0:
-            continue
         total = total + count * E_xS_hT_closed(n, d_prime, d, ell) ** 2
     return total / (sigma_sq(n, d) ** 2 * f_dd)
 

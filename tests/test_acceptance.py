@@ -131,7 +131,7 @@ def test_criterion_08_block_diagonalization_bridge():
     """E[h_S h_T] = sigma_d^2 <h_S, h_T> for every same-size pair to n = 7,
     and vanishes for pairs of unequal sizes (orbit representatives cover all
     pairs by relabeling invariance)."""
-    assert _checked(ap.sigma_bridge_check, range(2, 8)) == 2692
+    assert _checked(ap.sigma_bridge_check, range(2, 8)) == 2632
 
 
 def test_criterion_09_gram_reconstruction():
@@ -150,7 +150,7 @@ def test_criterion_11_schur_suite():
     assert gram.ok and gram.checked == 122, gram.details
     volume = su.volume_identity_check(SEED, trials=50)
     assert volume.ok and volume.checked == 50, volume.details
-    assert _checked(su.iterated_elimination_check, range(2, 8)) == 104
+    assert _checked(su.iterated_elimination_check, range(2, 8)) == 2620
 
 
 def test_criterion_12_hypercube_decomposition():

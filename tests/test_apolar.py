@@ -141,7 +141,7 @@ def test_pairing_frozen_values():
     with pytest.raises(ValueError):
         beta(5, 2, 3)
     with pytest.raises(ValueError):
-        beta(3, 2, 0)  # pattern needs 2d - k = 4 > n indices
+        beta(3, 2, 0)  # d = 2 > d_max(3) = 1
 
 
 def test_pairing_symmetric_bilinear():

@@ -198,26 +198,90 @@ def test_iterated_schur_matches_rational_chain():
             current = schur_complement(current, h)
 
 
-def test_iterated_schur_fails_on_perturbed_Y(monkeypatch):
-    # 1/1000 on one symmetric pair of singleton entries breaks the Johnson
-    # scheme of the degree-1 block and its match with the harmonic Gram
+def _patch_Y(monkeypatch, edit):
+    """Make the chain read Y(n) after edit(y, n) changes it in place."""
     original = schur.build_Y
 
-    def perturbed(n):
+    def edited(n):
         y = original(n)
-        for i, j in ((1, 2), (2, 1)):
-            y.rows[i][j] += Q(1, 1000)
+        edit(y, n)
         return y
 
-    monkeypatch.setattr(schur, "build_Y", perturbed)
+    monkeypatch.setattr(schur, "build_Y", edited)
+
+
+def _shift_pair(y, n):
+    for i, j in ((1, 2), (2, 1)):
+        y.rows[i][j] += Q(1, 1000)
+
+
+def _shift_overlap_zero(y, n):
+    # the degree-1 block stays in the Johnson scheme but leaves the Gram
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                y.rows[i][j] += Q(1, 1000)
+
+
+def _shift_degree2_diagonal(y, n):
+    y.rows[n + 1][n + 1] += Q(1, 1000)  # row n + 1 is the first 2-subset
+
+
+def test_iterated_schur_fails_on_perturbed_Y(monkeypatch):
+    # 1/1000 on one symmetric pair of singleton entries: exactly those two
+    # entries of the degree-1 block miss the harmonic Gram
+    _patch_Y(monkeypatch, _shift_pair)
     for n in range(3, 7):
         _, report = iterated_schur_on_Y(n)
         assert not report.ok, n
-        assert f"step 1 block leaves the Johnson scheme at n={n}" in report.details
-        assert any(
-            d.startswith("step 1 overlap 0: block entry") and d.endswith(f"at n={n}")
-            for d in report.details
-        ), report.details
+        entry, want = Q(-1, n - 1) + Q(1, 1000), Q(-1, n - 1)
+        assert [d for d in report.details if d.startswith("step 1 ")] == [
+            f"step 1 entry S={s}, T={t} (overlap 0): {entry} != {want} at n={n}"
+            for s, t in (("1", "10"), ("10", "1"))
+        ], report.details
+
+
+def test_iterated_schur_counts_every_entry():
+    for n in range(2, 9):
+        _, report = iterated_schur_on_Y(n)
+        dm = cb.d_max(n)
+        entries = sum(cb.binomial(n, k) ** 2 for k in range(dm + 1))
+        assert report.checked == entries + dm + 1, n  # and one PSD verdict per step
+
+
+def _two_step_rule(n, k, block):
+    """The chain's old structural verdict on L_k: a scan for the Johnson
+    scheme, then the first entry of each overlap against the harmonic Gram."""
+    masks = cb.subsets_of_size(n, k)
+    by_overlap = {}
+    johnson = True
+    for i, s in enumerate(masks):
+        for j, t in enumerate(masks):
+            ref = by_overlap.setdefault((s & t).bit_count(), block[i][j])
+            johnson = johnson and ref == block[i][j]
+    s0 = (1 << k) - 1
+    gram = {
+        ov: sigma_sq(n, k) * apolar_ip(hS_span(n, s0), hS_span(n, t))
+        for ov, _, t in cb.overlap_pairs(n, k, k)
+    }
+    return johnson and all(by_overlap[ov] == g for ov, g in gram.items())
+
+
+@pytest.mark.parametrize(
+    "corrupt", [None, _shift_pair, _shift_overlap_zero, _shift_degree2_diagonal]
+)
+def test_iterated_schur_verdict_matches_two_step_rule(monkeypatch, corrupt):
+    if corrupt is not None:
+        _patch_Y(monkeypatch, corrupt)
+    for n in range(4 if corrupt is _shift_degree2_diagonal else 3, 9):
+        blocks, report = iterated_schur_on_Y(n)
+        rules = [_two_step_rule(n, k, block) for k, block in enumerate(blocks)]
+        for k, rule in enumerate(rules):
+            missed = any(d.startswith(f"step {k} entry ") for d in report.details)
+            assert missed != rule, (n, k, report.details[:3])
+        psd = not any(" not PSD " in d for d in report.details)
+        assert report.ok == (all(rules) and psd), (n, report.details[:3])
+        assert all(rules) == (corrupt is None), n
 
 
 def test_exact_routes_return_no_float():
@@ -244,14 +308,10 @@ def test_iterated_schur_runs_one_elimination_per_step(monkeypatch):
 
 
 def _with_singleton_diagonal(monkeypatch, value):
-    original = schur.build_Y
-
-    def corrupted(n):
-        y = original(n)
+    def edit(y, n):
         y.rows[1][1] = value  # row 1 is the singleton {1}
-        return y
 
-    monkeypatch.setattr(schur, "build_Y", corrupted)
+    _patch_Y(monkeypatch, edit)
 
 
 def test_iterated_schur_reports_negative_pivot(monkeypatch):

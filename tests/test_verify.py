@@ -76,8 +76,8 @@ def test_bridge_and_specht_gram_run_at_n8():
     for name in ("apolar.sigma_bridge", "apolar.specht_gram"):
         assert checks[name].status == "pass", checks[name].witness
         assert "capped" not in checks[name].witness
-    # sigma_bridge_check(8): 8885 same-degree pairs plus 80 cross-degree comparisons
-    assert checks["apolar.sigma_bridge"].checked == 8965
+    # sigma_bridge_check(8): 8885 same-degree pairs plus 40 cross-degree moments
+    assert checks["apolar.sigma_bridge"].checked == 8925
 
 
 def test_fault_injection():
@@ -207,7 +207,7 @@ def test_checked_counts_frozen():
         "apolar.ideal_kernel": 13,
         "apolar.johnson_slice": 6,
         "apolar.projection_consistency": 54,
-        "apolar.sigma_bridge": 234,
+        "apolar.sigma_bridge": 214,
         "apolar.specht_gram": 12,
         "appendix.char_inner": 184,
         "appendix.euler_transform": 528,
@@ -225,7 +225,7 @@ def test_checked_counts_frozen():
         "pseudomoments.matrix_structure": 46,
         "pseudomoments.moment_recursion": 40,
         "schur.gram_property": 123,
-        "schur.iterated_elimination": 56,
+        "schur.iterated_elimination": 222,
         "schur.volume_identity": 51,
         "spectrum.eigenvalue_recursion": 5,
         "spectrum.eta_routes": 28,
