@@ -62,8 +62,22 @@ def _emit_table(args, header, rows, key, meta) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = _json_text({**meta, key: [dict(zip(header, row)) for row in rows]})
+        text = _json_table(header, rows, key, meta)
     _emit(text, args.out)
+
+
+def _json_table(header, rows, key, meta) -> str:
+    """_json_text({**meta, key: [dict(zip(header, row)) for row in rows]})
+    for scalar meta values and row entries, laid out by hand: json.dumps
+    with indent=2 runs the pure-Python encoder, while a scalar encoded on
+    its own goes through the C encoder."""
+    head = "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in meta.items())
+    if not rows:
+        return f"{{\n{head}  {json.dumps(key)}: []\n}}\n"
+    names = [json.dumps(h).replace("%", "%%") for h in header]
+    template = "    {\n" + ",\n".join(f"      {name}: %s" for name in names) + "\n    }"
+    body = ",\n".join(template % tuple(map(json.dumps, row)) for row in rows)
+    return f"{{\n{head}  {json.dumps(key)}: [\n{body}\n  ]\n}}\n"
 
 
 # ---------------------------------------------------------------------------

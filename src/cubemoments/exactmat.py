@@ -2,18 +2,23 @@
 
 Matrices are plain list-of-list rows holding ints or exact rationals; all
 arithmetic stays exact.  integer_form is the one helper that scales a
-rational matrix to ints, by the lcm of its denominators.  rational_product
-owns that step for every exact product outside the modular and elimination
-kernels: it scales each factor, multiplies the chain over Python ints with
-mat_mul (which keeps ints as ints) and divides each entry back once, always
-returning rationals.  rank, det, solve_consistent and
-schur.schur_complement share one kernel, eliminate: a fraction-free
-(Bareiss) elimination over Python ints, whose every division by the
-previous pivot is exact and is checked to be, with the first nonzero entry
-of each column as pivot.  eliminate_symmetric takes the same steps with
-diagonal pivots only: its pivots decide semidefiniteness (psd_pivots), and
-the block it leaves is the Schur complement of the rows it eliminated, so
-schur's iterated chain reads both from one pass.
+rational matrix to ints, by the lcm of its denominators
+(indexed_integer_form gives the same ints gathered, as distinct values and
+an index array).  rational_product owns that step for every exact product
+whose entries are wanted, outside the modular and elimination kernels: it
+scales each factor, multiplies the chain over Python ints with mat_mul
+(which keeps ints as ints) and divides each entry back once, always
+returning rationals.  A product that is only compared with a known matrix
+is not formed: product_equals decides A B / den_ab = C / den_c for gathered
+integer matrices as one zero test on float64 residues (below).  rank,
+det, solve_consistent and schur.schur_complement share one kernel,
+eliminate: a fraction-free (Bareiss) elimination over Python ints, whose
+every division by the previous pivot is exact and is checked to be, with
+the first nonzero entry of each column as pivot.  eliminate_symmetric
+takes the same steps with diagonal pivots only: its pivots decide
+semidefiniteness (psd_pivots), and the block it leaves is the Schur
+complement of the rows it eliminated, so schur's iterated chain reads both
+from one pass.
 
 Every modular step uses one prime table, POWER_PRIMES, all below 2^21.
 Rank claims are lower bounds by rank_mod_at_least(residues, p, r): an
@@ -37,7 +42,8 @@ tolerance enters.  A value known to satisfy |x| <= S comes back exactly
 from its residues under primes_exceeding(2 * S), the shortest prefix of
 POWER_PRIMES whose product exceeds 2S, by crt_signed, which returns the
 representative of least absolute value; and it is zero exactly when every
-one of those residues is.
+one of those residues is.  product_equals applies that to D = den_c A B -
+den_ab C, with S bounded from the largest gathered values.
 """
 
 from __future__ import annotations
@@ -72,10 +78,26 @@ def integer_form(rows: list):
     entries of rows and int_rows = den * rows entrywise, over Python ints.
     Entries repeat as objects (a Gram kernel holds one per distinct value),
     so each distinct object is scaled once and looked up by identity."""
+    scaled, den = _scaled_distinct(rows)
+    return [[scaled[id(x)] for x in row] for row in rows], den
+
+
+def _scaled_distinct(rows: list):
+    """({id(x): den * x}, den) over the distinct objects x among the exact
+    entries of rows, den the lcm of their denominators."""
     distinct = {id(x): x for row in rows for x in row}
     den = math.lcm(*(int(x.denominator) for x in distinct.values()))
-    scaled = {key: _scaled_int(x, den) for key, x in distinct.items()}
-    return [[scaled[id(x)] for x in row] for row in rows], den
+    return {key: _scaled_int(x, den) for key, x in distinct.items()}, den
+
+
+def indexed_integer_form(rows: list):
+    """((values, index), den): integer_form(rows) as a gathered matrix, the
+    distinct scaled entries as Python ints and an int array of positions
+    into them, so values[index[i, j]] = den * rows[i][j]."""
+    scaled, den = _scaled_distinct(rows)
+    position = {key: k for k, key in enumerate(scaled)}
+    index = np.array([[position[id(x)] for x in row] for row in rows], dtype=np.intp)
+    return (list(scaled.values()), index), den
 
 
 def rational_product(*factors) -> list:
@@ -237,6 +259,37 @@ def power_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     entry sums fewer than 2048 products below 2^42, so it is exact."""
     require_float_exact(a.shape[1])
     return np.fmod(a @ b, p)
+
+
+def product_equals(a: tuple, b: tuple, c: tuple, den_ab: int, den_c: int) -> bool:
+    """Whether A B / den_ab = C / den_c, exactly, for integer matrices A, B
+    and C given gathered, each as a pair (values, index) of Python ints and
+    an int array of positions into them: the matrix is values[index].
+
+    That holds iff D = den_c A B - den_ab C is zero.  With k the inner
+    dimension, no entry of D passes S = k max|A| max|B| den_c + max|C|
+    den_ab, so D is taken modulo primes_exceeding(2S), whose product P
+    exceeds 2S: a multiple of P no larger than S in absolute value is 0, so
+    D is zero exactly when every residue is.  Modulo each prime p the values
+    are reduced once and gathered into float64 residue matrices, A B comes
+    from power_product, and each term of D is below p^2 < 2^42, so their
+    difference is exact; no tolerance enters.  The first prime with a
+    nonzero residue ends the test."""
+    (m, k), (rows_b, cols) = a[1].shape, b[1].shape
+    if rows_b != k or c[1].shape != (m, cols):
+        raise ValueError(f"shapes {a[1].shape} x {b[1].shape} != {c[1].shape}")
+    require_float_exact(k)
+    tops = [max(map(abs, values), default=0) for values, _ in (a, b, c)]
+    bound = k * tops[0] * tops[1] * den_c + tops[2] * den_ab
+    for p in primes_exceeding(2 * bound):
+        a_p, b_p, c_p = (
+            np.array([v % p for v in values], dtype=np.float64)[index]
+            for values, index in (a, b, c)
+        )
+        diff = power_product(a_p, b_p, p) * (den_c % p) - c_p * (den_ab % p)
+        if np.fmod(diff, p).any():
+            return False
+    return True
 
 
 def mod_combination(weights: list, powers: list, p: int) -> np.ndarray:

@@ -141,19 +141,23 @@ def parity_blocks(y: PseudomomentMatrix):
     """([(masks, rows)] for the even- then the odd-size block of Y, den):
     masks in Y's (size, mask) order, rows the block times den over Python
     ints, den the lcm of the denominators of Y's entries.  Y is their direct
-    sum; a nonzero entry between them (an a_odd) raises InconsistentBlockError."""
+    sum; a nonzero entry between them (an a_odd) raises InconsistentBlockError.
+    Y is scaled to ints once, and both the test and the split read the ints."""
+    rows, den = xm.integer_form(y.rows)
     groups = ([], [])
     for i, s in enumerate(y.subsets):
         groups[s.bit_count() & 1].append(i)
     for i in groups[0]:
+        row = rows[i]
         for j in groups[1]:
-            if y.rows[i][j] != 0 or y.rows[j][i] != 0:
+            if row[j] or rows[j][i]:
                 raise InconsistentBlockError(
                     f"cross-parity entry ({i},{j}) nonzero at n={y.n}"
                 )
-    rows, den = xm.integer_form([[y.rows[i][j] for j in idx] for idx in groups for i in idx])
-    rows = iter(rows)
-    return [([y.subsets[i] for i in idx], [next(rows) for _ in idx]) for idx in groups], den
+    return [
+        ([y.subsets[i] for i in idx], [[rows[i][j] for j in idx] for i in idx])
+        for idx in groups
+    ], den
 
 
 def matrix_structure_check(n: int) -> Report:

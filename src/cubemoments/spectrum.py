@@ -599,24 +599,12 @@ def moment_contractions_check(n: int) -> Report:
     return report
 
 
-def gram_reconstruction_check(n: int) -> Report:
-    """Y = sum_d sigma_d^2 G_d exactly, where (G_d)_{S,T} is rebuilt from the
-    tight-frame expansion (1/(f_{d,d} sigma_d^4)) sum_R E[x^S h_R] E[x^T h_R].
-    Each G_d is a scaled product U_d U_d^T of a rational matrix with its own
-    transpose, hence positive semidefinite by construction.  The whole sum
-    is one product (U W) U^T (exactmat.rational_product, which owns the
-    scaling to ints): U holds the columns U_d side by side, and U W is U
-    with the columns of degree d scaled by 1 / (f_{d,d} sigma_d^2), read
-    from a per-degree table of weighted values."""
-    cb.check_n(n, cap=RECONSTRUCTION_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    report = Report()
-    y = build_Y(n)
-    u = [[] for _ in y.subsets]
-    uw = [[] for _ in y.subsets]
+def frame_tables(n: int) -> list:
+    """[(values, weighted)] for d = 0..d_max: values[(d', ell)] = E[x^S h_R]
+    for |S| = d', |R| = d and |S cap R| = ell, which depends only on those
+    sizes, and weighted[(d', ell)] the same times 1 / (f_{d,d} sigma_d^2)."""
+    tables = []
     for d in range(cb.d_max(n) + 1):
-        # E[x^S h_R] depends only on (|S|, |S cap R|); build that table once
         values = {
             (dp, ell): E_xS_hT_closed(n, dp, d, ell) if dp >= d else contract_x_h(n, s, t)
             for dp in range(cb.d_max(n) + 1)
@@ -625,15 +613,44 @@ def gram_reconstruction_check(n: int) -> Report:
         scale = sigma_sq(n, d) / (
             (Q(n, n - 1) ** d / math.factorial(d)) * sigma_sq(n, d) ** 2
         )
-        weighted = {key: value * scale for key, value in values.items()}
-        r_masks = cb.subsets_of_size(n, d)
-        for row, wrow, s in zip(u, uw, y.subsets):
-            keys = [(s.bit_count(), (s & r).bit_count()) for r in r_masks]
-            row.extend(values[key] for key in keys)
-            wrow.extend(weighted[key] for key in keys)
-    total = xm.rational_product(uw, list(zip(*u)))
+        tables.append((values, {key: value * scale for key, value in values.items()}))
+    return tables
+
+
+def gram_reconstruction_check(n: int) -> Report:
+    """Y = sum_d sigma_d^2 G_d exactly, where (G_d)_{S,T} is rebuilt from the
+    tight-frame expansion (1/(f_{d,d} sigma_d^4)) sum_R E[x^S h_R] E[x^T h_R].
+    Each G_d is a scaled product U_d U_d^T of a rational matrix with its own
+    transpose, hence positive semidefinite by construction.  The whole sum
+    is one product (U W) U^T: U holds the columns U_d side by side, and U W
+    is U with the columns of degree d scaled by 1 / (f_{d,d} sigma_d^2).
+    Both are gathered from frame_tables: their entries, scaled to ints over
+    all degrees at once, are indexed by (d, |S|, |S cap R|), so U's index
+    array comes from popcounts and no entry of U is built.  The claim is one
+    exact zero test, exactmat.product_equals of (U W) U^T against Y on
+    float64 residues."""
+    cb.check_n(n, cap=RECONSTRUCTION_MAX_N)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    report = Report()
+    y = build_Y(n)
+    tables = frame_tables(n)
+    (u_values,), den_u = xm.integer_form([[x for v, _ in tables for x in v.values()]])
+    (uw_values,), den_uw = xm.integer_form([[x for _, w in tables for x in w.values()]])
+    subsets = np.array(y.subsets)
+    sizes = np.bitwise_count(subsets)
+    blocks, offset = [], 0
+    for d, (values, _) in enumerate(tables):
+        position = np.zeros((cb.d_max(n) + 1, d + 1), dtype=np.intp)
+        for k, (dp, ell) in enumerate(values):
+            position[dp, ell] = offset + k
+        offset += len(values)
+        r_masks = np.array(cb.subsets_of_size(n, d))
+        blocks.append(position[sizes[:, None], np.bitwise_count(subsets[:, None] & r_masks)])
+    index = np.hstack(blocks)
+    target, den_y = xm.indexed_integer_form(y.rows)
     report.expect(
-        xm.mat_eq(total, y.rows),
+        xm.product_equals((uw_values, index), (u_values, index.T), target, den_uw * den_u, den_y),
         f"frame reconstruction does not reproduce Y at n={n}",
     )
     return report

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cubemoments
+import cubemoments.cli as cli
 import cubemoments.combinatorics as cb
 import cubemoments.pseudomoments as pm
 from cubemoments.cli import main
@@ -93,6 +94,21 @@ def test_matrix_export_matches_reference_rendering(tmp_path):
             out = tmp_path / f"y{n}.{fmt}"
             assert main(["matrix", "--n", str(n), "--format", fmt, "--out", str(out)]) == 0
             assert out.read_bytes() == text.encode("utf-8"), (n, fmt)
+
+
+def test_json_table_layout_matches_the_indent_2_encoder():
+    # columns of one type, mixed types (1, True and 1.0 are equal keys but
+    # encode apart), escapes, a "%" in a header and an empty table
+    header = ("label", "count", "mixed", "100%")
+    rows = [
+        ("1-2", 3, 1, 'q"uo\\te'),
+        ("\u00e9", -4, True, None),
+        ("1-2", 3, 1.0, 0.5),
+    ]
+    meta = {"n": 4, "d": 2}
+    for table in (rows, rows[:1], []):
+        want = json.dumps({**meta, "rows": [dict(zip(header, r)) for r in table]}, indent=2)
+        assert cli._json_table(header, table, "rows", meta) == want + "\n"
 
 
 def test_matrix_capacity_error():

@@ -739,3 +739,54 @@ def test_eliminate_symmetric_resumes_where_it_paused():
     assert witness is None
     assert xm.eliminate_symmetric(whole, 0, 5, den=den) == (prev, first + second, None)
     assert first + second == xm.psd_pivots(gram)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _matrices())
+def test_product_equals_matches_fraction_reference(data, a):
+    b = data.draw(_matrices(rows=len(a[0])))
+    (ga, den_a), (gb, den_b) = map(xm.indexed_integer_form, (a, b))
+    want = ref_product(a, b)
+    gc, den_c = xm.indexed_integer_form(want)
+    assert xm.product_equals(ga, gb, gc, den_a * den_b, den_c)
+    i = data.draw(st.integers(0, len(want) - 1))
+    j = data.draw(st.integers(0, len(want[0]) - 1))
+    shift = data.draw(st.sampled_from((Fraction(1), Fraction(-1, 3), Fraction(1, 10**30))))
+    wrong = [list(row) for row in want]
+    wrong[i][j] += shift
+    gw, den_w = xm.indexed_integer_form(wrong)
+    assert not xm.product_equals(ga, gb, gw, den_a * den_b, den_w)
+
+
+def test_product_equals_takes_as_many_primes_as_the_bound_needs():
+    # 3 * 5 = 15, and 15 + p agrees with it modulo the first prime p alone:
+    # only the second prime, which the bound asks for, sees the difference
+    p = xm.POWER_PRIMES[0]
+    one = np.zeros((1, 1), dtype=np.intp)
+    a, b = ([3], one), ([5], one)
+    assert xm.product_equals(a, b, ([15], one), 1, 1)
+    assert (15 + p) % p == 15
+    assert not xm.product_equals(a, b, ([15 + p], one), 1, 1)
+    assert len(xm.primes_exceeding(2 * (3 * 5 + 15 + p))) == 2
+    # the same with the difference p spread over the scales: 2 * 15 vs 30 + p
+    assert xm.product_equals(a, b, ([30], one), 1, 2)
+    assert not xm.product_equals(a, b, ([30 + p], one), 1, 2)
+
+
+def test_product_equals_refuses_an_inner_dimension_past_float_exactness():
+    k = xm.FLOAT_EXACT_ROWS
+    a = ([1], np.zeros((1, k), dtype=np.intp))
+    b = ([1], np.zeros((k, 1), dtype=np.intp))
+    c = ([k], np.zeros((1, 1), dtype=np.intp))
+    with pytest.raises(ValueError, match="float64 residue products are exact below"):
+        xm.product_equals(a, b, c, 1, 1)
+    narrow = ([1], np.zeros((1, k - 1), dtype=np.intp)), ([1], np.zeros((k - 1, 1), dtype=np.intp))
+    assert xm.product_equals(*narrow, ([k - 1], np.zeros((1, 1), dtype=np.intp)), 1, 1)
+
+
+def test_indexed_integer_form_gathers_integer_form():
+    rows = [[Q(1, 2), Q(1, 3)], [Q(-5, 6), 2]]
+    (values, index), den = xm.indexed_integer_form(rows)
+    ints, want_den = xm.integer_form(rows)
+    assert den == want_den == 6
+    assert [[values[k] for k in row] for row in index.tolist()] == ints

@@ -1,10 +1,12 @@
 """Argument guards: each refuses a bad argument with its own error and text."""
 
+import numpy as np
 import pytest
 
 from cubemoments import apolar as ap
 from cubemoments import characters as ch
 from cubemoments import combinatorics as cb
+from cubemoments import exactmat as xm
 from cubemoments import pseudomoments as pm
 from cubemoments import schur as su
 from cubemoments import spectrum as sp
@@ -106,6 +108,17 @@ _GUARDS = {
         "cycle type (3,) is not a partition of 4",
     ),
     "iterated_schur_on_Y": (lambda: su.iterated_schur_on_Y(1), "need n >= 2, got 1"),
+    # exactmat
+    "product_equals shapes": (
+        lambda: xm.product_equals(
+            ([1], np.zeros((2, 3), dtype=np.intp)),
+            ([1], np.zeros((3, 2), dtype=np.intp)),
+            ([1], np.zeros((2, 3), dtype=np.intp)),
+            1,
+            1,
+        ),
+        "shapes (2, 3) x (3, 2) != (2, 3)",
+    ),
 }
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -477,6 +478,57 @@ def test_gram_reconstruction_fails_on_wrong_degree_weight(monkeypatch):
         report = gram_reconstruction_check(n)
         assert not report.ok, n
         assert report.details == [f"frame reconstruction does not reproduce Y at n={n}"]
+
+
+def _reconstruction_by_rational_product(n):
+    # the dense route: U and U W filled entry by entry from the same tables,
+    # (U W) U^T as one rational product, compared with Y entrywise
+    y = sp.build_Y(n)
+    u, uw = [[] for _ in y.subsets], [[] for _ in y.subsets]
+    for d, (values, weighted) in enumerate(sp.frame_tables(n)):
+        for row, wrow, s in zip(u, uw, y.subsets):
+            keys = [(s.bit_count(), (s & r).bit_count()) for r in cb.subsets_of_size(n, d)]
+            row.extend(values[key] for key in keys)
+            wrow.extend(weighted[key] for key in keys)
+    return xm.mat_eq(xm.rational_product(uw, list(zip(*u))), y.rows)
+
+
+def _corrupt_moment(monkeypatch):
+    def corrupted(n, d_prime, d, ell):
+        value = E_xS_hT_closed(n, d_prime, d, ell)
+        return value + Q(1, 1000) if (d_prime, d, ell) == (2, 1, 1) else value
+
+    monkeypatch.setattr(sp, "E_xS_hT_closed", corrupted)
+
+
+def _corrupt_degree_weight(monkeypatch):
+    original = sp.sigma_sq
+    monkeypatch.setattr(sp, "sigma_sq", lambda n, d: original(n, d) + (1 if d == 1 else 0))
+
+
+def _corrupt_Y_entry(monkeypatch):
+    original = sp.build_Y
+
+    def corrupted(n):
+        y = original(n)
+        rows = [list(row) for row in y.rows]
+        rows[-1][1] += Q(1, 7)
+        return replace(y, rows=rows)
+
+    monkeypatch.setattr(sp, "build_Y", corrupted)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [None, _corrupt_moment, _corrupt_degree_weight, _corrupt_Y_entry]
+)
+def test_gram_reconstruction_zero_test_matches_the_rational_product(monkeypatch, corrupt):
+    if corrupt:
+        corrupt(monkeypatch)
+    for n in range(2, sp.RECONSTRUCTION_MAX_N + 1):
+        want = _reconstruction_by_rational_product(n)
+        assert gram_reconstruction_check(n).ok == want, n
+        # the corrupted (d', d, ell) = (2, 1, 1) moment is read only from n = 4
+        assert want == (corrupt is None or (corrupt is _corrupt_moment and n < 4)), n
 
 
 def test_numeric_eigensolve():
