@@ -40,7 +40,7 @@ from .pseudomoments import (
     pseudo_gram,
     specht_x_basis,
 )
-from .report import Report
+from .report import Report, verified
 from .scalars import Q, QZERO, require_exact
 
 JOHNSON_MAX_N = 12
@@ -234,6 +234,7 @@ def apply_operator(q: SpanPoly, r: SpanPoly) -> SpanPoly:
     return sum(terms, SpanPoly(r.n, r.degree - q.degree))
 
 
+@verified("apolar.adjointness", 2, 6, "random triple")
 def adjointness_check(p: SpanPoly, q: SpanPoly, r: SpanPoly) -> Report:
     """Multiplication by q and application of q(d/dz) are adjoint:
     <p q, r> = (a! / (a+b)!) <p, q(d/dz) r> with a = deg p, b = deg q,
@@ -344,6 +345,7 @@ def _specht_gram(n: int, d: int, report: Report):
     return basis, gram
 
 
+@verified("apolar.projection_consistency", 2, 7, "projection solve", PROJECTION_MAX_N)
 def harmonic_projection_consistency(n: int) -> Report:
     """hS_span really is the apolar-orthogonal projection of the frame
     monomial over S onto the harmonic space: for every degree d <= n/2,
@@ -373,6 +375,7 @@ def harmonic_projection_consistency(n: int) -> Report:
 # identity checks over one n
 
 
+@verified("apolar.harmonicity", 2, 7, "harmonicity sweep")
 def harmonicity_check(n: int) -> Report:
     """Specht products and subset projections are frame harmonic."""
     report = Report()
@@ -389,6 +392,7 @@ def harmonicity_check(n: int) -> Report:
     return report
 
 
+@verified("apolar.specht_gram", 2, 9, "Gram rank")
 def specht_gram_check(n: int) -> Report:
     """The Specht basis has C(n,d) - C(n,d-1) members and a nonsingular
     apolar Gram matrix, for every 1 <= d <= n/2."""
@@ -398,6 +402,7 @@ def specht_gram_check(n: int) -> Report:
     return report
 
 
+@verified("apolar.johnson_slice", 2, 10, "slice Gram", JOHNSON_MAX_N)
 def johnson_slice_check(n: int) -> Report:
     """Slice Grams have spectrum floor n - 2d + 2: one exact PSD test of
     G - floor * I per degree.  Since d <= n/2 the floor is at least 2, so a
@@ -416,6 +421,7 @@ def johnson_slice_check(n: int) -> Report:
     return report
 
 
+@verified("apolar.sigma_bridge", 2, 9, "bridge Gram")
 def sigma_bridge_check(n: int) -> Report:
     """sigma_d^2 <h_S, h_T> equals E[h_S h_T] for all same-size pairs, and
     E[h_S h_T] vanishes for pairs of different sizes, in either order and at
@@ -457,6 +463,7 @@ def sigma_bridge_check(n: int) -> Report:
     return report
 
 
+@verified("apolar.ideal_kernel", 2, 7, "kernel sweep")
 def ideal_kernel_check(n: int) -> Report:
     """Multiples of the frame sum are semantically zero."""
     report = Report()
@@ -471,6 +478,7 @@ def ideal_kernel_check(n: int) -> Report:
     return report
 
 
+@verified("apolar.beta_identity", 2, 10, "pairing table")
 def beta_identity_check(n: int) -> Report:
     """Alternating overlap sums collapse to (-1)^d (n/(n-1))^d / d!."""
     report = Report()

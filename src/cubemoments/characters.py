@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from . import combinatorics as cb
 from .errors import UnsupportedCaseError
-from .report import Report
+from .report import Report, verified
 from .scalars import Q
 
 
@@ -144,6 +144,7 @@ def restricted_char_sum_bruteforce(n: int, d: int, a_mask: int, b_mask: int, k: 
     return Q(total, math.factorial(n))
 
 
+@verified("characters.dimension_identity", 2, 20, "character table")
 def dimension_identity_check(n: int) -> Report:
     """chi_(n-d,d) at the identity equals C(n,d) - C(n,d-1)."""
     report = Report()
@@ -155,6 +156,8 @@ def dimension_identity_check(n: int) -> Report:
     return report
 
 
+@verified("characters.two_row_routes", 2, cb.BRUTE_FORCE_MAX_N, "class enumeration",
+          cb.BRUTE_FORCE_MAX_N)
 def two_row_routes_check(n: int) -> Report:
     """chi_(n-d,d) = c_d - c_(d-1) with the counts read off the generating
     function prod_l (1 + x^l), against the same difference with c_a counted
@@ -169,6 +172,8 @@ def two_row_routes_check(n: int) -> Report:
     return report
 
 
+@verified("characters.orthonormality", 2, 8, "class-function inner product",
+          cb.PARTITION_MAX_N)
 def orthonormality_check(n: int) -> Report:
     """<chi_d, chi_e> = [d = e] for the two-row characters of S_n."""
     report = Report()
@@ -181,6 +186,7 @@ def orthonormality_check(n: int) -> Report:
     return report
 
 
+@verified("characters.restricted_sums", 2, 7, "S_n sweep", cb.BRUTE_FORCE_MAX_N)
 def restricted_sums_check(n: int) -> Report:
     """Closed restricted character sums against full S_n enumeration, on
     every supported (d, a, b, overlap, k)."""
@@ -282,6 +288,8 @@ def g_to_f_expand(n: int, a: int, b: int, k: int, l: int) -> ClassFunction:
     return _class_function(n, value)
 
 
+@verified("appendix.euler_transform", 2, 6, "subset enumeration",
+          cb.BRUTE_FORCE_MAX_N)
 def euler_transform_check(n: int) -> Report:
     """Binomial-transform identities tying the f statistics together.
 
@@ -322,6 +330,8 @@ def euler_transform_check(n: int) -> Report:
     return report
 
 
+@verified("appendix.g_to_f_expansion", 2, 6, "subset-pair enumeration",
+          cb.BRUTE_FORCE_MAX_N)
 def g_to_f_expansion_check(n: int) -> Report:
     """g_to_f_expand against the enumerated g on every a <= b and overlaps."""
     report = Report()
@@ -361,6 +371,7 @@ def char_g_inner(n: int, d: int, a: int, b: int, k: int, l: int):
     return Q(sign * cb.binomial(d, k) * cb.binomial(d, l) * cb.binomial(n - 2 * d, b - d))
 
 
+@verified("appendix.char_inner", 2, 6, "subset-pair enumeration", cb.BRUTE_FORCE_MAX_N)
 def char_inner_check(n: int) -> Report:
     """Closed <g, chi> inner products against direct class sums."""
     report = Report()

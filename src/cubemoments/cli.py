@@ -100,15 +100,11 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-SPECTRUM_EXACT_MAX_N = sp.ORDER_MAX_N
-
-
 def _cmd_spectrum(args) -> int:
     n = args.n
-    if not (2 <= n <= SPECTRUM_EXACT_MAX_N):
+    if not (2 <= n <= sp.ORDER_MAX_N):
         raise ValueError(
-            f"closed-form spectra are audited for 2 <= n <= "
-            f"{SPECTRUM_EXACT_MAX_N}, got {n}"
+            f"closed-form spectra are audited for 2 <= n <= {sp.ORDER_MAX_N}, got {n}"
         )
     payload = {
         "n": n,
@@ -145,15 +141,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-CHARACTERS_MAX_N = cb.PARTITION_MAX_N
-
-
 def _cmd_characters(args) -> int:
     n, d = args.n, args.d
-    if not (2 <= n <= CHARACTERS_MAX_N):
-        raise ValueError(
-            f"character tables need 2 <= n <= {CHARACTERS_MAX_N}, got {n}"
-        )
+    if not (2 <= n <= cb.PARTITION_MAX_N):
+        raise ValueError(f"character tables need 2 <= n <= {cb.PARTITION_MAX_N}, got {n}")
     if not (0 <= 2 * d <= n):
         raise ValueError(f"two-row shape needs 0 <= d <= n/2, got d={d}")
     # identity first, so the table reads in ascending class order

@@ -36,7 +36,7 @@ from . import combinatorics as cb
 from . import exactmat as xm
 from .characters import char_class_function, image_overlap_counts
 from .errors import InconsistentBlockError
-from .report import Report
+from .report import Report, verified
 from .scalars import Q, QZERO, require_exact
 
 BUILD_MAX_N = 12        # dense exact storage ceiling: the largest n any exact route builds
@@ -75,6 +75,7 @@ def a_coeff(n: int, k: int):
     return _a_values(n)[k]
 
 
+@verified("pseudomoments.moment_recursion", 2, 30, "moment recursion")
 def a_recursion_check(n: int) -> Report:
     """Defining three-term recursion plus the formal-binomial form of a_k."""
     report = Report()
@@ -160,6 +161,7 @@ def parity_blocks(y: PseudomomentMatrix):
     ], den
 
 
+@verified("pseudomoments.matrix_structure", 2, 10, "dense matrix scan", BUILD_MAX_N)
 def matrix_structure_check(n: int) -> Report:
     """Symmetry, unit diagonal, moment first row, parity zeros of Y."""
     report = Report()
@@ -345,6 +347,7 @@ def pseudo_gram(n: int, ps, qs) -> list:
     return bilinear_gram(ps, qs, lambda b, c: (b ^ c).bit_count(), a.__getitem__)
 
 
+@verified("pseudomoments.ideal_annihilation", 2, 10, "monomial sweep")
 def ideal_annihilation_check(n: int) -> Report:
     """The pseudoexpectation kills (sum x_i) x^S for every |S| < n; the
     full-set monomial sits outside the three-term recursion's range."""
@@ -392,6 +395,8 @@ def balanced_measure_moment_enum(n: int, mask: int):
     return Q(total, cb.binomial(n, n // 2))
 
 
+@verified("pseudomoments.balanced_moments", 2, 12, "balanced enumeration",
+          BALANCED_ENUM_MAX_N)
 def balanced_moments_check(n: int) -> Report:
     """Closed balanced-measure moments against enumeration and the a_k
     table, on the lowest and the highest k elements for every k (even n)."""
@@ -469,6 +474,8 @@ def E_hS_squared_direct(n: int, d: int):
     return pseudo_gram(n, [isotypic_h(n, s_mask)], [x_monomial(n, s_mask)])[0][0]
 
 
+@verified("pseudomoments.isotypic_projection", 2, 6, "S_n average",
+          ISOTYPIC_BRUTE_MAX_N)
 def isotypic_projection_check(n: int) -> Report:
     """Closed-form h_S against the group average, for every |S| <= n/2."""
     report = Report()
@@ -483,6 +490,7 @@ def isotypic_projection_check(n: int) -> Report:
     return report
 
 
+@verified("pseudomoments.harmonic_norms", 2, 12, "contraction sweep")
 def harmonic_norms_check(n: int) -> Report:
     """E_hS_squared against the contraction E[h_S x^S], for every d."""
     report = Report()
@@ -521,6 +529,7 @@ def finite_difference_a_direct(n: int, a: int, k: int):
     )
 
 
+@verified("pseudomoments.finite_difference", 2, 12, "alternating sum")
 def finite_difference_check(n: int) -> Report:
     """finite_difference_a against the literal alternating sum."""
     report = Report()
@@ -574,6 +583,8 @@ def hypercube_vectors(n: int) -> np.ndarray:
     return np.array(vectors, dtype=np.int64).reshape(-1, 1 << n)
 
 
+@verified("pseudomoments.hypercube_decomposition", 2, 8, "exact rank",
+          DECOMPOSITION_MAX_N)
 def hypercube_decomposition_check(n: int) -> Report:
     """The multilinear function space splits as sums of (sum x)^t times the
     two-row pieces: counts the dimensions and certifies exact full rank 2^n

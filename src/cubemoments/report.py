@@ -1,7 +1,9 @@
-"""Small result carrier for verification-style checks."""
+"""Small result carrier for verification-style checks, and the record of
+how far `cubemoments verify` runs each check, declared beside the check."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
@@ -38,3 +40,20 @@ class Report:
         self.ok = self.ok and other.ok
         self.details.extend(other.details)
         self.checked += other.checked
+
+
+Span = namedtuple("Span", "name lo cap guard max_n check")  # verify's row, by @verified
+SPANS: list[Span] = []
+
+
+def verified(name: str, lo: int, cap: int, guard: str, max_n: int | None = None):
+    """Declare a check's verify name and the n range [lo, cap] verify covers
+    (by check(n) per n, unless verify drives it); guard names what the cap
+    protects, as verify prints it, and max_n is the guard check(n) reaches
+    first (check(max_n + 1) raises ValueError), or None.  Returns check."""
+
+    def register(check):
+        SPANS.append(Span(name, lo, cap, guard, max_n, check))
+        return check
+
+    return register

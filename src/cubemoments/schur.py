@@ -34,7 +34,7 @@ from . import combinatorics as cb
 from . import exactmat as xm
 from .apolar import apolar_gram, hS_span, sigma_sq
 from .pseudomoments import build_Y, parity_blocks
-from .report import Report
+from .report import Report, verified
 from .rng import SplitMix64
 from .scalars import Q, QZERO
 
@@ -224,6 +224,8 @@ def iterated_schur_on_Y(n: int, steps: int = None):
     return blocks, report
 
 
+@verified("schur.iterated_elimination", 2, ITERATED_MAX_N, "iterated elimination",
+          ITERATED_MAX_N)
 def iterated_elimination_check(n: int) -> Report:
     """iterated_schur_on_Y(n) over every degree: its report, the degree-0
     block [[1]], one block per degree, and block k of size C(n, k)."""

@@ -65,7 +65,7 @@ from .pseudomoments import (
     pseudo_gram,
     x_monomial,
 )
-from .report import Report
+from .report import Report, verified
 from .scalars import Q, QZERO
 
 ANNIHILATION_MAX_N = 12
@@ -107,6 +107,7 @@ def zero_multiplicity(n: int) -> int:
     return cb.binomial_le(n, cb.d_max(n) - 1)
 
 
+@verified("spectrum.eigenvalue_recursion", 3, ORDER_MAX_N, "closed form", ORDER_MAX_N)
 def eigenvalue_recursion_check(n: int) -> Report:
     """lambda_{n,d} = (n/(n-1)) lambda_{n-2,d-1} from the closed form alone,
     for every admissible d at one n >= 3."""
@@ -141,6 +142,7 @@ class OrderReport:
     report: Report = field(default_factory=Report)
 
 
+@verified("spectrum.positivity_and_order", 2, ORDER_MAX_N, "closed form", ORDER_MAX_N)
 def distinctness_and_order_report(n: int) -> OrderReport:
     cb.check_n(n, cap=ORDER_MAX_N)
     if n < 2:
@@ -430,6 +432,8 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
     )
 
 
+@verified("spectrum.exact_certificate", 2, 9, "exact matrix-power budget",
+          ANNIHILATION_MAX_N)
 def exact_certificate_check(n: int) -> Report:
     """exact_spectrum_certificate(n) as one report: its comparisons plus the
     verdict of annihilation, trace moments, rank and positivity together."""
@@ -548,6 +552,7 @@ def lambda_via_frames(n: int, d: int):
     return sigma_sq(n, d) * total
 
 
+@verified("spectrum.eta_routes", 2, 10, "overlap summation")
 def eta_routes_check(n: int) -> Report:
     """Closed frame coefficients against the overlap summation."""
     report = Report()
@@ -566,6 +571,7 @@ def eta_routes_check(n: int) -> Report:
     return report
 
 
+@verified("spectrum.frame_decomposition", 2, 12, "frame table")
 def frame_decomposition_check(n: int) -> Report:
     """Eigenvalues reassemble from the tight-frame coefficient table, and
     the diagonal frame constant is (n/(n-1))^d / d!."""
@@ -582,6 +588,7 @@ def frame_decomposition_check(n: int) -> Report:
     return report
 
 
+@verified("spectrum.moment_contractions", 2, 8, "contraction sweep")
 def moment_contractions_check(n: int) -> Report:
     """Closed E[x^S h_T] against direct contraction."""
     report = Report()
@@ -617,6 +624,8 @@ def frame_tables(n: int) -> list:
     return tables
 
 
+@verified("spectrum.gram_reconstruction", 2, RECONSTRUCTION_MAX_N,
+          "Gram reconstruction", RECONSTRUCTION_MAX_N)
 def gram_reconstruction_check(n: int) -> Report:
     """Y = sum_d sigma_d^2 G_d exactly, where (G_d)_{S,T} is rebuilt from the
     tight-frame expansion (1/(f_{d,d} sigma_d^4)) sum_R E[x^S h_R] E[x^T h_R].
@@ -773,6 +782,8 @@ def numeric_agreement(n: int):
     return got, want, worst
 
 
+@verified("spectrum.numeric_agreement", 2, NUMERIC_MAX_N, "float eigensolve",
+          NUMERIC_MAX_N)
 def numeric_agreement_check(n: int) -> Report:
     """The float eigensolver agrees with the closed multiset to 1e-9
     relative, eigenvalue by eigenvalue."""

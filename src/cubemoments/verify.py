@@ -2,14 +2,15 @@
 
 Each cross-route identity is implemented once, as a function
 <identity>_check(n) -> Report in the module that owns its routes; the
-acceptance tests call the same functions.  This module holds only their
-stable dotted names (suite.check), the n range each may cover and the
-guard that bounds it, plus the few checks that are not one call per n.
+acceptance tests call the same functions.  Beside its definition,
+report.verified declares its stable dotted name (suite.check), the n range
+verify covers and the guard that bounds it, so raising a cap is a one-line
+edit there; this module adds the few checks that are not one call per n.
 run_verify executes the selected suites over an n range, clamping each
-check to its own guard: values of n beyond a guard are simply not covered,
-and a check whose guard excludes the whole requested range reports
-"skipped" with the reason rather than failing.  Overall success is the
-conjunction of the non-skipped checks.
+check to its span: values of n beyond it are simply not covered, and a
+check whose span excludes the whole requested range reports "skipped" with
+the reason rather than failing.  Overall success is the conjunction of the
+non-skipped checks.
 
 Randomized checks draw from a SplitMix64 seeded per check, so reports are
 reproducible and independent of execution order; results are sorted by
@@ -23,13 +24,14 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
+# importing a check module declares its checks' spans in report.SPANS
 from . import apolar as ap
-from . import characters as ch
+from . import characters  # noqa: F401
 from . import combinatorics as cb
 from . import pseudomoments as pm
 from . import schur as su
 from . import spectrum as sp
-from .report import Report
+from .report import SPANS, Report
 from .rng import SplitMix64
 
 DEFAULT_SEED = 42
@@ -111,77 +113,29 @@ class _Skipped(Exception):
     """Raised by a check whose guard excludes the whole requested range."""
 
 
-def _span(ctx: VerifyContext, rep: Report, lo: int, hi: int, guard: str) -> range:
-    """The n values to cover: the requested range clamped to [lo, hi]."""
-    start, stop = max(ctx.n_min, lo), min(ctx.n_max, hi)
+_SPANS = {span.name: span for span in SPANS}
+
+
+def _span(ctx: VerifyContext, rep: Report, name: str) -> range:
+    """The n values to cover: the requested range clamped to the span
+    declared beside the check."""
+    span = _SPANS[name]
+    start, stop = max(ctx.n_min, span.lo), min(ctx.n_max, span.cap)
     if start > stop:
         raise _Skipped(
-            f"no n in [{ctx.n_min}, {ctx.n_max}] within the {guard} guard "
-            f"[{lo}, {hi}]"
+            f"no n in [{ctx.n_min}, {ctx.n_max}] within the {span.guard} guard "
+            f"[{span.lo}, {span.cap}]"
         )
-    if ctx.n_max > hi:
-        rep.note(f"n capped at {hi} ({guard} guard)")
+    if ctx.n_max > span.cap:
+        rep.note(f"n capped at {span.cap} ({span.guard} guard)")
     return range(start, stop + 1)
 
 
-# Checks of one identity per n, as (name, lo, hi, guard, check): check(n)
-# returns a Report, and run_verify calls it for every requested n in
-# [lo, hi]; guard names what the bound protects against.
-_PER_N = [
-    ("characters.dimension_identity", 2, 20, "character table", ch.dimension_identity_check),
-    ("characters.two_row_routes", 2, cb.BRUTE_FORCE_MAX_N, "class enumeration",
-     ch.two_row_routes_check),
-    ("characters.orthonormality", 2, 8, "class-function inner product",
-     ch.orthonormality_check),
-    ("characters.restricted_sums", 2, 7, "S_n sweep", ch.restricted_sums_check),
-    ("appendix.g_to_f_expansion", 2, 6, "subset-pair enumeration",
-     ch.g_to_f_expansion_check),
-    ("appendix.euler_transform", 2, 6, "subset enumeration", ch.euler_transform_check),
-    ("appendix.char_inner", 2, 6, "subset-pair enumeration", ch.char_inner_check),
-    ("pseudomoments.moment_recursion", 2, 30, "moment recursion", pm.a_recursion_check),
-    ("pseudomoments.matrix_structure", 2, 10, "dense matrix scan",
-     pm.matrix_structure_check),
-    ("pseudomoments.ideal_annihilation", 2, 10, "monomial sweep",
-     pm.ideal_annihilation_check),
-    ("pseudomoments.isotypic_projection", 2, 6, "S_n average",
-     pm.isotypic_projection_check),
-    ("pseudomoments.harmonic_norms", 2, 12, "contraction sweep",
-     pm.harmonic_norms_check),
-    ("pseudomoments.finite_difference", 2, 12, "alternating sum",
-     pm.finite_difference_check),
-    ("pseudomoments.hypercube_decomposition", 2, 8, "exact rank",
-     pm.hypercube_decomposition_check),
-    ("apolar.harmonicity", 2, 7, "harmonicity sweep", ap.harmonicity_check),
-    ("apolar.specht_gram", 2, 9, "Gram rank", ap.specht_gram_check),
-    ("apolar.projection_consistency", 2, 7, "projection solve",
-     ap.harmonic_projection_consistency),
-    ("apolar.johnson_slice", 2, 10, "slice Gram", ap.johnson_slice_check),
-    ("apolar.sigma_bridge", 2, 9, "bridge Gram", ap.sigma_bridge_check),
-    ("apolar.ideal_kernel", 2, 7, "kernel sweep", ap.ideal_kernel_check),
-    ("apolar.beta_identity", 2, 10, "pairing table", ap.beta_identity_check),
-    ("spectrum.eigenvalue_recursion", 3, sp.ORDER_MAX_N, "closed form",
-     sp.eigenvalue_recursion_check),
-    ("spectrum.eta_routes", 2, 10, "overlap summation", sp.eta_routes_check),
-    ("spectrum.frame_decomposition", 2, 12, "frame table",
-     sp.frame_decomposition_check),
-    ("spectrum.exact_certificate", 2, 9, "exact matrix-power budget",
-     sp.exact_certificate_check),
-    ("spectrum.moment_contractions", 2, 8, "contraction sweep",
-     sp.moment_contractions_check),
-    ("spectrum.gram_reconstruction", 2, sp.RECONSTRUCTION_MAX_N, "Gram reconstruction",
-     sp.gram_reconstruction_check),
-    ("spectrum.numeric_agreement", 2, sp.NUMERIC_MAX_N, "float eigensolve",
-     sp.numeric_agreement_check),
-    ("schur.iterated_elimination", 2, su.ITERATED_MAX_N, "iterated elimination",
-     su.iterated_elimination_check),
-]
-
-
-def _per_n(lo: int, hi: int, guard: str, check):
-    module, attr = sys.modules[check.__module__], check.__name__
+def _per_n(span):
+    module, attr = sys.modules[span.check.__module__], span.check.__name__
 
     def run(ctx, rep):
-        for n in _span(ctx, rep, lo, hi, guard):
+        for n in _span(ctx, rep, span.name):
             # looked up per call, so a rebound module attribute is what runs
             rep.absorb(getattr(module, attr)(n))
 
@@ -189,9 +143,7 @@ def _per_n(lo: int, hi: int, guard: str, check):
 
 
 # (name, fn(ctx, rep)); a module-level list that tools may rewrite in place
-_CHECKS: list = [
-    (name, _per_n(lo, hi, guard, check)) for name, lo, hi, guard, check in _PER_N
-]
+_CHECKS: list = []
 
 
 def _check(name: str):
@@ -205,7 +157,7 @@ def _check(name: str):
 @_check("pseudomoments.balanced_moments")
 def _balanced_moments(ctx, rep):
     """Closed balanced-measure moments vs enumeration and the a_k table."""
-    ns = [n for n in _span(ctx, rep, 2, 12, "balanced enumeration") if n % 2 == 0]
+    ns = [n for n in _span(ctx, rep, "pseudomoments.balanced_moments") if n % 2 == 0]
     if not ns:
         raise _Skipped(
             f"the balanced measure exists only for even n; none in "
@@ -228,39 +180,30 @@ def _adjointness(ctx, rep):
             p = p + ap.span_monomial(n, key, coeff)
         return p
 
-    for n in _span(ctx, rep, 2, 6, "random triple"):
+    for n in _span(ctx, rep, "apolar.adjointness"):
         for _ in range(5):
-            a = rng.randint(1, 2)
-            b = rng.randint(1, 2)
-            rep.absorb(
-                ap.adjointness_check(
-                    random_span(n, a), random_span(n, b), random_span(n, a + b)
-                )
-            )
+            a, b = rng.randint(1, 2), rng.randint(1, 2)
+            p, q, r = random_span(n, a), random_span(n, b), random_span(n, a + b)
+            rep.absorb(ap.adjointness_check(p, q, r))
 
 
 @_check("spectrum.positivity_and_order")
 def _positivity_and_order(ctx, rep):
     """Positivity is asserted; distinctness and order are recorded."""
-    collisions = []
-    chain_fails = []
-    for n in _span(ctx, rep, 2, sp.ORDER_MAX_N, "closed form"):
+    collisions, chain_fails = [], []
+    for n in _span(ctx, rep, "spectrum.positivity_and_order"):
         orep = sp.distinctness_and_order_report(n)
         rep.absorb(orep.report)
         if not orep.distinct:
             collisions.append(n)
         if not orep.claimed_chain_holds:
             chain_fails.append(n)
-    if collisions or chain_fails:
-        parts = []
-        if chain_fails:
-            parts.append(f"the strict ordering chain fails at n={chain_fails}")
-        if collisions:
-            parts.append(f"eigenvalues collide at even n={collisions}")
+    parts = [f"the strict ordering chain fails at n={chain_fails}"] if chain_fails else []
+    parts += [f"eigenvalues collide at even n={collisions}"] if collisions else []
+    if parts:
         rep.note(
-            "documented discrepancy, not a failure: "
-            + " and ".join(parts)
-            + "; values, positivity, and multiplicities all verify"
+            f"documented discrepancy, not a failure: {' and '.join(parts)}; "
+            "values, positivity, and multiplicities all verify"
         )
 
 
@@ -276,6 +219,10 @@ def _volume_identity(ctx, rep):
     out = su.volume_identity_check(ctx.seed, trials=50)
     rep.absorb(out)
     rep.expect(out.checked >= 50, "volume identity check was vacuous")
+
+
+# every other declared span runs as one call of its check per n
+_CHECKS[:0] = [(s.name, _per_n(s)) for s in SPANS if s.name not in dict(_CHECKS)]
 
 
 # ---------------------------------------------------------------------------

@@ -344,3 +344,15 @@ def test_parity_blocks_split_Y():
         for parity, (masks, rows) in enumerate(parts):
             assert masks == [s for s in y.subsets if s.bit_count() & 1 == parity], n
             assert rows == [[y.entry(s, t) * den for t in masks] for s in masks], n
+
+
+def test_parity_blocks_refuse_a_one_sided_cross_parity_entry():
+    # the only cross-parity entry sits at (odd row, even column) with its
+    # mirror left at zero, so only the lower triangle of the split shows it
+    for n in range(2, 9):
+        y = pm.build_Y(n)
+        i, j = y.index[0], y.index[0b1]
+        y.rows[j][i] += Q(1, 1000)
+        with pytest.raises(InconsistentBlockError) as excinfo:
+            pm.parity_blocks(y)
+        assert str(excinfo.value) == f"cross-parity entry ({i},{j}) nonzero at n={n}"

@@ -226,6 +226,35 @@ def test_parity_powers_witness_needs_several_primes():
     assert powers.polynomial_is_zero([Q(0), Q(0)]) == (True, None)
 
 
+def test_annihilation_takes_as_many_primes_as_the_bound_needs(monkeypatch):
+    # polynomial_is_zero decides M_b = sum_j k_j B^j under the primes whose
+    # product exceeds 2S, S = |k_0| + sum_{j>=1} |k_j| m^(j-1) T^j; k_0 = 0
+    # here (0 is a root), so a bound of |k_0| alone would take one prime,
+    # too few from n = 5 on
+    original = xm.primes_exceeding
+    taken = []
+
+    def recorded(bound):
+        taken.append(original(bound))
+        return taken[-1]
+
+    for n in range(2, 10):
+        powers = _ParityPowers(build_Y(n))
+        coeffs = _poly_from_roots([Q(0)] + [lambda_closed(n, d) for d in range(cb.d_max(n) + 1)])
+        scaled = [Q(c) / Q(powers.scale) ** j for j, c in enumerate(coeffs)]
+        common = math.lcm(*(int(q.denominator) for q in scaled))
+        k = [int(q * common) for q in scaled]
+        m = max(len(block) for block in powers.blocks)
+        t = max(int(np.abs(block).max()) for block in powers.blocks)
+        bound = abs(k[0]) + sum(abs(k[j]) * m ** (j - 1) * t**j for j in range(1, len(k)))
+        taken.clear()
+        monkeypatch.setattr(xm, "primes_exceeding", recorded)
+        assert powers.polynomial_is_zero(coeffs) == (True, None), n
+        monkeypatch.setattr(xm, "primes_exceeding", original)
+        assert k[0] == 0 and taken == [original(2 * bound)], n
+        assert n < 5 or len(taken[0]) > 1, n
+
+
 def test_certificate_takes_no_python_int_matrix_product(monkeypatch):
     def refuse(a, b):
         raise AssertionError("Python-int mat_mul called by the certificate")
@@ -301,6 +330,33 @@ def test_rank_check_reports_exact_rank_when_rank_drops(monkeypatch):
         report = rank_check(n)
         assert not report.ok, n
         assert report.details == [f"rank(Y) = {bareiss} != {expected} at n={n}"]
+
+
+def test_rank_check_does_not_pin_a_block_with_a_repeated_kernel_vector(monkeypatch):
+    # one v_K listed twice lowers len(B) - |V| by one while the modular lower
+    # bound and B v_K = 0 still hold: only rank(V) = |V| refuses the pin, and
+    # that block's rank comes from Bareiss, so the check still passes
+    subsets = cb.enumerate_subsets
+    bareiss = xm.rank
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return bareiss(rows)
+
+    for n in range(4, 9):
+        powers = _ParityPowers(build_Y(n))
+        last = subsets(n, cb.d_max(n) - 1)[-1]
+        b = 1 - (last.bit_count() & 1)  # the block whose kernel holds v_last
+        other = sp._pinned_rank(powers, 1 - b, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(cb, "enumerate_subsets", lambda n, d: [*subsets(n, d), last])
+            patch.setattr(xm, "rank", counted)
+            assert sp._pinned_rank(powers, b, n) is None, n
+            assert sp._pinned_rank(powers, 1 - b, n) == other, n
+            sizes.clear()
+            assert rank_check(n, powers).ok, n
+            assert sizes == [len(powers.blocks[b])], n
 
 
 def test_rank_check_needs_no_bareiss_rank_on_a_true_Y(monkeypatch):
@@ -388,6 +444,25 @@ def test_certificate():
         assert len(cert.eigenvalues) == cb.d_max(n) + 1
     cert6 = exact_spectrum_certificate(6)
     assert cert6.ok and not cert6.distinct_ok
+
+
+def test_certificate_fails_on_swapped_eigenvalues(monkeypatch):
+    # at odd n the lambda_{n,d} are distinct and lambda_0, lambda_1 have
+    # multiplicities 1 and n - 1: swapping them keeps the set of values, so
+    # annihilation passes, and only the trace moments can refuse it
+    n = 5
+    closed = sp.lambda_closed
+    monkeypatch.setattr(sp, "lambda_closed", lambda n, d: closed(n, {0: 1, 1: 0}.get(d, d)))
+    cert = exact_spectrum_certificate(n)
+    assert cert.annihilation_ok and cert.rank_ok
+    assert not cert.traces_ok
+    assert not cert.ok
+    report = sp.exact_certificate_check(n)
+    assert not report.ok
+    assert report.details[0].startswith(f"trace moment m=1 at n={n}: ")
+    assert report.details[-1] == (
+        f"certificate failed at n={n}: annihilation=True, traces=False, rank=True"
+    )
 
 
 def test_E_xS_hT_closed_frozen():

@@ -5,14 +5,12 @@ import importlib
 import pytest
 
 import cubemoments
-from cubemoments import apolar as ap
-from cubemoments import combinatorics as cb
 from cubemoments import pseudomoments as pm
 from cubemoments import schur as su
 from cubemoments import spectrum as sp
 from cubemoments import verify
 from cubemoments.errors import InconsistentBlockError
-from cubemoments.report import Report
+from cubemoments.report import SPANS, Report
 from cubemoments.scalars import Q
 from cubemoments.verify import (
     SUITE_NAMES,
@@ -135,37 +133,63 @@ def test_numeric_agreement_runs_to_its_module_guard():
     assert "capped" not in numeric.witness
 
 
-# the module guard each capped verify check reaches first
-_GUARDS = {
-    "characters.two_row_routes": cb.BRUTE_FORCE_MAX_N,
-    "characters.orthonormality": cb.PARTITION_MAX_N,
-    "characters.restricted_sums": cb.BRUTE_FORCE_MAX_N,
-    "appendix.g_to_f_expansion": cb.BRUTE_FORCE_MAX_N,
-    "appendix.euler_transform": cb.BRUTE_FORCE_MAX_N,
-    "appendix.char_inner": cb.BRUTE_FORCE_MAX_N,
-    "pseudomoments.matrix_structure": pm.BUILD_MAX_N,
-    "pseudomoments.isotypic_projection": pm.ISOTYPIC_BRUTE_MAX_N,
-    "pseudomoments.hypercube_decomposition": pm.DECOMPOSITION_MAX_N,
-    "apolar.projection_consistency": ap.PROJECTION_MAX_N,
-    "apolar.johnson_slice": ap.JOHNSON_MAX_N,
-    "spectrum.eigenvalue_recursion": sp.ORDER_MAX_N,
-    "spectrum.exact_certificate": sp.ANNIHILATION_MAX_N,
-    "spectrum.gram_reconstruction": sp.RECONSTRUCTION_MAX_N,
-    "spectrum.numeric_agreement": sp.NUMERIC_MAX_N,
-    "schur.iterated_elimination": su.ITERATED_MAX_N,
-}
-
-
 def test_verify_caps_stay_within_module_guards():
     # a cap above its guard would only show as "unhandled ValueError" at a
     # large --n-max; each guard is also shown to be the check's own
-    rows = {name: (hi, check) for name, _, hi, _, check in verify._PER_N}
-    assert set(_GUARDS) <= set(rows)
-    for name, guard in _GUARDS.items():
-        hi, check = rows[name]
-        assert hi <= guard, name
-        with pytest.raises(ValueError):
-            check(guard + 1)
+    names = [span.name for span in SPANS]
+    assert len(names) == len(set(names))
+    for span in SPANS:
+        assert span.lo <= span.cap, span.name
+        if span.max_n is not None:
+            assert span.cap <= span.max_n, span.name
+            with pytest.raises(ValueError):
+                span.check(span.max_n + 1)
+
+
+def test_every_range_frozen_past_the_largest_guard():
+    # at n = 63 every n-ranged check skips, naming its guard and its span,
+    # so this map pins each lo, cap and guard text
+    spans = {
+        "apolar.adjointness": ("random triple", 2, 6),
+        "apolar.beta_identity": ("pairing table", 2, 10),
+        "apolar.harmonicity": ("harmonicity sweep", 2, 7),
+        "apolar.ideal_kernel": ("kernel sweep", 2, 7),
+        "apolar.johnson_slice": ("slice Gram", 2, 10),
+        "apolar.projection_consistency": ("projection solve", 2, 7),
+        "apolar.sigma_bridge": ("bridge Gram", 2, 9),
+        "apolar.specht_gram": ("Gram rank", 2, 9),
+        "appendix.char_inner": ("subset-pair enumeration", 2, 6),
+        "appendix.euler_transform": ("subset enumeration", 2, 6),
+        "appendix.g_to_f_expansion": ("subset-pair enumeration", 2, 6),
+        "characters.dimension_identity": ("character table", 2, 20),
+        "characters.orthonormality": ("class-function inner product", 2, 8),
+        "characters.restricted_sums": ("S_n sweep", 2, 7),
+        "characters.two_row_routes": ("class enumeration", 2, 9),
+        "pseudomoments.balanced_moments": ("balanced enumeration", 2, 12),
+        "pseudomoments.finite_difference": ("alternating sum", 2, 12),
+        "pseudomoments.harmonic_norms": ("contraction sweep", 2, 12),
+        "pseudomoments.hypercube_decomposition": ("exact rank", 2, 8),
+        "pseudomoments.ideal_annihilation": ("monomial sweep", 2, 10),
+        "pseudomoments.isotypic_projection": ("S_n average", 2, 6),
+        "pseudomoments.matrix_structure": ("dense matrix scan", 2, 10),
+        "pseudomoments.moment_recursion": ("moment recursion", 2, 30),
+        "schur.iterated_elimination": ("iterated elimination", 2, 8),
+        "spectrum.eigenvalue_recursion": ("closed form", 3, 40),
+        "spectrum.eta_routes": ("overlap summation", 2, 10),
+        "spectrum.exact_certificate": ("exact matrix-power budget", 2, 9),
+        "spectrum.frame_decomposition": ("frame table", 2, 12),
+        "spectrum.gram_reconstruction": ("Gram reconstruction", 2, 8),
+        "spectrum.moment_contractions": ("contraction sweep", 2, 8),
+        "spectrum.numeric_agreement": ("float eigensolve", 2, 14),
+        "spectrum.positivity_and_order": ("closed form", 2, 40),
+    }
+    expected = {
+        name: ("skipped", f"no n in [63, 63] within the {what} guard [{lo}, {cap}]")
+        for name, (what, lo, cap) in spans.items()
+    }
+    expected["schur.gram_property"] = expected["schur.volume_identity"] = ("pass", "")
+    rep = run_verify(("all",), n_min=63, n_max=63)
+    assert {c.name: (c.status, c.witness) for c in rep.checks} == expected
 
 
 def test_range_validation():
