@@ -206,7 +206,7 @@ class SparsePoly:
         for key, c in (coeffs or {}).items():
             key = self._key(key)
             if require_exact(c) != 0:
-                out[key] = out.get(key, QZERO) + c
+                out[key] = out[key] + c if key in out else (c if type(c) is Q else Q(c))
         self.coeffs = {k: c for k, c in out.items() if c != 0}
 
     def _shape(self) -> tuple:

@@ -12,9 +12,10 @@ multiplicity counts, and three independent verification routes:
   the multiplicities (a Vandermonde argument on distinct values);
 * a floating eigensolver as a numeric cross-check: Y commutes with S_n, so
   Schrijver's Terwilliger-algebra blocks (one of d_max - k + 1 rows per k,
-  multiplicity C(n,k) - C(n,k-1)) hold its spectrum; each is built over
-  ints for a dense symmetric eigensolver, and blocks whose rows or squared
-  Frobenius norm do not add up to Y's, exactly, are refused.
+  multiplicity C(n,k) - C(n,k-1)) hold its spectrum; terwilliger_blocks
+  builds them over ints from one step-2 difference table of a, for a dense
+  symmetric eigensolver; blocks whose rows or squared Frobenius norm do not
+  add up to Y's, exactly, are refused.
 
 The two exact routes work on the integer parity blocks B = D Y and take
 their powers modulo primes below 2^21, as float64 matrix products that stay
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -670,51 +670,51 @@ def gram_reconstruction_check(n: int) -> Report:
 
 
 def _pair_counts(n: int) -> list:
-    """P[k], the number of pairs (S, T) of subsets of size at most d_max with
-    |S xor T| = k: C(n,i) C(i,l) C(n-i, j-l) of them have sizes i, j and
-    overlap l."""
+    """P[k], the pairs (S, T) of subsets of size <= d_max with |S xor T| = k:
+    C(n,i) C(i,l) C(n-i,j-l) of them have sizes i, j and overlap l."""
     counts = [0] * (n + 1)
-    sizes = range(cb.d_max(n) + 1)
-    for i, j in product(sizes, sizes):
-        for ell in range(min(i, j) + 1):
-            pairs = cb.binomial(n, i) * cb.binomial(i, ell) * cb.binomial(n - i, j - ell)
-            counts[i + j - 2 * ell] += pairs
+    for i in range(cb.d_max(n) + 1):
+        for ell in range(i + 1):
+            pairs = math.comb(n, i) * math.comb(i, ell)
+            for j in range(ell, cb.d_max(n) + 1):
+                counts[i + j - 2 * ell] += pairs * math.comb(n - i, j - ell)
     return counts
 
 
-def _beta(n: int, k: int, i: int, j: int, t: int) -> int:
-    """Schrijver's beta^t_{i,j,k} = sum_u (-1)^(u-t) C(u,t) C(n-2k,u-k)
-    C(n-k-u,i-u) C(n-k-u,j-u), over ints, the sign by a parity test.  Terms
-    vanish outside max(k, t) <= u <= min(i, j), and inside it every argument
-    of math.comb is nonnegative."""
-    total = 0
-    for u in range(max(k, t), min(i, j) + 1):
-        rest = n - k - u
-        term = math.comb(u, t) * math.comb(n - 2 * k, u - k)
-        term *= math.comb(rest, i - u) * math.comb(rest, j - u)
-        total += -term if (u - t) & 1 else term
-    return total
+def _difference_table(n: int, a: list) -> list:
+    """g[u][s] = sum_t (-1)^(u-t) C(u,t) a_{s-2t}, u <= d_max, 2u <= s <= 2 d_max:
+    the u-th difference of a at step 2, g[u][s] = g[u-1][s-2] - g[u-1][s]."""
+    g = [list(a[: 2 * cb.d_max(n) + 1])]
+    for _ in range(cb.d_max(n)):
+        g.append([0, 0] + [x - y for x, y in zip(g[-1], g[-1][2:])])
+    return g
 
 
 def terwilliger_blocks(n: int, a: list) -> list:
     """[(k, multiplicity, M_k, c_k)] for k = 0..d_max: Schrijver's block
     diagonalization of the Terwilliger algebra of the binary Hamming scheme
-    (IEEE Trans. IT 51, 2005), applied to Y[S,T] = a_|S xor T| for an
-    integer moment vector a.  Over Python ints, for i, j in k..d_max,
-    M_k[i][j] = sum_t beta^t_{i,j,k} a_{i+j-2t} (t the overlap |S cap T|) and
-    c_k[i] = C(n-2k, i-k).  Y is orthogonally similar to the direct sum of
-    the blocks M_k[i][j] / sqrt(c_i c_j), of d_max - k + 1 rows each, block
-    k repeated C(n,k) - C(n,k-1) times."""
+    (IEEE Trans. IT 51, 2005) for Y[S,T] = a_|S xor T|, integer a.  Y is
+    orthogonally similar to the direct sum of M_k[i][j] / sqrt(c_i c_j) over
+    i, j in k..d_max, c_k[i] = C(n-2k, i-k), block k taken C(n,k) - C(n,k-1)
+    times.  M_k[i][j] = sum_t beta^t_{i,j,k} a_{i+j-2t} over overlaps t and
+    beta^t = sum_u (-1)^(u-t) C(u,t) C(n-2k,u-k) C(n-k-u,i-u) C(n-k-u,j-u),
+    max(k,t) <= u <= min(i,j).  C(u,t) = 0 for t > u, so the t sum moves
+    inside: M_k[i][j] = sum_{u=k}^{min(i,j)} C(n-2k,u-k) C(n-k-u,i-u)
+    C(n-k-u,j-u) g[u][i+j], one g = _difference_table(n, a) for every k;
+    over ints, O(d^4) products for all blocks, not O(d^5)."""
     cb.check_n(n)
+    top, g = cb.d_max(n), _difference_table(n, a)
     blocks = []
-    for k in range(cb.d_max(n) + 1):
-        sizes = range(k, cb.d_max(n) + 1)
-        m = [[0] * len(sizes) for _ in sizes]
-        for i in sizes:
-            for j in sizes[i - k :]:  # beta is symmetric in i and j
-                entry = sum(_beta(n, k, i, j, t) * a[i + j - 2 * t] for t in range(i + 1))
-                m[i - k][j - k] = m[j - k][i - k] = entry
-        c = [cb.binomial(n - 2 * k, i - k) for i in sizes]
+    for k in range(top + 1):
+        m = [[0] * (top - k + 1) for _ in range(k, top + 1)]
+        for u in range(k, top + 1):  # overlap u's term, upper triangle only
+            right = [math.comb(n - k - u, x) for x in range(top - u + 1)]
+            for i in range(u, top + 1):
+                left, row = math.comb(n - 2 * k, u - k) * right[i - u], m[i - k]
+                for j in range(i, top + 1):
+                    row[j - k] += left * right[j - u] * g[u][i + j]
+        m = [[m[min(i, j)][max(i, j)] for j in range(len(m))] for i in range(len(m))]
+        c = [cb.binomial(n - 2 * k, i - k) for i in range(k, top + 1)]
         blocks.append((k, multiplicity(n, k), m, c))
     return blocks
 

@@ -646,13 +646,16 @@ def test_block_guard_refuses_inconsistent_blocks():
 
 
 def test_block_guard_refuses_a_beta_off_by_one(monkeypatch):
-    # beta^0_{1,1,1} + 1 adds a_2 to M_1[1][1] before the guard sees it
-    original = sp._beta
+    # a_2 added to g[1][2] adds a_2 to M_1[1][1], the term beta^0_{1,1,1} + 1
+    # would add (and n a_2 to M_0[1][1]), before the guard sees it
+    original = sp._difference_table
 
-    def off_by_one(n, k, i, j, t):
-        return original(n, k, i, j, t) + ((k, i, j, t) == (1, 1, 1, 0))
+    def off_by_one(n, a):
+        g = original(n, a)
+        g[1][2] += a[2]
+        return g
 
-    monkeypatch.setattr(sp, "_beta", off_by_one)
+    monkeypatch.setattr(sp, "_difference_table", off_by_one)
     for n in (4, 7, 8):
         with pytest.raises(InconsistentBlockError, match=f"at n={n}$"):
             numeric_eigensolve(n)
@@ -698,16 +701,31 @@ def test_block_diagonal_is_the_frame_table():
             assert sum(diagonal) == lambda_closed(n, k), (n, k)
 
 
+def _beta(n, k, i, j, t):
+    """Schrijver's beta^t_{i,j,k} = sum_u (-1)^(u-t) C(u,t) C(n-2k,u-k)
+    C(n-k-u,i-u) C(n-k-u,j-u), over ints, the sign by a parity test.  Terms
+    vanish outside max(k, t) <= u <= min(i, j), and inside it every argument
+    of math.comb is nonnegative."""
+    total = 0
+    for u in range(max(k, t), min(i, j) + 1):
+        rest = n - k - u
+        term = math.comb(u, t) * math.comb(n - 2 * k, u - k)
+        term *= math.comb(rest, i - u) * math.comb(rest, j - u)
+        total += -term if (u - t) & 1 else term
+    return total
+
+
 def test_terwilliger_blocks_are_symmetric_and_match_a_full_fill():
-    # the builder fills the upper triangle and mirrors it; the reference
-    # computes every entry M_k[i][j] on its own, over ints
-    for n in range(2, 15):
+    # the builder sums over the overlap u outside t and mirrors the upper
+    # triangle; the reference computes every entry M_k[i][j] on its own from
+    # Schrijver's definition, sum_t beta^t_{i,j,k} a_{i+j-2t}, over ints
+    for n in [*range(2, 21), 62]:
         (a,), _ = xm.integer_form([[a_coeff(n, k) for k in range(n + 1)]])
         for k, _, m, _ in sp.terwilliger_blocks(n, a):
             sizes = range(k, cb.d_max(n) + 1)
             full = [
                 [
-                    sum(sp._beta(n, k, i, j, t) * a[i + j - 2 * t] for t in range(min(i, j) + 1))
+                    sum(_beta(n, k, i, j, t) * a[i + j - 2 * t] for t in range(min(i, j) + 1))
                     for j in sizes
                 ]
                 for i in sizes

@@ -135,15 +135,19 @@ def test_numeric_agreement_runs_to_its_module_guard():
 
 def test_verify_caps_stay_within_module_guards():
     # a cap above its guard would only show as "unhandled ValueError" at a
-    # large --n-max; each guard is also shown to be the check's own
+    # large --n-max; each guard is also shown to be the check's own, by a
+    # refusal just past it that names max_n.  The balanced measure refuses
+    # odd n first, so its guard is probed at the next even n.
     names = [span.name for span in SPANS]
     assert len(names) == len(set(names))
     for span in SPANS:
         assert span.lo <= span.cap, span.name
         if span.max_n is not None:
             assert span.cap <= span.max_n, span.name
-            with pytest.raises(ValueError):
-                span.check(span.max_n + 1)
+            even = span.name == "pseudomoments.balanced_moments"
+            probe = span.max_n + 2 if even else span.max_n + 1
+            with pytest.raises(ValueError, match=rf"\b{span.max_n}\b"):
+                span.check(probe)
 
 
 def test_every_range_frozen_past_the_largest_guard():
