@@ -11,9 +11,9 @@ functions are stored as one exact value per cycle type.
 The restricted sums here average chi over all permutations mapping a fixed
 a-subset to meet a fixed b-subset in exactly k points.  The brute force
 behind them makes one full S_n sweep per subset A (image_overlap_counts,
-also behind pseudomoments.isotypic_h_bruteforce), counting permutations by
-image pi(A) and cycle type from the per-n table combinatorics.perm_cycle_types;
-every B, d and k reuse it, and it stays independent of the closed form.  The
+also behind pseudomoments.isotypic_h_bruteforce): one numpy pass over
+combinatorics.perm_table counts every pi by image pi(A) and cycle type.
+Every B, d and k reuse it, and it stays independent of the closed form.  The
 closed form is proven only for a = b = d (zero when min(a, b) < d); anything
 larger raises UnsupportedCaseError rather than extrapolating.
 """
@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from . import combinatorics as cb
 from .errors import UnsupportedCaseError
@@ -44,10 +46,8 @@ class ClassFunction:
         """Normalized inner product (1/n!) sum over S_n of f * g."""
         if self.n != other.n:
             raise ValueError("class functions live on different groups")
-        od = other.as_dict()
-        total = sum(
-            cb.conjugacy_class_size(self.n, ct) * v * od[ct] for ct, v in self.values
-        )
+        classes = zip(cb.conjugacy_classes(self.n), self.values, other.values)
+        total = sum(size * v * w for (_, size), (_, v), (_, w) in classes)
         return Q(total, math.factorial(self.n))
 
 
@@ -122,12 +122,17 @@ def restricted_char_sum_closed(n: int, d: int, a: int, b: int, overlap: int, k: 
 
 @lru_cache(maxsize=None)
 def image_overlap_counts(n: int, a_mask: int) -> dict:
-    """{pi(A): {cycle type of pi: number of such pi}}, by one full S_n sweep
-    (n <= 9); a sum over pi then runs over the at most C(n, |A|) images."""
+    """{pi(A): {cycle type of pi: number of such pi}} over every row of
+    perm_table(n), with no symmetry argument; sums over pi run over images."""
+    if a_mask < 0 or a_mask >> n:
+        raise ValueError(f"subset mask {a_mask} outside subsets of [{n}]")
+    bits, classes = cb.perm_table(n)
+    types = [ct for ct, _ in cb.conjugacy_classes(n)]
+    images = bits[:, [i for i in range(n) if a_mask >> i & 1]].sum(axis=1)
+    keys, tallies = np.unique(images * len(types) + classes, return_counts=True)
     counts = {}
-    for perm, ct in zip(cb.permutations_iter(n), cb.perm_cycle_types(n)):
-        by_type = counts.setdefault(cb.perm_image_mask(perm, a_mask), {})
-        by_type[ct] = by_type.get(ct, 0) + 1
+    for key, tally in zip(keys.tolist(), tallies.tolist()):
+        counts.setdefault(key // len(types), {})[types[key % len(types)]] = tally
     return counts
 
 

@@ -6,9 +6,9 @@ i, with n capped at 62 so a subset always fits in one machine word.  The
 canonical enumeration order everywhere is by size, then by mask value within
 a size; every matrix row/column layout downstream derives from this order.
 Permutations are tuples p of length n with p[i] the 0-based image of
-position i.  Brute-force sweeps over S_n read cycle types from one table per
-n, perm_cycle_types, aligned with permutations_iter and holding one shared
-tuple per conjugacy class; conjugacy_classes is memoized the same way.
+position i.  Brute-force sweeps over S_n read one numpy table per n,
+perm_table: the rows of permutations_iter as bit columns 1 << p[i], with
+each row's conjugacy class; conjugacy_classes is memoized the same way.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
+from .errors import InconsistentBlockError
 from .scalars import Q
 
 MAX_N = 62
@@ -197,13 +200,35 @@ def cycle_type_of_perm(perm) -> tuple:
     return tuple(lengths)
 
 
+def _row_classes(n: int, perms):
+    """Each row's index into conjugacy_classes(n), coded as sum_i (n+1)^(cycle length at i)."""
+    codes, cur, unseen = np.zeros(len(perms), np.int64), perms, np.ones(perms.shape, bool)
+    for step in range(1, n + 1):  # cur = p^step: positions back home now lie on step-cycles
+        home = unseen & (cur == np.arange(n))
+        codes += home.sum(axis=1) * (n + 1) ** step
+        unseen &= ~home
+        cur = np.take_along_axis(perms, cur, axis=1)
+    keys = np.array([sum(l * (n + 1) ** l for l in ct) for ct, _ in conjugacy_classes(n)])
+    return np.argsort(keys)[np.searchsorted(np.sort(keys), codes)].astype(np.int8)
+
+
 @lru_cache(maxsize=None)
-def perm_cycle_types(n: int) -> tuple:
-    """cycle_type_of_perm of every permutation, in permutations_iter order,
-    with one shared tuple per class (n <= 9; about 3 MB at n = 9)."""
-    perms = permutations_iter(n)
-    shared = {ct: ct for ct, _ in conjugacy_classes(n)}
-    return tuple(shared[cycle_type_of_perm(p)] for p in perms)
+def perm_table(n: int) -> tuple:
+    """Read-only (bits, classes) over S_n in permutations_iter order, n <= 9:
+    bits[p, i] = 1 << p(i), and classes[p] indexes p's cycle type in
+    conjugacy_classes(n).  InconsistentBlockError unless each class tallies its size."""
+    check_n(n, cap=BRUTE_FORCE_MAX_N)
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n + 1):  # each first image f in turn, then S_(m-1) relabelled past f
+        perms = np.concatenate([np.insert(perms + (perms >= f), 0, f, axis=1) for f in range(m)])
+    classes = _row_classes(n, perms)
+    tally, sizes = np.bincount(classes).tolist(), [size for _, size in conjugacy_classes(n)]
+    if tally != sizes:
+        raise InconsistentBlockError(f"S_{n} table tallies classes {tally}, not {sizes}")
+    bits = np.left_shift(1, perms, dtype=np.int8 if n < 7 else np.int16)
+    bits.setflags(write=False)
+    classes.setflags(write=False)
+    return bits, classes
 
 
 def perm_image_mask(perm, mask: int) -> int:

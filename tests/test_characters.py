@@ -1,9 +1,12 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from cubemoments import characters as ch
 from cubemoments import combinatorics as cb
+from cubemoments import pseudomoments as pm
 from cubemoments.errors import UnsupportedCaseError
 from cubemoments.scalars import Q
 
@@ -132,6 +135,53 @@ def test_restricted_sums_sweep_once_per_a_subset():
         assert len(counts) == cb.binomial(n, a_mask.bit_count())
         assert all(image.bit_count() == a_mask.bit_count() for image in counts)
         assert sum(sum(by_type.values()) for by_type in counts.values()) == math.factorial(n)
+
+
+def test_image_overlap_counts_match_a_loop_over_the_permutations():
+    for n in range(1, 7):
+        for a_mask in range(1 << n):
+            want = {}
+            for perm in itertools.permutations(range(n)):
+                by_type = want.setdefault(cb.perm_image_mask(perm, a_mask), {})
+                ct = cb.cycle_type_of_perm(perm)
+                by_type[ct] = by_type.get(ct, 0) + 1
+            got = ch.image_overlap_counts(n, a_mask)
+            assert got == want
+            assert all(type(k) is int for k in got)
+            assert all(type(c) is int for by_type in got.values() for c in by_type.values())
+
+
+@pytest.fixture
+def swapped_row(monkeypatch):
+    """perm_table(5) with row 1, (0, 1, 2, 4, 3), overwritten by (1, 0, 2, 3, 4):
+    the same cycle type, so its class index and every class tally still hold."""
+    n = 5
+    bits, classes = cb.perm_table(n)
+    true_table = cb.perm_table
+    row, swapped = (0, 1, 2, 4, 3), (1, 0, 2, 3, 4)
+    assert [b.bit_length() - 1 for b in bits[1].tolist()] == list(row)
+    assert cb.cycle_type_of_perm(swapped) == cb.cycle_type_of_perm(row)
+    corrupt = bits.copy()
+    corrupt[1] = [1 << i for i in swapped]
+    sizes = [size for _, size in cb.conjugacy_classes(n)]
+    assert np.bincount(classes).tolist() == sizes
+    monkeypatch.setattr(cb, "perm_table", lambda m: (corrupt, classes) if m == n else true_table(m))
+    ch.image_overlap_counts.cache_clear()
+    yield n
+    ch.image_overlap_counts.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "check, witness",
+    [
+        (pm.isotypic_projection_check, "h_S projection differs at n=5, S="),
+        (ch.restricted_sums_check, "restricted sum at n=5, d="),
+    ],
+)
+def test_sweep_checks_fail_on_a_swapped_row_of_the_table(swapped_row, check, witness):
+    report = check(swapped_row)
+    assert not report.ok
+    assert report.details and all(w.startswith(witness) for w in report.details)
 
 
 def test_euler_transform_check():

@@ -1,8 +1,11 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from cubemoments import combinatorics as cb
+from cubemoments.errors import InconsistentBlockError
 from cubemoments.scalars import Q
 
 
@@ -105,13 +108,40 @@ def test_permutation_helpers():
 
 
 def test_perm_cycle_types_table():
+    # perm_table against its references: itertools' rows, cycle_type_of_perm's types
     for n in range(1, 8):
-        table = cb.perm_cycle_types(n)
-        assert list(table) == [cb.cycle_type_of_perm(p) for p in cb.permutations_iter(n)]
-        # one shared tuple per conjugacy class
-        assert len({id(ct) for ct in table}) == len(cb.partitions(n))
+        bits, classes = cb.perm_table(n)
+        perms = list(itertools.permutations(range(n)))
+        types = [ct for ct, _ in cb.conjugacy_classes(n)]
+        assert bits.dtype == (np.int8 if n < 7 else np.int16)
+        assert not bits.flags.writeable and not classes.flags.writeable
+        assert [tuple(b.bit_length() - 1 for b in row) for row in bits.tolist()] == perms
+        assert [types[c] for c in classes.tolist()] == [cb.cycle_type_of_perm(p) for p in perms]
+    for n in (8, 9):
+        bits, classes = cb.perm_table(n)
+        assert bits.shape == (math.factorial(n), n)
+        tally = np.bincount(classes).tolist()
+        assert tally == [cb.conjugacy_class_size(n, ct) for ct in cb.partitions(n)]
     with pytest.raises(ValueError):
-        cb.perm_cycle_types(cb.BRUTE_FORCE_MAX_N + 1)
+        cb.perm_table(cb.BRUTE_FORCE_MAX_N + 1)
+
+
+def test_perm_table_refuses_a_corrupted_class_index(monkeypatch):
+    true_classes = cb._row_classes
+
+    def corrupted(n, perms):
+        classes = true_classes(n, perms)
+        classes[1] = classes[0]  # the transposition (0, 1, 2, 4, 3) read as the identity
+        return classes
+
+    monkeypatch.setattr(cb, "_row_classes", corrupted)
+    cb.perm_table.cache_clear()
+    try:
+        tallies = r"S_5 table tallies classes \[24, 30, 20, 20, 15, 9, 2\], not"
+        with pytest.raises(InconsistentBlockError, match=tallies):
+            cb.perm_table(5)
+    finally:
+        cb.perm_table.cache_clear()
 
 
 def test_conjugacy_classes_is_a_tuple():

@@ -49,6 +49,10 @@ _GUARDS = {
         "impossible overlap 3 for sizes 2, 2",
     ),
     "char_two_row": (lambda: ch.char_two_row(4, 3, (4,)), "two-row shape needs"),
+    "image_overlap_counts mask": (
+        lambda: ch.image_overlap_counts(4, 16),
+        "subset mask 16 outside subsets of [4]",
+    ),
     "ClassFunction.inner": (
         lambda: ch.char_class_function(3, 1).inner(ch.char_class_function(4, 1)),
         "class functions live on different groups",
@@ -103,6 +107,7 @@ _GUARDS = {
         lambda: cb.conjugacy_class_size(4, (2, 1)),
         "cycle type (2, 1) is not a partition of 4",
     ),
+    "perm_table": (lambda: cb.perm_table(10), "n must be an int in [0, 9], got 10"),
     "canonical_perm_of_cycle_type": (
         lambda: cb.canonical_perm_of_cycle_type(4, [3]),
         "cycle type (3,) is not a partition of 4",
