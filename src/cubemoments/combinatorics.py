@@ -7,8 +7,10 @@ canonical enumeration order everywhere is by size, then by mask value within
 a size; every matrix row/column layout downstream derives from this order.
 Permutations are tuples p of length n with p[i] the 0-based image of
 position i.  Brute-force sweeps over S_n read one numpy table per n,
-perm_table: the rows of permutations_iter as bit columns 1 << p[i], with
-each row's conjugacy class; conjugacy_classes is memoized the same way.
+perm_table: every image tuple in lexicographic order (the order of
+itertools.permutations, which permutations_iter in tests/test_combinatorics.py
+states), as bit columns 1 << p[i], with each row's conjugacy class;
+conjugacy_classes is memoized the same way.
 """
 
 from __future__ import annotations
@@ -175,12 +177,6 @@ def conjugacy_classes(n: int) -> tuple:
 # permutations
 
 
-def permutations_iter(n: int):
-    """All of S_n as image tuples.  Guarded: full sweeps only below 10."""
-    check_n(n, cap=BRUTE_FORCE_MAX_N)
-    return itertools.permutations(range(n))
-
-
 def cycle_type_of_perm(perm) -> tuple:
     """Cycle type of an image tuple, non-increasing."""
     n = len(perm)
@@ -200,21 +196,30 @@ def cycle_type_of_perm(perm) -> tuple:
     return tuple(lengths)
 
 
+_ROW_CHUNK = 1 << 14  # rows per pass of _row_classes: 9! rows take 23
+
+
 def _row_classes(n: int, perms):
-    """Each row's index into conjugacy_classes(n), coded as sum_i (n+1)^(cycle length at i)."""
-    codes, cur, unseen = np.zeros(len(perms), np.int64), perms, np.ones(perms.shape, bool)
-    for step in range(1, n + 1):  # cur = p^step: positions back home now lie on step-cycles
-        home = unseen & (cur == np.arange(n))
-        codes += home.sum(axis=1) * (n + 1) ** step
-        unseen &= ~home
-        cur = np.take_along_axis(perms, cur, axis=1)
+    """Each row's index into conjugacy_classes(n), coded as sum_i (n+1)^(cycle length at i),
+    over chunks of _ROW_CHUNK rows, so that no index array spans the whole table."""
     keys = np.array([sum(l * (n + 1) ** l for l in ct) for ct, _ in conjugacy_classes(n)])
-    return np.argsort(keys)[np.searchsorted(np.sort(keys), codes)].astype(np.int8)
+    order, ranked = np.argsort(keys), np.sort(keys)
+    classes = np.empty(len(perms), np.int8)
+    for lo in range(0, len(perms), _ROW_CHUNK):
+        rows = perms[lo:lo + _ROW_CHUNK]
+        codes, cur, unseen = np.zeros(len(rows), np.int64), rows, np.ones(rows.shape, bool)
+        for step in range(1, n + 1):  # cur = p^step: positions back home now lie on step-cycles
+            home = unseen & (cur == np.arange(n))
+            codes += home.sum(axis=1) * (n + 1) ** step
+            unseen &= ~home
+            cur = np.take_along_axis(rows, cur, axis=1)
+        classes[lo:lo + len(rows)] = order[np.searchsorted(ranked, codes)]
+    return classes
 
 
 @lru_cache(maxsize=None)
 def perm_table(n: int) -> tuple:
-    """Read-only (bits, classes) over S_n in permutations_iter order, n <= 9:
+    """Read-only (bits, classes) over S_n in lexicographic order of image tuples, n <= 9:
     bits[p, i] = 1 << p(i), and classes[p] indexes p's cycle type in
     conjugacy_classes(n).  InconsistentBlockError unless each class tallies its size."""
     check_n(n, cap=BRUTE_FORCE_MAX_N)

@@ -36,7 +36,7 @@ from .apolar import apolar_gram, hS_span, sigma_sq
 from .pseudomoments import build_Y, parity_blocks
 from .report import Report, verified
 from .rng import SplitMix64
-from .scalars import Q, QZERO
+from .scalars import Q
 
 ITERATED_MAX_N = 8
 # leading vectors, tail vectors and ambient dimension in gram_schur_property_check
@@ -62,7 +62,8 @@ def schur_complement(matrix: list, head: int) -> list:
 
 
 def _gram(vectors) -> list:
-    return xm.rational_product(vectors, list(zip(*vectors)))
+    """Pairwise dot products of vectors; over ints for Python-int vectors."""
+    return xm.mat_mul(vectors, list(zip(*vectors)))
 
 
 def _require_trials(trials: int) -> None:
@@ -76,7 +77,7 @@ def gram_schur_property_check(seed: int, trials: int = 100) -> Report:
     projected tail vectors, computed here as explicit rational vectors
     b_j - sum_k t_kj a_k with A t_j = (<a_k, b_j>)_k.
 
-    Random integer vectors with entries in [-3, 3], GRAM_LEADS leading and
+    Random Python-int vectors with entries in [-3, 3], GRAM_LEADS leading and
     GRAM_TAILS tail vectors in dimension GRAM_AMBIENT; every few trials mix in
     the degenerate shapes: duplicated leading vectors (singular A), all-zero
     leading vectors (complement = Gram of the b's), and tails inside the
@@ -87,21 +88,21 @@ def gram_schur_property_check(seed: int, trials: int = 100) -> Report:
     report = Report()
     for trial in range(trials):
         a_vecs = [
-            [Q(rng.randint(-3, 3)) for _ in range(GRAM_AMBIENT)] for _ in range(GRAM_LEADS)
+            [rng.randint(-3, 3) for _ in range(GRAM_AMBIENT)] for _ in range(GRAM_LEADS)
         ]
         b_vecs = [
-            [Q(rng.randint(-3, 3)) for _ in range(GRAM_AMBIENT)] for _ in range(GRAM_TAILS)
+            [rng.randint(-3, 3) for _ in range(GRAM_AMBIENT)] for _ in range(GRAM_TAILS)
         ]
         zero_leads = trial % 7 == 3
         span_tails = trial % 11 == 5
         if zero_leads:
-            a_vecs = [[QZERO] * GRAM_AMBIENT for _ in range(GRAM_LEADS)]
+            a_vecs = [[0] * GRAM_AMBIENT for _ in range(GRAM_LEADS)]
         elif trial % 5 == 2:
             a_vecs[1] = a_vecs[0][:]
         if span_tails and not zero_leads:
             b_vecs = []
             for _ in range(GRAM_TAILS):
-                combo = [QZERO] * GRAM_AMBIENT
+                combo = [0] * GRAM_AMBIENT
                 for a in a_vecs:
                     c = rng.randint(-2, 2)
                     combo = [x + c * y for x, y in zip(combo, a)]
@@ -111,7 +112,7 @@ def gram_schur_property_check(seed: int, trials: int = 100) -> Report:
         complement = schur_complement(gram, GRAM_LEADS)
 
         lead_gram = [row[:GRAM_LEADS] for row in gram[:GRAM_LEADS]]
-        cross = xm.rational_product(a_vecs, list(zip(*b_vecs)))
+        cross = xm.mat_mul(a_vecs, list(zip(*b_vecs)))
         coeffs = xm.solve_consistent(lead_gram, cross)
         # b_j - sum_k t_kj a_k for every j: the product [I | -T^T] [B; A]
         mix = [
@@ -120,7 +121,7 @@ def gram_schur_property_check(seed: int, trials: int = 100) -> Report:
         ]
         projected = xm.rational_product(mix, b_vecs + a_vecs)
         report.expect(
-            xm.mat_eq(complement, _gram(projected)),
+            xm.mat_eq(complement, xm.rational_product(projected, list(zip(*projected)))),
             f"complement != projected Gram at trial {trial} (seed {seed})",
         )
         if span_tails and not zero_leads:
@@ -148,9 +149,7 @@ def volume_identity_check(seed: int, trials: int = 50) -> Report:
         # every fourth family lives in a 2-dimensional ambient space, which
         # forces singular Grams
         ambient = 2 if trial % 4 == 3 else count
-        vecs = [
-            [Q(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(count)
-        ]
+        vecs = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(count)]
         gram = _gram(vecs)
         head = rng.randint(1, count - 1)
         complement = schur_complement(gram, head)

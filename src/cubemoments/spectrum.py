@@ -721,22 +721,25 @@ def terwilliger_blocks(n: int, a: list) -> list:
 
 def _block_guard(n: int, a: list, blocks: list) -> None:
     """Raise InconsistentBlockError unless the blocks, counted with their
-    multiplicities, hold Y's C(n, <= d_max) rows and, in exact rationals,
-    its squared Frobenius norm sum_k a_k^2 P[k] (_pair_counts): the change
-    of basis is orthogonal and Y block-diagonal."""
+    multiplicities, hold Y's C(n, <= d_max) rows and, exactly, its squared
+    Frobenius norm sum_k a_k^2 P[k] (_pair_counts), compared over ints as
+    numerators over the square of one lcm of every c_i: the change of basis
+    is orthogonal and Y block-diagonal."""
     size = cb.binomial_le(n, cb.d_max(n))
     rows = sum(mult * len(c) for _, mult, _, c in blocks)
     want = sum(x * x * count for x, count in zip(a, _pair_counts(n)))
-    held = QZERO
+    # sum_k mult_k sum_ij M_k[i][j]^2 / (c_i c_j), held as its numerator over lcm^2
+    lcm = math.lcm(*(ci for *_, c in blocks for ci in c))
+    held = 0
     for _, mult, m, c in blocks:
-        lcm = math.lcm(*c)
         weights = [lcm // ci for ci in c]
-        total = sum(x * x * wi * wj for row, wi in zip(m, weights) for x, wj in zip(row, weights))
-        held += Q(mult * total, lcm * lcm)
+        held += mult * sum(
+            x * x * wi * wj for row, wi in zip(m, weights) for x, wj in zip(row, weights)
+        )
     if rows != size:
         problem = f"hold {rows} of {size} rows"
-    elif held != want:
-        problem = f"hold squared Frobenius norm {held}, not {want}"
+    elif held != want * lcm * lcm:
+        problem = f"hold squared Frobenius norm {Q(held, lcm * lcm)}, not {want}"
     else:
         return
     raise InconsistentBlockError(f"Terwilliger blocks {problem} at n={n}")

@@ -14,12 +14,21 @@ non-skipped checks.
 
 Randomized checks draw from a SplitMix64 seeded per check, so reports are
 reproducible and independent of execution order; results are sorted by
-check name before they are returned.
+check name before they are returned.  That independence lets run_verify
+spread the checks over every usable CPU: this process and one forked child
+per further CPU claim check indices from one shared pipe, and each child
+streams its results back over a pipe of its own (_run_tasks).  A check's
+elapsed_s is measured inside the process that ran it.  With one usable
+CPU (taskset -c 0), without os.fork or while another thread runs, every
+check runs here, one after another.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -297,6 +306,115 @@ def _run_check(name: str, fn, ctx: VerifyContext) -> CheckResult:
     )
 
 
+def _worker_count() -> int:
+    """Processes that may share a run: one per CPU in this process's
+    affinity mask, where os.fork and os.sched_getaffinity exist (Linux).
+    1 elsewhere, and while another thread runs, since a forked child holds
+    a copy of every lock that thread may have held."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_INDEX_BYTES = 4  # one task index in the claim pipe
+
+
+def _claims(claim_r: int):
+    """Task indices read from the shared claim pipe until it is empty; each
+    read takes one whole index, since every index was written before any
+    worker started."""
+    while chunk := os.read(claim_r, _INDEX_BYTES):
+        yield int.from_bytes(chunk, "little")
+
+
+def _serve(tasks: list, ctx: VerifyContext, claim_r: int, out_w: int) -> None:
+    """A forked child's whole life: for every claimed index, one (i, None)
+    record before the check and one (i, result) after it, then os._exit, so
+    the child never returns into its caller's code."""
+    code = 1
+    try:
+        with os.fdopen(out_w, "wb") as out:
+            for i in _claims(claim_r):
+                pickle.dump((i, None), out)
+                out.flush()
+                pickle.dump((i, _run_check(*tasks[i], ctx)), out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _records(source):
+    """(index, result or None) records from one child's pipe, up to its end
+    or to the last whole record."""
+    while True:
+        try:
+            yield pickle.load(source)
+        except (EOFError, pickle.UnpicklingError):
+            return
+
+
+def _run_tasks(tasks: list, ctx: VerifyContext) -> list:
+    """One CheckResult per (name, fn) task, in no particular order.  With
+    more than one usable CPU and task, every index goes into one pipe,
+    one child is forked per further worker, and this process and the
+    children claim indices until the pipe is empty.  A check whose child
+    ended before reporting it fails, naming the check and how the child
+    ended.  Every child is reaped before this returns or raises."""
+    workers = min(_worker_count(), len(tasks))
+    if workers < 2:
+        return [_run_check(name, fn, ctx) for name, fn in tasks]
+    claim_r, claim_w = os.pipe()
+    with os.fdopen(claim_w, "wb") as claim:
+        claim.write(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
+    results, owners, children, finished = {}, {}, {}, False
+    try:
+        for _ in range(workers - 1):
+            out_r, out_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the workers so far share the run
+                os.close(out_r)
+                os.close(out_w)
+                break
+            if pid == 0:
+                _serve(tasks, ctx, claim_r, out_w)
+            os.close(out_w)
+            children[pid] = os.fdopen(out_r, "rb")
+        for i in _claims(claim_r):
+            results[i] = _run_check(*tasks[i], ctx)
+        for pid, source in children.items():
+            for i, result in _records(source):
+                owners[i] = pid
+                if result is not None:
+                    results[i] = result
+        finished = True
+    finally:
+        codes = {}
+        for pid, source in children.items():
+            if not finished:  # this process raised: stop the children's work too
+                import signal  # not loaded at startup, so imported only on this path
+
+                os.kill(pid, signal.SIGKILL)
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            source.close()
+        os.close(claim_r)
+    for i, (name, _) in enumerate(tasks):
+        if i not in results:
+            code = codes.get(owners.get(i))
+            how = (
+                "" if code is None
+                else f" by signal {-code}" if code < 0
+                else f" with exit code {code}"
+            )
+            results[i] = CheckResult(
+                name, "fail", f"{name} lost: its worker process ended{how} before reporting it"
+            )
+    return list(results.values())
+
+
 def run_verify(
     suites=("all",),
     n_min: int = 2,
@@ -311,13 +429,10 @@ def run_verify(
     if n_max < n_min:
         raise ValueError(f"empty range [{n_min}, {n_max}]")
     ctx = VerifyContext(n_min, n_max, seed)
-    results = [
-        _run_check(name, fn, ctx)
-        for name, fn in _CHECKS
-        if name.split(".", 1)[0] in chosen
-    ]
+    tasks = [(name, fn) for name, fn in _CHECKS if name.split(".", 1)[0] in chosen]
     if inject_fault:
-        results.append(_run_check("spectrum.fault_injection", _fault_injection, ctx))
+        tasks.append(("spectrum.fault_injection", _fault_injection))
+    results = _run_tasks(tasks, ctx)
     results.sort(key=lambda c: c.name)
     return VerificationReport(
         version=__version__,

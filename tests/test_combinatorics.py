@@ -96,22 +96,29 @@ def test_partitions_and_classes():
         assert sum(s for _, s in cb.conjugacy_classes(n)) == math.factorial(n)
 
 
+def permutations_iter(n: int):
+    """All of S_n as image tuples, in the lexicographic order of perm_table's
+    rows: the order reference for the table.  Guarded like the table."""
+    cb.check_n(n, cap=cb.BRUTE_FORCE_MAX_N)
+    return itertools.permutations(range(n))
+
+
 def test_permutation_helpers():
-    perms = list(cb.permutations_iter(3))
+    perms = list(permutations_iter(3))
     assert len(perms) == 6
     assert cb.cycle_type_of_perm((1, 2, 0, 3)) == (3, 1)
     assert cb.cycle_type_of_perm((0, 1, 2)) == (1, 1, 1)
     assert cb.perm_image_mask((1, 2, 0), 0b001) == 0b010
     assert cb.perm_image_mask((1, 2, 0), 0b101) == 0b011
     with pytest.raises(ValueError):
-        cb.permutations_iter(10)
+        permutations_iter(10)
 
 
 def test_perm_cycle_types_table():
-    # perm_table against its references: itertools' rows, cycle_type_of_perm's types
+    # perm_table against its references: permutations_iter's rows, cycle_type_of_perm's types
     for n in range(1, 8):
         bits, classes = cb.perm_table(n)
-        perms = list(itertools.permutations(range(n)))
+        perms = list(permutations_iter(n))
         types = [ct for ct, _ in cb.conjugacy_classes(n)]
         assert bits.dtype == (np.int8 if n < 7 else np.int16)
         assert not bits.flags.writeable and not classes.flags.writeable

@@ -1,6 +1,11 @@
-"""Check registry: selection, guards, determinism, fault injection."""
+"""Check registry: selection, guards, determinism, fault injection, workers."""
 
 import importlib
+import os
+import select
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -194,6 +199,136 @@ def test_every_range_frozen_past_the_largest_guard():
     expected["schur.gram_property"] = expected["schur.volume_identity"] = ("pass", "")
     rep = run_verify(("all",), n_min=63, n_max=63)
     assert {c.name: (c.status, c.witness) for c in rep.checks} == expected
+
+
+def _without_elapsed(rep):
+    payload = rep.to_dict()
+    for check in payload["checks"]:
+        del check["elapsed_s"]
+    return payload
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+def test_parallel_and_serial_runs_agree(monkeypatch, inject_fault):
+    runs = []
+    for workers in (2, 1):
+        monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+        runs.append(run_verify(("all",), n_min=2, n_max=5, seed=42, inject_fault=inject_fault))
+    assert _without_elapsed(runs[0]) == _without_elapsed(runs[1])
+    assert runs[0].ok is not inject_fault
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Stop(BaseException):
+    """Escapes _run_check, as KeyboardInterrupt would."""
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Checks run by two processes, this one and one forked child; wait()
+    blocks this process, at most 60 s, until the child has taken a check."""
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    parent, (ready_r, ready_w) = os.getpid(), os.pipe()
+
+    def in_child():
+        if os.getpid() == parent:
+            return False
+        os.write(ready_w, b"x")
+        return True
+
+    def wait():
+        assert select.select([ready_r], [], [], 60)[0]
+
+    yield SimpleNamespace(in_child=in_child, wait=wait)
+    os.close(ready_r)
+    os.close(ready_w)
+
+
+def test_no_worker_outlives_run_verify(monkeypatch, two_workers):
+    assert run_verify(("schur",), n_min=2, n_max=4).ok
+    _no_children_left()
+
+    # this process raises while the child is inside a long check: the
+    # child is stopped and reaped, not waited for
+    def stop(ctx, rep):
+        if two_workers.in_child():
+            time.sleep(60)
+        two_workers.wait()
+        raise _Stop
+
+    monkeypatch.setattr(verify, "_CHECKS", [("schur.a", stop), ("schur.b", stop)])
+    start = time.perf_counter()
+    with pytest.raises(_Stop):
+        run_verify(("schur",), n_min=2, n_max=2)
+    assert time.perf_counter() - start < 30
+    _no_children_left()
+
+
+def test_a_check_that_kills_its_worker_fails_by_name(monkeypatch, two_workers):
+    # each check ends a forked worker and waits here for the child to take
+    # the other one, so exactly one check is lost
+    def fatal(ctx, rep):
+        if two_workers.in_child():
+            os._exit(7)
+        two_workers.wait()
+        rep.count()
+
+    monkeypatch.setattr(verify, "_CHECKS", [("schur.a", fatal), ("schur.b", fatal)])
+    rep = run_verify(("schur",), n_min=2, n_max=2)
+    _no_children_left()
+    assert not rep.ok
+    assert sorted(c.status for c in rep.checks) == ["fail", "pass"]
+    (lost,) = [c for c in rep.checks if c.status == "fail"]
+    assert lost.witness == (
+        f"{lost.name} lost: its worker process ended with exit code 7 before reporting it"
+    )
+
+
+def test_no_fork_for_one_task_or_one_cpu(monkeypatch):
+    def forbidden():
+        raise AssertionError("forked")
+
+    full = verify._CHECKS
+    monkeypatch.setattr(os, "fork", forbidden)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    monkeypatch.setattr(verify, "_CHECKS", [c for c in full if c[0] == "schur.gram_property"])
+    assert [c.status for c in run_verify(("schur",), n_min=2, n_max=2).checks] == ["pass"]
+    monkeypatch.setattr(verify, "_CHECKS", full)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)
+    assert len(run_verify(("schur",), n_min=2, n_max=2).checks) == 3
+
+
+def test_worker_count_is_the_affinity_mask_while_no_other_thread_runs(monkeypatch):
+    assert verify._worker_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "fork")
+    assert verify._worker_count() == 1
+    monkeypatch.undo()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert verify._worker_count() == 1  # no fork while another thread runs
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+
+
+def test_a_failed_fork_leaves_the_run_to_this_process(monkeypatch):
+    def refused():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    rep = run_verify(("schur",), n_min=2, n_max=4, seed=11)
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)
+    serial = run_verify(("schur",), n_min=2, n_max=4, seed=11)
+    assert _without_elapsed(rep) == _without_elapsed(serial)
 
 
 def test_range_validation():
