@@ -330,15 +330,12 @@ def _claims(claim_r: int):
 
 
 def _serve(tasks: list, ctx: VerifyContext, claim_r: int, out_w: int) -> None:
-    """A forked child's whole life: for every claimed index, one (i, None)
-    record before the check and one (i, result) after it, then os._exit, so
-    the child never returns into its caller's code."""
+    """A forked child's whole life: one (i, result) record per claimed
+    index, then os._exit, so the child never returns into its caller's code."""
     code = 1
     try:
         with os.fdopen(out_w, "wb") as out:
             for i in _claims(claim_r):
-                pickle.dump((i, None), out)
-                out.flush()
                 pickle.dump((i, _run_check(*tasks[i], ctx)), out)
                 out.flush()
         code = 0
@@ -347,8 +344,8 @@ def _serve(tasks: list, ctx: VerifyContext, claim_r: int, out_w: int) -> None:
 
 
 def _records(source):
-    """(index, result or None) records from one child's pipe, up to its end
-    or to the last whole record."""
+    """(index, result) records from one child's pipe, up to its end or to
+    the last whole record."""
     while True:
         try:
             yield pickle.load(source)
@@ -357,19 +354,17 @@ def _records(source):
 
 
 def _run_tasks(tasks: list, ctx: VerifyContext) -> list:
-    """One CheckResult per (name, fn) task, in no particular order.  With
-    more than one usable CPU and task, every index goes into one pipe,
-    one child is forked per further worker, and this process and the
-    children claim indices until the pipe is empty.  A check whose child
-    ended before reporting it fails, naming the check and how the child
-    ended.  Every child is reaped before this returns or raises."""
+    """One CheckResult per (name, fn) task, in no particular order.  Every
+    index goes into one pipe, one child is forked per further worker, and
+    this process and the children claim indices until the pipe is empty;
+    with one worker nothing is forked.  A check whose child ended before
+    reporting it fails by name.  Every child is reaped before this returns
+    or raises."""
     workers = min(_worker_count(), len(tasks))
-    if workers < 2:
-        return [_run_check(name, fn, ctx) for name, fn in tasks]
     claim_r, claim_w = os.pipe()
     with os.fdopen(claim_w, "wb") as claim:
         claim.write(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
-    results, owners, children, finished = {}, {}, {}, False
+    results, children, finished = {}, {}, False
     try:
         for _ in range(workers - 1):
             out_r, out_w = os.pipe()
@@ -385,32 +380,22 @@ def _run_tasks(tasks: list, ctx: VerifyContext) -> list:
             children[pid] = os.fdopen(out_r, "rb")
         for i in _claims(claim_r):
             results[i] = _run_check(*tasks[i], ctx)
-        for pid, source in children.items():
-            for i, result in _records(source):
-                owners[i] = pid
-                if result is not None:
-                    results[i] = result
+        for source in children.values():
+            results.update(_records(source))
         finished = True
     finally:
-        codes = {}
         for pid, source in children.items():
             if not finished:  # this process raised: stop the children's work too
                 import signal  # not loaded at startup, so imported only on this path
 
                 os.kill(pid, signal.SIGKILL)
-            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.waitpid(pid, 0)
             source.close()
         os.close(claim_r)
     for i, (name, _) in enumerate(tasks):
         if i not in results:
-            code = codes.get(owners.get(i))
-            how = (
-                "" if code is None
-                else f" by signal {-code}" if code < 0
-                else f" with exit code {code}"
-            )
             results[i] = CheckResult(
-                name, "fail", f"{name} lost: its worker process ended{how} before reporting it"
+                name, "fail", f"{name} lost: its worker process ended before reporting it"
             )
     return list(results.values())
 
