@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -260,37 +261,39 @@ def class_fn_g(n: int, a: int, b: int, k: int, l: int) -> ClassFunction:
     return _class_function(n, lambda ct: table[ct][k][l])
 
 
+@lru_cache(maxsize=None)
+def _g_to_f_coefficients(n: int, a: int, b: int) -> tuple:
+    """table[k][l][j], the coefficient of f_(a,j) in g_(a,b,k,l), for every
+    overlap pair k, l <= a at once."""
+    def coeff(k, l, j):
+        if n - 2 * a + j < 0:
+            return 0
+        return sum(
+            cb.binomial(j, i)
+            * cb.binomial(a - j, k - i)
+            * cb.binomial(a - j, l - i)
+            * cb.binomial(n - 2 * a + j, b - k - l + i)
+            for i in range(max(0, k + l - b), j + 1)
+        )
+
+    span = range(a + 1)
+    return tuple(tuple(tuple(coeff(k, l, j) for j in span) for l in span) for k in span)
+
+
 def g_to_f_expand(n: int, a: int, b: int, k: int, l: int) -> ClassFunction:
     """g_(a,b,k,l) expanded over the f_(a,j) basis.
 
     Splitting B by its intersections with pi(A) cap A pieces gives
     g = sum_j [ sum_i C(j,i) C(a-j,k-i) C(a-j,l-i) C(n-2a+j, b-k-l+i) ] f_(a,j),
-    valid for a <= b.
+    valid for a <= b; the coefficients come from one table per (n, a, b).
     """
     if not (0 <= a <= b <= n):
         raise ValueError(f"expansion needs 0 <= a <= b <= n, got a={a}, b={b}")
     if not (0 <= k <= a and 0 <= l <= a):
         raise ValueError(f"overlaps k={k}, l={l} outside [0, a]")
-    coeffs = []
-    for j in range(a + 1):
-        c = 0
-        for i in range(j + 1):
-            if b - k - l + i < 0 or n - 2 * a + j < 0:
-                continue
-            c += (
-                cb.binomial(j, i)
-                * cb.binomial(a - j, k - i)
-                * cb.binomial(a - j, l - i)
-                * cb.binomial(n - 2 * a + j, b - k - l + i)
-            )
-        coeffs.append(c)
+    coeffs = _g_to_f_coefficients(n, a, b)[k][l]
     f_table = _f_counts(n, a)
-
-    def value(ct):
-        row = f_table[ct]
-        return sum(coeffs[j] * row[j] for j in range(a + 1))
-
-    return _class_function(n, value)
+    return _class_function(n, lambda ct: sum(map(mul, coeffs, f_table[ct])))
 
 
 @verified("appendix.euler_transform", 2, 6, "subset enumeration",

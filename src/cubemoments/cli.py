@@ -20,12 +20,15 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from . import combinatorics as cb
 from . import characters as ch
 from . import pseudomoments as pm
 from . import schur as su
 from . import spectrum as sp
+from .scalars import Q
 from .verify import DEFAULT_SEED, SUITE_NAMES, format_text, run_verify
 
 
@@ -87,13 +90,13 @@ def _json_table(header, rows, key, meta) -> str:
 def _cmd_matrix(args) -> int:
     y = pm.build_Y(args.n)
     labels = [_format_set(s) for s in y.subsets]
-    # Y repeats its at most n + 1 values a_k as objects: render each once
-    distinct = {id(x): x for row in y.rows for x in row}
-    text = {key: str(x) for key, x in distinct.items()}
+    # den * Y holds at most n + 1 distinct values: render each once, and
+    # walk Y one int64 row at a time
+    text = {x: str(Q(x, y.den)) for x in np.unique(y.ints).tolist()}
     rows = [
-        (s, t, text[id(value)])
-        for s, row in zip(labels, y.rows)
-        for t, value in zip(labels, row)
+        (s, t, text[x])
+        for s, row in zip(labels, y.ints)
+        for t, x in zip(labels, row.tolist())
     ]
     header = ("row_set", "col_set", "value")
     _emit_table(args, header, rows, "entries", {"n": y.n, "d_max": y.d_max})

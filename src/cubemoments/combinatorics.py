@@ -8,9 +8,10 @@ a size; every matrix row/column layout downstream derives from this order.
 Permutations are tuples p of length n with p[i] the 0-based image of
 position i.  Brute-force sweeps over S_n read one numpy table per n,
 perm_table: every image tuple in lexicographic order (the order of
-itertools.permutations, which permutations_iter in tests/test_combinatorics.py
-states), as bit columns 1 << p[i], with each row's conjugacy class;
-conjugacy_classes is memoized the same way.
+itertools.permutations), as bit columns 1 << p[i], with each row's
+conjugacy class; conjugacy_classes is memoized the same way.  Its
+references, permutations_iter for the order and cycle_type_of_perm for the
+classes, live in tests/test_combinatorics.py.
 """
 
 from __future__ import annotations
@@ -175,25 +176,6 @@ def conjugacy_classes(n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # permutations
-
-
-def cycle_type_of_perm(perm) -> tuple:
-    """Cycle type of an image tuple, non-increasing."""
-    n = len(perm)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
 
 
 # bounds take_along_axis's index arrays: perm_table(9) peaks ~11 MB above imports, not ~22

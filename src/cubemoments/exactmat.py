@@ -2,12 +2,12 @@
 
 Matrices are plain list-of-list rows holding ints or exact rationals; all
 arithmetic stays exact.  integer_form is the one helper that scales a
-rational matrix to ints, by the lcm of its denominators
-(indexed_integer_form gives the same ints gathered, as distinct values and
-an index array).  rational_product owns that step for every exact product
-whose entries are wanted, outside the modular and elimination kernels: it
-scales each factor, multiplies the chain over Python ints with mat_mul
-(which keeps ints as ints) and divides each entry back once, always
+rational matrix to ints, by the lcm of its denominators; the pseudomoment
+matrix is never scaled, as pseudomoments.build_Y gathers its integer form
+from that of a_0..a_n.  rational_product owns that step for every exact
+product whose entries are wanted, outside the modular and elimination
+kernels: it scales each factor, multiplies the chain over Python ints with
+mat_mul (which keeps ints as ints) and divides each entry back once, always
 returning rationals.  A product that is only compared with a known matrix
 is not formed: product_equals decides A B / den_ab = C / den_c for gathered
 integer matrices as one zero test on float64 residues (below).  rank,
@@ -76,28 +76,13 @@ def _scaled_int(x, den: int) -> int:
 def integer_form(rows: list):
     """(int_rows, den): den is the lcm of the denominators of the exact
     entries of rows and int_rows = den * rows entrywise, over Python ints.
-    Entries repeat as objects (a Gram kernel holds one per distinct value),
-    so each distinct object is scaled once and looked up by identity."""
-    scaled, den = _scaled_distinct(rows)
-    return [[scaled[id(x)] for x in row] for row in rows], den
-
-
-def _scaled_distinct(rows: list):
-    """({id(x): den * x}, den) over the distinct objects x among the exact
-    entries of rows, den the lcm of their denominators."""
+    Entries may repeat as objects (a Gram kernel of pseudomoments.
+    bilinear_gram holds one per distinct value), so each distinct object is
+    scaled once and looked up by identity."""
     distinct = {id(x): x for row in rows for x in row}
     den = math.lcm(*(int(x.denominator) for x in distinct.values()))
-    return {key: _scaled_int(x, den) for key, x in distinct.items()}, den
-
-
-def indexed_integer_form(rows: list):
-    """((values, index), den): integer_form(rows) as a gathered matrix, the
-    distinct scaled entries as Python ints and an int array of positions
-    into them, so values[index[i, j]] = den * rows[i][j]."""
-    scaled, den = _scaled_distinct(rows)
-    position = {key: k for k, key in enumerate(scaled)}
-    index = np.array([[position[id(x)] for x in row] for row in rows], dtype=np.intp)
-    return (list(scaled.values()), index), den
+    scaled = {key: _scaled_int(x, den) for key, x in distinct.items()}
+    return [[scaled[id(x)] for x in row] for row in rows], den
 
 
 def rational_product(*factors) -> list:

@@ -5,7 +5,11 @@ The degree-(k) moment sequence is
 the unique S_n-invariant solution of k a_(k-1) + (n-k) a_(k+1) = 0 with
 a_0 = 1, i.e. of the constraint that sum x_i should act as zero.  The
 pseudomoment matrix Y is indexed by subsets S, T of [n] with
-|S|, |T| <= floor(n/2) and has entries Y[S,T] = a_|S symdiff T|.
+|S|, |T| <= floor(n/2) and has entries Y[S,T] = a_|S symdiff T|.  build_Y
+holds it in one form, its exact integer form: the int64 array den * Y,
+den the lcm of the denominators of a_0..a_n, gathered by popcount from
+the n + 1 scaled moments; parity_blocks slices it into its even- and
+odd-size blocks, and entry reads one value back as a rational.
 
 Polynomials are sparse exact dicts sharing one base, SparsePoly.  Here
 MultilinearPoly lives in the quotient by x_i^2 = 1, so monomials are subset
@@ -108,13 +112,15 @@ def a_recursion_check(n: int) -> Report:
 
 @dataclass
 class PseudomomentMatrix:
-    """Dense exact matrix indexed by subsets of [n] of size <= floor(n/2),
-    rows and columns in canonical (size, mask) order."""
+    """Y over the subsets of [n] of size <= floor(n/2), rows and columns in
+    canonical (size, mask) order, held as its exact integer form: ints is
+    the int64 array den * Y, den the lcm of the denominators of a_0..a_n."""
 
     n: int
     subsets: list
     index: dict
-    rows: list
+    ints: np.ndarray
+    den: int
 
     @property
     def size(self) -> int:
@@ -125,40 +131,42 @@ class PseudomomentMatrix:
         return cb.d_max(self.n)
 
     def entry(self, s_mask: int, t_mask: int):
-        return self.rows[self.index[s_mask]][self.index[t_mask]]
+        return Q(int(self.ints[self.index[s_mask], self.index[t_mask]]), self.den)
 
 
 def build_Y(n: int) -> PseudomomentMatrix:
-    """The pseudomoment matrix Y with Y[S,T] = a_|S symdiff T|."""
+    """The pseudomoment matrix Y with Y[S,T] = a_|S symdiff T|, gathered
+    from the integer form of a_0..a_n by the popcount of S xor T."""
     if not (2 <= n <= BUILD_MAX_N):
         raise ValueError(f"dense exact storage supports 2 <= n <= {BUILD_MAX_N}, got {n}")
     subsets = cb.enumerate_subsets(n, cb.d_max(n))
-    a = _a_values(n)
-    rows = [[a[(s ^ t).bit_count()] for t in subsets] for s in subsets]
-    return PseudomomentMatrix(n, subsets, {s: i for i, s in enumerate(subsets)}, rows)
+    (a,), den = xm.integer_form([_a_values(n)])
+    masks = np.array(subsets)
+    ints = np.array(a, dtype=np.int64)[np.bitwise_count(masks[:, None] ^ masks)]
+    return PseudomomentMatrix(n, subsets, {s: i for i, s in enumerate(subsets)}, ints, den)
+
+
+def _parities(y: PseudomomentMatrix) -> np.ndarray:
+    """|S| mod 2 for each row S of Y."""
+    return np.bitwise_count(np.array(y.subsets)) & 1
 
 
 def parity_blocks(y: PseudomomentMatrix):
-    """([(masks, rows)] for the even- then the odd-size block of Y, den):
-    masks in Y's (size, mask) order, rows the block times den over Python
-    ints, den the lcm of the denominators of Y's entries.  Y is their direct
-    sum; a nonzero entry between them (an a_odd) raises InconsistentBlockError.
-    Y is scaled to ints once, and both the test and the split read the ints."""
-    rows, den = xm.integer_form(y.rows)
-    groups = ([], [])
-    for i, s in enumerate(y.subsets):
-        groups[s.bit_count() & 1].append(i)
-    for i in groups[0]:
-        row = rows[i]
-        for j in groups[1]:
-            if row[j] or rows[j][i]:
-                raise InconsistentBlockError(
-                    f"cross-parity entry ({i},{j}) nonzero at n={y.n}"
-                )
-    return [
-        ([y.subsets[i] for i in idx], [[rows[i][j] for j in idx] for i in idx])
-        for idx in groups
-    ], den
+    """([(masks, block)] for the even- then the odd-size block of Y, den):
+    masks in Y's (size, mask) order, block the int64 array den * Y on those
+    rows and columns, den = y.den.  Y is their direct sum; a nonzero entry
+    between them (an a_odd) in either triangle raises InconsistentBlockError
+    naming the first (even row, odd column) pair."""
+    parity = _parities(y)
+    groups = [np.flatnonzero(parity == b) for b in (0, 1)]
+    even_odd, odd_even = np.ix_(*groups), np.ix_(*groups[::-1])
+    cross = np.flatnonzero(y.ints[even_odd] | y.ints[odd_even].T)
+    if cross.size:
+        i, j = divmod(int(cross[0]), len(groups[1]))
+        raise InconsistentBlockError(
+            f"cross-parity entry ({groups[0][i]},{groups[1][j]}) nonzero at n={y.n}"
+        )
+    return [([y.subsets[i] for i in idx], y.ints[np.ix_(idx, idx)]) for idx in groups], y.den
 
 
 @verified("pseudomoments.matrix_structure", 2, 10, "dense matrix scan", BUILD_MAX_N)
@@ -166,9 +174,9 @@ def matrix_structure_check(n: int) -> Report:
     """Symmetry, unit diagonal, moment first row, parity zeros of Y."""
     report = Report()
     y = build_Y(n)
-    report.expect(xm.is_symmetric(y.rows), f"Y not symmetric at n={n}")
+    report.expect(np.array_equal(y.ints, y.ints.T), f"Y not symmetric at n={n}")
     report.expect(
-        all(y.rows[i][i] == 1 for i in range(y.size)),
+        bool((np.diagonal(y.ints) == y.den).all()),
         f"non-unit diagonal at n={n}",
     )
     for s in y.subsets:
@@ -176,12 +184,8 @@ def matrix_structure_check(n: int) -> Report:
             y.entry(0, s) == a_coeff(n, s.bit_count()),
             f"first row of Y differs from the moment vector at n={n}, S={s:b}",
         )
-    bad = sum(
-        1
-        for i, s in enumerate(y.subsets)
-        for j, t in enumerate(y.subsets)
-        if (s.bit_count() ^ t.bit_count()) & 1 and y.rows[i][j] != 0
-    )
+    parity = _parities(y)
+    bad = np.count_nonzero(y.ints[parity[:, None] != parity])
     report.expect(bad == 0, f"{bad} nonzero odd-parity entries at n={n}")
     return report
 

@@ -182,8 +182,9 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         raise ValueError(f"need 0 <= steps <= d_max = {cb.d_max(n)}, got {steps}")
     report = Report()
     parts, den = parity_blocks(build_Y(n))
-    # per parity block: its int rows, where its next degree starts, last pivot
-    chains = [[rows, 0, 1] for _, rows in parts]
+    # per parity block: its rows over Python ints (Bareiss pivots pass 64
+    # bits), where its next degree starts, and its last pivot
+    chains = [[block.tolist(), 0, 1] for _, block in parts]
     blocks = []
     for k in range(steps + 1):
         h = cb.binomial(n, k)

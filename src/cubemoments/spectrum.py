@@ -177,19 +177,20 @@ class _ParityPowers:
     the annihilation, trace-moment and rank checks.
 
     masks and scale D come from pseudomoments.parity_blocks, the even block
-    first, and blocks holds each integer block B = D Y once, as an int64
-    array; rank_check reads blocks as they are.  The powers B, B^2, ... are
-    held per prime of exactmat.POWER_PRIMES, as float64 residues
-    (exactmat.power_product), and extended on demand.  Each check bounds
-    the integers it decides through T, the largest |entry| of the blocks,
-    and takes the primes that bound asks for, so every verdict is exact.
+    first, and blocks holds each integer block B = D Y once, the int64
+    array parity_blocks gives; rank_check reads blocks as they are.  The
+    powers B, B^2, ... are held per prime of exactmat.POWER_PRIMES, as
+    float64 residues (exactmat.power_product), and extended on demand.
+    Each check bounds the integers it decides through T, the largest
+    |entry| of the blocks, and takes the primes that bound asks for, so
+    every verdict is exact.
     Results come back in Y's own rational units: tr(Y^m) = tr(B^m) / D^m.
     """
 
     def __init__(self, y: PseudomomentMatrix):
         parts, self.scale = parity_blocks(y)
         self.masks = [masks for masks, _ in parts]
-        self.blocks = [np.array(rows, dtype=np.int64) for _, rows in parts]
+        self.blocks = [block for _, block in parts]
         self._max_rows = max(map(len, self.blocks))
         xm.require_float_exact(self._max_rows)
         self._max_entry = max(int(np.abs(block).max()) for block in self.blocks)
@@ -635,9 +636,9 @@ def gram_reconstruction_check(n: int) -> Report:
     is U with the columns of degree d scaled by 1 / (f_{d,d} sigma_d^2).
     Both are gathered from frame_tables: their entries, scaled to ints over
     all degrees at once, are indexed by (d, |S|, |S cap R|), so U's index
-    array comes from popcounts and no entry of U is built.  The claim is one
-    exact zero test, exactmat.product_equals of (U W) U^T against Y on
-    float64 residues."""
+    array comes from popcounts and no entry of U is built; Y is gathered
+    from its distinct values in den * Y.  The claim is one exact zero test,
+    exactmat.product_equals of (U W) U^T against Y on float64 residues."""
     cb.check_n(n, cap=RECONSTRUCTION_MAX_N)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -657,9 +658,10 @@ def gram_reconstruction_check(n: int) -> Report:
         r_masks = np.array(cb.subsets_of_size(n, d))
         blocks.append(position[sizes[:, None], np.bitwise_count(subsets[:, None] & r_masks)])
     index = np.hstack(blocks)
-    target, den_y = xm.indexed_integer_form(y.rows)
+    y_values, y_index = np.unique(y.ints, return_inverse=True)
+    target = (y_values.tolist(), y_index.reshape(y.ints.shape))
     report.expect(
-        xm.product_equals((uw_values, index), (u_values, index.T), target, den_uw * den_u, den_y),
+        xm.product_equals((uw_values, index), (u_values, index.T), target, den_uw * den_u, y.den),
         f"frame reconstruction does not reproduce Y at n={n}",
     )
     return report

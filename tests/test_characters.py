@@ -9,6 +9,7 @@ from cubemoments import combinatorics as cb
 from cubemoments import pseudomoments as pm
 from cubemoments.errors import UnsupportedCaseError
 from cubemoments.scalars import Q
+from test_combinatorics import cycle_type_of_perm
 
 
 def test_fixed_subset_counts_frozen():
@@ -143,7 +144,7 @@ def test_image_overlap_counts_match_a_loop_over_the_permutations():
             want = {}
             for perm in itertools.permutations(range(n)):
                 by_type = want.setdefault(cb.perm_image_mask(perm, a_mask), {})
-                ct = cb.cycle_type_of_perm(perm)
+                ct = cycle_type_of_perm(perm)
                 by_type[ct] = by_type.get(ct, 0) + 1
             got = ch.image_overlap_counts(n, a_mask)
             assert got == want
@@ -160,7 +161,7 @@ def swapped_row(monkeypatch):
     true_table = cb.perm_table
     row, swapped = (0, 1, 2, 4, 3), (1, 0, 2, 3, 4)
     assert [b.bit_length() - 1 for b in bits[1].tolist()] == list(row)
-    assert cb.cycle_type_of_perm(swapped) == cb.cycle_type_of_perm(row)
+    assert cycle_type_of_perm(swapped) == cycle_type_of_perm(row)
     corrupt = bits.copy()
     corrupt[1] = [1 << i for i in swapped]
     sizes = [size for _, size in cb.conjugacy_classes(n)]

@@ -77,9 +77,9 @@ def test_matrix_export_matches_reference_rendering(tmp_path):
     for n in range(2, 8):
         y = build_Y(n)
         entries = [
-            (label(n, s), label(n, t), str(y.rows[i][j]))
-            for i, s in enumerate(y.subsets)
-            for j, t in enumerate(y.subsets)
+            (label(n, s), label(n, t), str(y.entry(s, t)))
+            for s in y.subsets
+            for t in y.subsets
         ]
         header = ("row_set", "col_set", "value")
         want = {

@@ -741,20 +741,29 @@ def test_eliminate_symmetric_resumes_where_it_paused():
     assert first + second == xm.psd_pivots(gram)[1]
 
 
+def _gathered(rows):
+    """((values, index), den): the integer form of rows as product_equals
+    reads it, the distinct ints and an index array of positions into them."""
+    ints, den = xm.integer_form(rows)
+    values = sorted({x for row in ints for x in row})
+    position = {x: k for k, x in enumerate(values)}
+    return (values, np.array([[position[x] for x in row] for row in ints], dtype=np.intp)), den
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data(), _matrices())
 def test_product_equals_matches_fraction_reference(data, a):
     b = data.draw(_matrices(rows=len(a[0])))
-    (ga, den_a), (gb, den_b) = map(xm.indexed_integer_form, (a, b))
+    (ga, den_a), (gb, den_b) = map(_gathered, (a, b))
     want = ref_product(a, b)
-    gc, den_c = xm.indexed_integer_form(want)
+    gc, den_c = _gathered(want)
     assert xm.product_equals(ga, gb, gc, den_a * den_b, den_c)
     i = data.draw(st.integers(0, len(want) - 1))
     j = data.draw(st.integers(0, len(want[0]) - 1))
     shift = data.draw(st.sampled_from((Fraction(1), Fraction(-1, 3), Fraction(1, 10**30))))
     wrong = [list(row) for row in want]
     wrong[i][j] += shift
-    gw, den_w = xm.indexed_integer_form(wrong)
+    gw, den_w = _gathered(wrong)
     assert not xm.product_equals(ga, gb, gw, den_a * den_b, den_w)
 
 
@@ -783,10 +792,3 @@ def test_product_equals_refuses_an_inner_dimension_past_float_exactness():
     narrow = ([1], np.zeros((1, k - 1), dtype=np.intp)), ([1], np.zeros((k - 1, 1), dtype=np.intp))
     assert xm.product_equals(*narrow, ([k - 1], np.zeros((1, 1), dtype=np.intp)), 1, 1)
 
-
-def test_indexed_integer_form_gathers_integer_form():
-    rows = [[Q(1, 2), Q(1, 3)], [Q(-5, 6), 2]]
-    (values, index), den = xm.indexed_integer_form(rows)
-    ints, want_den = xm.integer_form(rows)
-    assert den == want_den == 6
-    assert [[values[k] for k in row] for row in index.tolist()] == ints

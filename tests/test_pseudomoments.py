@@ -33,10 +33,33 @@ def test_a_recursion_check_range():
         assert report.checked > 0
 
 
+def oracle_Y(n):
+    """Y entry by entry as exact rationals from a_coeff, rows and columns
+    in build_Y's (size, mask) order."""
+    subsets = cb.enumerate_subsets(n, cb.d_max(n))
+    return [[pm.a_coeff(n, (s ^ t).bit_count()) for t in subsets] for s in subsets]
+
+
+def rational_rows(y):
+    """The entries of y as exact rationals: its int64 form divided by den."""
+    return [[Q(x, y.den) for x in row] for row in y.ints.tolist()]
+
+
+def add_to_entries(y, shift, pairs):
+    """y with the exact rational shift added at each index pair (i, j) of
+    pairs, in place: den grows to its lcm with the denominator of shift."""
+    den = math.lcm(y.den, Q(shift).denominator)
+    y.ints, y.den = y.ints * (den // y.den), den
+    for i, j in pairs:
+        y.ints[i, j] += int(shift * den)
+    return y
+
+
 def test_build_Y_frozen_small():
     y2 = pm.build_Y(2)
     assert y2.subsets == [0, 1, 2]
-    assert y2.rows == [[1, 0, 0], [0, 1, -1], [0, -1, 1]]
+    assert y2.den == 1
+    assert y2.ints.tolist() == [[1, 0, 0], [0, 1, -1], [0, -1, 1]]
     y3 = pm.build_Y(3)
     assert y3.size == 4
     assert y3.entry(0b001, 0b010) == Q(-1, 2)
@@ -44,17 +67,28 @@ def test_build_Y_frozen_small():
     assert y3.entry(0, 0b100) == 0
 
 
+def test_build_Y_matches_the_entrywise_oracle():
+    for n in range(2, 11):
+        y = pm.build_Y(n)
+        want = oracle_Y(n)
+        den = math.lcm(*(x.denominator for row in want for x in row))
+        assert y.ints.dtype == np.int64, n
+        assert y.den == den, n
+        assert y.ints.tolist() == [[x * den for x in row] for row in want], n
+        s, t = y.subsets[-1], y.subsets[1]
+        assert type(y.entry(s, t)) is Q and y.entry(s, t) == want[-1][1], n
+
+
 def test_build_Y_structure():
     for n in (4, 5, 6, 7):
         y = pm.build_Y(n)
         assert y.size == cb.binomial_le(n, n // 2)
-        for i in range(y.size):
-            assert y.rows[i][i] == 1
-            for j in range(i):
-                assert y.rows[i][j] == y.rows[j][i]
-                s, t = y.subsets[i], y.subsets[j]
+        for i, s in enumerate(y.subsets):
+            assert y.entry(s, s) == 1
+            for t in y.subsets[:i]:
+                assert y.entry(s, t) == y.entry(t, s)
                 if (s ^ t).bit_count() % 2:
-                    assert y.rows[i][j] == 0
+                    assert y.entry(s, t) == 0
 
 
 def test_build_Y_guards():
@@ -340,10 +374,11 @@ def test_parity_blocks_split_Y():
     for n in range(2, 9):
         y = pm.build_Y(n)
         parts, den = pm.parity_blocks(y)
-        assert den == math.lcm(*(x.denominator for row in y.rows for x in row)), n
-        for parity, (masks, rows) in enumerate(parts):
+        assert den == math.lcm(*(x.denominator for row in oracle_Y(n) for x in row)), n
+        for parity, (masks, block) in enumerate(parts):
             assert masks == [s for s in y.subsets if s.bit_count() & 1 == parity], n
-            assert rows == [[y.entry(s, t) * den for t in masks] for s in masks], n
+            assert block.dtype == np.int64, n
+            assert block.tolist() == [[y.entry(s, t) * den for t in masks] for s in masks], n
 
 
 def test_parity_blocks_refuse_a_one_sided_cross_parity_entry():
@@ -352,7 +387,7 @@ def test_parity_blocks_refuse_a_one_sided_cross_parity_entry():
     for n in range(2, 9):
         y = pm.build_Y(n)
         i, j = y.index[0], y.index[0b1]
-        y.rows[j][i] += Q(1, 1000)
+        add_to_entries(y, Q(1, 1000), [(j, i)])
         with pytest.raises(InconsistentBlockError) as excinfo:
             pm.parity_blocks(y)
         assert str(excinfo.value) == f"cross-parity entry ({i},{j}) nonzero at n={n}"

@@ -1,5 +1,6 @@
 """Gramian Schur complements, volume identity, iterated elimination of Y."""
 
+import numpy as np
 import pytest
 
 from cubemoments import combinatorics as cb
@@ -16,6 +17,7 @@ from cubemoments.schur import (
     volume_identity_check,
 )
 from cubemoments.scalars import Q, QZERO
+from test_pseudomoments import add_to_entries, rational_rows
 
 
 def _dot(u, v):
@@ -191,7 +193,7 @@ def test_iterated_schur_matches_rational_chain():
     for n in range(2, 9):
         blocks, report = iterated_schur_on_Y(n)
         assert report.ok, (n, report.details[:3])
-        current = schur.build_Y(n).rows
+        current = rational_rows(schur.build_Y(n))
         for k, block in enumerate(blocks):
             h = cb.binomial(n, k)
             assert block == [row[:h] for row in current[:h]], (n, k)
@@ -211,20 +213,17 @@ def _patch_Y(monkeypatch, edit):
 
 
 def _shift_pair(y, n):
-    for i, j in ((1, 2), (2, 1)):
-        y.rows[i][j] += Q(1, 1000)
+    add_to_entries(y, Q(1, 1000), [(1, 2), (2, 1)])
 
 
 def _shift_overlap_zero(y, n):
     # the degree-1 block stays in the Johnson scheme but leaves the Gram
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                y.rows[i][j] += Q(1, 1000)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    add_to_entries(y, Q(1, 1000), pairs)
 
 
 def _shift_degree2_diagonal(y, n):
-    y.rows[n + 1][n + 1] += Q(1, 1000)  # row n + 1 is the first 2-subset
+    add_to_entries(y, Q(1, 1000), [(n + 1, n + 1)])  # row n + 1 is the first 2-subset
 
 
 def test_iterated_schur_fails_on_perturbed_Y(monkeypatch):
@@ -290,7 +289,7 @@ def test_exact_routes_return_no_float():
         assert all(type(x) is Q for block in blocks for row in block for x in row), n
         parts, den = parity_blocks(schur.build_Y(n))
         assert type(den) is int, n
-        assert all(type(x) is int for _, rows in parts for row in rows for x in row), n
+        assert all(block.dtype == np.int64 for _, block in parts), n
 
 
 def test_iterated_schur_runs_one_elimination_per_step(monkeypatch):
@@ -309,7 +308,7 @@ def test_iterated_schur_runs_one_elimination_per_step(monkeypatch):
 
 def _with_singleton_diagonal(monkeypatch, value):
     def edit(y, n):
-        y.rows[1][1] = value  # row 1 is the singleton {1}
+        y.ints[1, 1] = int(value * y.den)  # row 1 is the singleton {1}
 
     _patch_Y(monkeypatch, edit)
 

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from cubemoments.spectrum import (
     trace_moment_check,
     zero_multiplicity,
 )
+from test_pseudomoments import add_to_entries, oracle_Y, rational_rows
 
 
 def test_lambda_closed_frozen():
@@ -104,7 +104,7 @@ def test_multiplicities():
 
 def test_annihilation_frozen_small():
     # independent oracle: Y(Y - I)(Y - 2I) = 0 at n=2 by direct products
-    y = build_Y(2).rows
+    y = oracle_Y(2)
 
     def shifted(c):  # Y - cI
         return [[v - c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(y)]
@@ -140,8 +140,9 @@ def test_trace_moments():
 
 def _split(y):
     # Y's parity blocks, an oracle written apart from pseudomoments.parity_blocks
+    rows = rational_rows(y)
     groups = [[i for i, s in enumerate(y.subsets) if s.bit_count() & 1 == e] for e in (0, 1)]
-    return [[[y.rows[i][j] for j in idx] for i in idx] for idx in groups]
+    return [[[rows[i][j] for j in idx] for i in idx] for idx in groups]
 
 
 def test_parity_powers_scaled_to_integers():
@@ -151,11 +152,10 @@ def test_parity_powers_scaled_to_integers():
         assert powers.scale == scale
         parts, den = parity_blocks(y)
         assert den == scale and powers.masks == [masks for masks, _ in parts]
-        # each block is held once, as int64, equal to parity_blocks' ints
-        assert not hasattr(powers, "_ints")
-        for block, (_, rows) in zip(powers.blocks, parts):
+        # each block is held once, as int64, equal to parity_blocks' blocks
+        for block, (_, given_block) in zip(powers.blocks, parts):
             assert block.dtype == np.int64
-            assert block.tolist() == rows
+            assert np.array_equal(block, given_block)
     assert xm.integer_form([[Q(6, 3), Q(1, 2)], [Q(-5, 6), 0]]) == ([[12, 3], [-5, 0]], 6)
     assert xm._scaled_int(Q(2, 3), 3) == 2
     with pytest.raises(InconsistentBlockError):
@@ -293,9 +293,7 @@ def test_rank_check_fails_on_corrupted_Y(monkeypatch):
     def corrupted(n):
         y = build_Y(n)
         i, j = y.index[0], y.index[0b11]
-        y.rows[i][j] += Q(1, 1000)
-        y.rows[j][i] += Q(1, 1000)
-        return y
+        return add_to_entries(y, Q(1, 1000), [(i, j), (j, i)])
 
     monkeypatch.setattr(sp, "build_Y", corrupted)
     for n in range(4, 9):
@@ -310,13 +308,14 @@ def test_rank_check_reports_exact_rank_when_rank_drops(monkeypatch):
     # exact Schur step on the pivot Y[0, 0] = 1, which lowers that block's
     # rank by one.  Every kernel vector v_K still vanishes (the first row
     # of Y does), so only the modular lower bound can refuse the block.
+    # Over den^2 it reads den * (den Y) - (den Y)[0] (den Y)[0]^T.
     def lowered(n):
         y = build_Y(n)
-        first = y.rows[0][:]
-        even = [i for i, s in enumerate(y.subsets) if not s.bit_count() & 1]
-        for i in even:
-            for j in even:
-                y.rows[i][j] -= first[i] * first[j]
+        first = y.ints[0]
+        even = np.ix_(*[[i for i, s in enumerate(y.subsets) if not s.bit_count() & 1]] * 2)
+        y.ints = y.ints * y.den
+        y.ints[even] -= np.outer(first, first)[even]
+        y.den *= y.den
         return y
 
     monkeypatch.setattr(sp, "build_Y", lowered)
@@ -565,7 +564,7 @@ def _reconstruction_by_rational_product(n):
             keys = [(s.bit_count(), (s & r).bit_count()) for r in cb.subsets_of_size(n, d)]
             row.extend(values[key] for key in keys)
             wrow.extend(weighted[key] for key in keys)
-    return xm.mat_eq(xm.rational_product(uw, list(zip(*u))), y.rows)
+    return xm.mat_eq(xm.rational_product(uw, list(zip(*u))), rational_rows(y))
 
 
 def _corrupt_moment(monkeypatch):
@@ -586,9 +585,7 @@ def _corrupt_Y_entry(monkeypatch):
 
     def corrupted(n):
         y = original(n)
-        rows = [list(row) for row in y.rows]
-        rows[-1][1] += Q(1, 7)
-        return replace(y, rows=rows)
+        return add_to_entries(y, Q(1, 7), [(y.size - 1, 1)])
 
     monkeypatch.setattr(sp, "build_Y", corrupted)
 

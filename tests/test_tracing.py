@@ -1,17 +1,30 @@
-"""The benchmark's traced layer names resolve in the package, so a renamed
-or deleted function fails here rather than only in a traced benchmark run."""
+"""The benchmark's traced layer names resolve in the package, and its exact
+counters read the results their targets really return, so a renamed or
+deleted function or field fails here rather than only in a traced
+benchmark run."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from cubemoments import exactmat as xm
+from cubemoments.pseudomoments import build_Y
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_traced_names_resolve():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    tracing = _tracing()
     missing = []
     for module_name, attr, _ in tracing.SPANNED + tracing.COUNTED_ONLY:
         target = importlib.import_module(module_name)
@@ -20,3 +33,25 @@ def test_traced_names_resolve():
         if not callable(target):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_counters_read_real_results():
+    tracing = _tracing()
+    a = [[1, 2], [3, 4]]
+    block = np.array([[2.0, 1.0], [1.0, 2.0]])
+    calls = {
+        "pseudomoments.build_Y": ((4,), build_Y(4)),
+        "exactmat.mat_mul": ((a, a), xm.mat_mul(a, a)),
+        "numpy.linalg.eigvalsh": ((block,), np.linalg.eigvalsh(block)),
+    }
+    assert set(calls) == set(tracing.COUNTERS)
+    counts = Counter()
+    for name, (args, result) in calls.items():
+        tracing.COUNTERS[name](counts, args, result)
+    assert counts == {
+        "pseudomoments.build_Y.entries": 11**2,  # C(4, <= 2) = 11 rows
+        "exactmat.mat_mul.scalar_mults": 2 * 2 * 2,
+        "exactmat.mat_mul.max_bits": 5,  # [[7, 10], [15, 22]]
+        "numpy.linalg.eigvalsh.flops_computed": 4 * 2**3 // 3,
+        "spectrum.numeric_eigensolve.block_bytes_computed": block.nbytes,
+    }

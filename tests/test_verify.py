@@ -17,6 +17,7 @@ from cubemoments import verify
 from cubemoments.errors import InconsistentBlockError
 from cubemoments.report import SPANS, Report
 from cubemoments.scalars import Q
+from test_pseudomoments import add_to_entries
 from cubemoments.verify import (
     SUITE_NAMES,
     VerifyContext,
@@ -439,9 +440,7 @@ def test_cross_parity_entry_is_refused(monkeypatch, n):
     def corrupted(n):
         y = pm.build_Y(n)
         i, j = y.index[0], y.index[0b1]
-        y.rows[i][j] += Q(1, 1000)
-        y.rows[j][i] += Q(1, 1000)
-        return y
+        return add_to_entries(y, Q(1, 1000), [(i, j), (j, i)])
 
     monkeypatch.setattr(sp, "build_Y", corrupted)
     monkeypatch.setattr(su, "build_Y", corrupted)
