@@ -4,8 +4,8 @@ Irreducible characters for partitions (n-d, d) are computed through the
 permutation statistic c_d(pi) = number of d-subsets fixed setwise, whose
 generating function over a permutation with cycle lengths L is
 prod_l (1 + x^l).  The character is chi = c_d - c_(d-1).  The counts c_d
-read off the generating function are cross-checked against counting the
-fixed d-subsets of a class representative one by one (n <= 9).  Class
+read off the generating function are cross-checked against a numpy tally
+of the d-subsets a class representative fixes setwise (n <= 9).  Class
 functions are stored as one exact value per cycle type.
 
 The restricted sums here average chi over all permutations mapping a fixed
@@ -219,35 +219,29 @@ def restricted_sums_check(n: int) -> Report:
 @lru_cache(maxsize=None)
 def _f_counts(n: int, a: int) -> dict:
     """Per cycle type, the vector [f_(a,0), ..., f_(a,a)] with
-    f_(a,k)(pi) = #{A : |A| = a, |pi(A) cap A| = k}."""
-    cb.check_n(n, cap=cb.BRUTE_FORCE_MAX_N)
-    subsets = cb.subsets_of_size(n, a)
-    table = {}
-    for ct, _ in cb.conjugacy_classes(n):
-        rep = cb.canonical_perm_of_cycle_type(n, ct)
-        counts = [0] * (a + 1)
-        for s in subsets:
-            counts[(cb.perm_image_mask(rep, s) & s).bit_count()] += 1
-        table[ct] = counts
-    return table
+    f_(a,k)(pi) = #{A : |A| = a, |pi(A) cap A| = k}: row a of
+    _g_counts(n, a, a), since two a-subsets meet in a points only if equal."""
+    return {ct: counts[a] for ct, counts in _g_counts(n, a, a).items()}
 
 
 @lru_cache(maxsize=None)
 def _g_counts(n: int, a: int, b: int) -> dict:
-    """Per cycle type, the matrix g[k][l] with
-    g_(a,b,k,l)(pi) = #{(A, B) : |A cap B| = k, |pi(A) cap B| = l}."""
+    """Per cycle type, the matrix g[k][l] of Python ints with
+    g_(a,b,k,l)(pi) = #{(A, B) : |A cap B| = k, |pi(A) cap B| = l}: one numpy
+    tally per class, every pi(A) from the 0/1 membership rows of the a-masks
+    times the bit columns 1 << pi(i), and both overlaps by popcounts."""
     cb.check_n(n, cap=cb.BRUTE_FORCE_MAX_N)
-    a_subsets = cb.subsets_of_size(n, a)
-    b_subsets = cb.subsets_of_size(n, b)
+    a_masks = np.array(cb.subsets_of_size(n, a), dtype=np.int64)
+    b_masks = np.array(cb.subsets_of_size(n, b), dtype=np.int64)
+    members = a_masks[:, None] >> np.arange(n) & 1
+    side = min(a, b) + 1
+    overlaps = np.bitwise_count(a_masks[:, None] & b_masks).astype(np.intp) * side
     table = {}
     for ct, _ in cb.conjugacy_classes(n):
-        rep = cb.canonical_perm_of_cycle_type(n, ct)
-        counts = [[0] * (min(a, b) + 1) for _ in range(min(a, b) + 1)]
-        images = [cb.perm_image_mask(rep, s) for s in a_subsets]
-        for s, image in zip(a_subsets, images):
-            for t in b_subsets:
-                counts[(s & t).bit_count()][(image & t).bit_count()] += 1
-        table[ct] = counts
+        rep = np.array(cb.canonical_perm_of_cycle_type(n, ct), dtype=np.int64)
+        images = members @ (1 << rep)
+        cells = overlaps + np.bitwise_count(images[:, None] & b_masks)
+        table[ct] = np.bincount(cells.ravel(), minlength=side * side).reshape(side, side).tolist()
     return table
 
 

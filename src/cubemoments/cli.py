@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or capacity error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -43,44 +43,45 @@ def _format_cycle_type(ct) -> str:
     return "-".join(str(part) for part in ct)
 
 
-def _emit(text: str, out_path) -> None:
+def _destination(out_path):
+    """The --out file to write through once, or stdout, which stays open."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out_path, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit_json(payload, out_path) -> None:
+    with _destination(out_path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_table(args, header, rows, key, meta) -> None:
-    """Write rows as CSV under header, or as JSON: meta plus key -> one
-    {column: value} object per row."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = _json_table(header, rows, key, meta)
-    _emit(text, args.out)
+    """Write rows, which may be a generator, one at a time: as CSV under
+    header, or as JSON, meta plus key -> one {column: value} object per row."""
+    with _destination(args.out) as handle:
+        if args.format == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            handle.writelines(_json_table(header, rows, key, meta))
 
 
-def _json_table(header, rows, key, meta) -> str:
-    """_json_text({**meta, key: [dict(zip(header, row)) for row in rows]})
-    for scalar meta values and row entries, laid out by hand: json.dumps
-    with indent=2 runs the pure-Python encoder, while a scalar encoded on
-    its own goes through the C encoder."""
+def _json_table(header, rows, key, meta):
+    """The pieces of json.dumps({**meta, key: [dict(zip(header, row)) for
+    row in rows]}, indent=2) + "\\n", one row object at a time, for scalar
+    meta values and row entries, laid out by hand: json.dumps with indent=2
+    runs the pure-Python encoder, while a scalar encoded on its own goes
+    through the C encoder."""
     head = "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in meta.items())
-    if not rows:
-        return f"{{\n{head}  {json.dumps(key)}: []\n}}\n"
     names = [json.dumps(h).replace("%", "%%") for h in header]
     template = "    {\n" + ",\n".join(f"      {name}: %s" for name in names) + "\n    }"
-    body = ",\n".join(template % tuple(map(json.dumps, row)) for row in rows)
-    return f"{{\n{head}  {json.dumps(key)}: [\n{body}\n  ]\n}}\n"
+    yield f"{{\n{head}  {json.dumps(key)}: ["
+    separator = "\n"
+    for row in rows:
+        yield separator + template % tuple(map(json.dumps, row))
+        separator = ",\n"
+    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +94,11 @@ def _cmd_matrix(args) -> int:
     # den * Y holds at most n + 1 distinct values: render each once, and
     # walk Y one int64 row at a time
     text = {x: str(Q(x, y.den)) for x in np.unique(y.ints).tolist()}
-    rows = [
+    rows = (
         (s, t, text[x])
         for s, row in zip(labels, y.ints)
         for t, x in zip(labels, row.tolist())
-    ]
+    )
     header = ("row_set", "col_set", "value")
     _emit_table(args, header, rows, "entries", {"n": y.n, "d_max": y.d_max})
     return 0
@@ -126,7 +127,7 @@ def _cmd_spectrum(args) -> int:
         numeric, _, worst = sp.numeric_agreement(n)
         payload["numeric"] = numeric
         payload["max_relative_deviation"] = worst
-    _emit(_json_text(payload), args.out)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -140,7 +141,7 @@ def _cmd_verify(args) -> int:
     )
     sys.stdout.write(format_text(report) + "\n")
     if args.out:
-        _emit(_json_text(report.to_dict()), args.out)
+        _emit_json(report.to_dict(), args.out)
     return 0 if report.ok else 1
 
 
@@ -192,7 +193,7 @@ def _cmd_schur(args) -> int:
             "volume_identity_ok": volume.ok,
             "overall": "pass" if ok else "fail",
         }
-        _emit(_json_text(payload), args.out)
+        _emit_json(payload, args.out)
     return 0 if ok else 1
 
 

@@ -610,13 +610,16 @@ def moment_contractions_check(n: int) -> Report:
 def frame_tables(n: int) -> list:
     """[(values, weighted)] for d = 0..d_max: values[(d', ell)] = E[x^S h_R]
     for |S| = d', |R| = d and |S cap R| = ell, which depends only on those
-    sizes, and weighted[(d', ell)] the same times 1 / (f_{d,d} sigma_d^2)."""
+    sizes, and weighted[(d', ell)] the same times 1 / (f_{d,d} sigma_d^2).
+    For d' < d it is zero by Schur's lemma: x^S lies in components (n-j, j)
+    with j <= d' < d, which the S_n-invariant pairing keeps apart from h_R.
+    No verdict rests on it: product_equals certifies Y = (U W) U^T anyway."""
     tables = []
     for d in range(cb.d_max(n) + 1):
         values = {
-            (dp, ell): E_xS_hT_closed(n, dp, d, ell) if dp >= d else contract_x_h(n, s, t)
+            (dp, ell): E_xS_hT_closed(n, dp, d, ell) if dp >= d else QZERO
             for dp in range(cb.d_max(n) + 1)
-            for ell, s, t in cb.overlap_pairs(n, dp, d)
+            for ell, _, _ in cb.overlap_pairs(n, dp, d)
         }
         scale = sigma_sq(n, d) / (
             (Q(n, n - 1) ** d / math.factorial(d)) * sigma_sq(n, d) ** 2

@@ -40,6 +40,52 @@ def test_two_routes_agree():
                 assert ch.char_two_row(n, d, ct) == fixed[-1] - fixed[-2]
 
 
+def f_walk(n, a):
+    # reference for _f_counts: each a-subset's image under the class
+    # representative, one subset at a time
+    table = {}
+    for ct, _ in cb.conjugacy_classes(n):
+        rep = cb.canonical_perm_of_cycle_type(n, ct)
+        counts = [0] * (a + 1)
+        for s in cb.subsets_of_size(n, a):
+            counts[(cb.perm_image_mask(rep, s) & s).bit_count()] += 1
+        table[ct] = counts
+    return table
+
+
+def g_walk(n, a, b):
+    # reference for _g_counts: every (A, B) subset pair per class
+    table = {}
+    for ct, _ in cb.conjugacy_classes(n):
+        rep = cb.canonical_perm_of_cycle_type(n, ct)
+        counts = [[0] * (min(a, b) + 1) for _ in range(min(a, b) + 1)]
+        for s in cb.subsets_of_size(n, a):
+            image = cb.perm_image_mask(rep, s)
+            for t in cb.subsets_of_size(n, b):
+                counts[(s & t).bit_count()][(image & t).bit_count()] += 1
+        table[ct] = counts
+    return table
+
+
+def test_g_counts_match_the_subset_pair_walk():
+    for n in range(2, 10):
+        top = n if n <= 7 else 4
+        for a in range(top + 1):
+            for b in range(a, top + 1):
+                got = ch._g_counts(n, a, b)
+                assert got == g_walk(n, a, b), (n, a, b)
+                assert list(got) == [ct for ct, _ in cb.conjugacy_classes(n)]
+                assert all(type(v) is int for m in got.values() for row in m for v in row)
+
+
+def test_f_counts_match_the_subset_walk():
+    for n in range(2, 10):
+        for a in range(n + 1):
+            got = ch._f_counts(n, a)
+            assert got == f_walk(n, a), (n, a)
+            assert all(type(v) is int for row in got.values() for v in row)
+
+
 def test_two_routes_check_detects_corrupted_counts(monkeypatch):
     # c_1 shifted by one on the generating-function side only
     true_counts = ch.fixed_subset_counts

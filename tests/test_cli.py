@@ -108,12 +108,15 @@ def test_json_table_layout_matches_the_indent_2_encoder():
     meta = {"n": 4, "d": 2}
     for table in (rows, rows[:1], []):
         want = json.dumps({**meta, "rows": [dict(zip(header, r)) for r in table]}, indent=2)
-        assert cli._json_table(header, table, "rows", meta) == want + "\n"
+        assert "".join(cli._json_table(header, table, "rows", meta)) == want + "\n"
 
 
-def test_matrix_capacity_error():
+def test_matrix_capacity_error(tmp_path):
     assert main(["matrix", "--n", "99"]) == 2
     assert main(["matrix", "--n", "13"]) == 2  # dense export ends at n = 12
+    out = tmp_path / "f"
+    assert main(["matrix", "--n", "13", "--out", str(out)]) == 2
+    assert not out.exists()  # refused before the file is opened
 
 
 def test_matrix_determinism(tmp_path):

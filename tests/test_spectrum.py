@@ -464,6 +464,35 @@ def test_certificate_fails_on_swapped_eigenvalues(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_trace_moments_refuse_multiplicities_shifted_in_the_vandermonde_kernel(monkeypatch, n):
+    # at odd n the values v = (0, lambda_0..lambda_dmax) are distinct, and
+    # delta_j, an integer multiple of 1 / prod_{i != j} (v_j - v_i), is
+    # orthogonal to the rows v^m for m = 0..dmax: shifting the multiplicities
+    # by delta keeps their total and every trace up to dmax, so only
+    # m = dmax + 1 can refuse it
+    dmax = cb.d_max(n)
+    values = [Q(0)] + [lambda_closed(n, d) for d in range(dmax + 1)]
+    assert len(set(values)) == len(values)
+    weights = [1 / math.prod(v - w for w in values if w != v) for v in values]
+    scale = math.lcm(*(w.denominator for w in weights))
+    delta = [int(w * scale) for w in weights]
+    assert all(sum(x * v**m for x, v in zip(delta, values)) == 0 for m in range(dmax + 1))
+    mult, zero = sp.multiplicity, sp.zero_multiplicity
+    monkeypatch.setattr(sp, "multiplicity", lambda n, d: mult(n, d) + delta[d + 1])
+    monkeypatch.setattr(sp, "zero_multiplicity", lambda n: zero(n) + delta[0])
+    total = sum(sp.multiplicity(n, d) for d in range(dmax + 1)) + sp.zero_multiplicity(n)
+    assert total == cb.binomial_le(n, dmax)
+    powers = _ParityPowers(build_Y(n))
+    assert annihilation_check(n, powers=powers).ok
+    traces = trace_moment_check(n, powers=powers)
+    assert traces.details[0].startswith(f"trace moment m={dmax + 1} at n={n}: ")
+    cert = exact_spectrum_certificate(n)
+    assert cert.annihilation_ok and not cert.traces_ok
+    assert f"multiplicity total mismatch at n={n}" not in cert.report.details
+    assert not cert.ok
+
+
 def test_E_xS_hT_closed_frozen():
     assert E_xS_hT_closed(4, 1, 1, 0) == Q(-1, 3)
     assert E_xS_hT_closed(5, 2, 0, 0) == Q(-1, 4)
@@ -491,6 +520,17 @@ def test_E_xS_hT_closed_vs_contraction():
                         d,
                         ell,
                     )
+
+
+def test_contraction_vanishes_below_the_harmonic_degree():
+    # the zeros frame_tables takes for |S| < |R|, by direct contraction
+    for n in range(2, 9):
+        tables = sp.frame_tables(n)
+        for d in range(cb.d_max(n) + 1):
+            for dp in range(d):
+                for ell, s, r in cb.overlap_pairs(n, dp, d):
+                    assert contract_x_h(n, s, r) == 0, (n, dp, d, ell)
+                    assert tables[d][0][dp, ell] == 0
 
 
 def test_eta_routes_agree():
