@@ -73,10 +73,6 @@ class SpanPoly(SparsePoly):
 
     _term = staticmethod(lambda key: f"v{list(key)}")
 
-    @staticmethod
-    def _relabel_key(perm, key):
-        return tuple(sorted(perm[i - 1] + 1 for i in key))
-
     def _product(self, other):
         out = {}
         for k1, c1 in self.coeffs.items():
@@ -255,9 +251,10 @@ def adjointness_check(p: SpanPoly, q: SpanPoly, r: SpanPoly) -> Report:
 
 def frame_image(p: MultilinearPoly, d: int) -> SpanPoly:
     """The frame image of a degree-d homogeneous multilinear polynomial,
-    x^S -> prod_{i in S} <v_i, z>.  It is linear, commutes with relabel and
-    is multiplicative on products of disjoint support (x_i^2 = 1 has no
-    frame counterpart); a term of any other size raises ValueError."""
+    x^S -> prod_{i in S} <v_i, z>.  It is linear, commutes with relabeling
+    the coordinates and is multiplicative on products of disjoint support
+    (x_i^2 = 1 has no frame counterpart); a term of any other size raises
+    ValueError."""
     if not isinstance(p, MultilinearPoly):
         raise TypeError(f"frame_image maps a MultilinearPoly, got {type(p).__name__}")
     out = {}

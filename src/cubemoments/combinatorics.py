@@ -11,7 +11,8 @@ perm_table: every image tuple in lexicographic order (the order of
 itertools.permutations), as bit columns 1 << p[i], with each row's
 conjugacy class; conjugacy_classes is memoized the same way.  Its
 references, permutations_iter for the order and cycle_type_of_perm for the
-classes, live in tests/test_combinatorics.py.
+classes, live in tests/test_combinatorics.py, beside perm_image_mask, which
+maps a subset mask under a permutation.
 """
 
 from __future__ import annotations
@@ -217,18 +218,6 @@ def perm_table(n: int) -> tuple:
     bits.setflags(write=False)
     classes.setflags(write=False)
     return bits, classes
-
-
-def perm_image_mask(perm, mask: int) -> int:
-    """Image of a subset mask under a permutation of positions."""
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << perm[i]
-        mask >>= 1
-        i += 1
-    return out
 
 
 def canonical_perm_of_cycle_type(n: int, cycle_type) -> tuple:

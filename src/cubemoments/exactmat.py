@@ -95,10 +95,6 @@ def rational_product(*factors) -> list:
     return [[Q(x, den) for x in row] for row in reduce(mat_mul, scaled)]
 
 
-def mat_eq(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def is_symmetric(a: list) -> bool:
     m = len(a)
     if any(len(row) != m for row in a):

@@ -199,8 +199,8 @@ class SparsePoly:
 
     Construction merges like terms, drops zeros and refuses floats.  A
     subclass names its _SHAPE (fields summands share; its leading constructor
-    arguments) and supplies _key (validate), _relabel_key, _term (repr) and
-    _product.  is_zero is structural; apolar.equals_zero is semantic."""
+    arguments) and supplies _key (validate), _term (repr) and _product.
+    apolar.equals_zero is the semantic zero test."""
 
     __slots__ = ("n", "coeffs")
     _SHAPE = ("n",)
@@ -221,9 +221,6 @@ class SparsePoly:
         out = type(self)(*(shape or self._shape()))
         out.coeffs = {k: c for k, c in coeffs.items() if c != 0}
         return out
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other) -> bool:
         same = type(other) is type(self) and self._shape() == other._shape()
@@ -261,12 +258,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def relabel(self, perm):
-        """Apply a permutation of the n coordinates (0-based image tuple)."""
-        return type(self)(
-            *self._shape(), {self._relabel_key(perm, k): c for k, c in self.coeffs.items()}
-        )
-
     def __repr__(self) -> str:
         shape = ", ".join(f"{name}={getattr(self, name)}" for name in self._SHAPE)
         terms = ", ".join(f"{c}*{self._term(k)}" for k, c in sorted(self.coeffs.items()))
@@ -290,7 +281,6 @@ class MultilinearPoly(SparsePoly):
             raise ValueError(f"monomial mask {mask} outside subsets of [{self.n}]")
         return mask
 
-    _relabel_key = staticmethod(cb.perm_image_mask)
     _term = staticmethod(lambda mask: f"x{cb.elements_of_mask(mask)}")
 
     def _product(self, other):

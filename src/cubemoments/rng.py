@@ -30,13 +30,3 @@ class SplitMix64:
         if not seq:
             raise ValueError("cannot choose from an empty sequence")
         return seq[self.next_u64() % len(seq)]
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> tuple:
-        items = list(range(n))
-        self.shuffle(items)
-        return tuple(items)

@@ -381,8 +381,6 @@ class SpectrumReport:
     rank_ok: bool | None  # None when n is beyond the exact-rank guard
     distinct_ok: bool
     positive_ok: bool
-    observed_order: tuple
-    claimed_chain_holds: bool
     report: Report = field(default_factory=Report)
 
     @property
@@ -427,8 +425,6 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
         rank_ok=rank_ok,
         distinct_ok=order.distinct,
         positive_ok=order.positive,
-        observed_order=order.observed_order,
-        claimed_chain_holds=order.claimed_chain_holds,
         report=report,
     )
 

@@ -9,7 +9,7 @@ from cubemoments import combinatorics as cb
 from cubemoments import pseudomoments as pm
 from cubemoments.errors import UnsupportedCaseError
 from cubemoments.scalars import Q
-from test_combinatorics import cycle_type_of_perm
+from test_combinatorics import cycle_type_of_perm, perm_image_mask
 
 
 def test_fixed_subset_counts_frozen():
@@ -48,7 +48,7 @@ def f_walk(n, a):
         rep = cb.canonical_perm_of_cycle_type(n, ct)
         counts = [0] * (a + 1)
         for s in cb.subsets_of_size(n, a):
-            counts[(cb.perm_image_mask(rep, s) & s).bit_count()] += 1
+            counts[(perm_image_mask(rep, s) & s).bit_count()] += 1
         table[ct] = counts
     return table
 
@@ -60,7 +60,7 @@ def g_walk(n, a, b):
         rep = cb.canonical_perm_of_cycle_type(n, ct)
         counts = [[0] * (min(a, b) + 1) for _ in range(min(a, b) + 1)]
         for s in cb.subsets_of_size(n, a):
-            image = cb.perm_image_mask(rep, s)
+            image = perm_image_mask(rep, s)
             for t in cb.subsets_of_size(n, b):
                 counts[(s & t).bit_count()][(image & t).bit_count()] += 1
         table[ct] = counts
@@ -189,7 +189,7 @@ def test_image_overlap_counts_match_a_loop_over_the_permutations():
         for a_mask in range(1 << n):
             want = {}
             for perm in itertools.permutations(range(n)):
-                by_type = want.setdefault(cb.perm_image_mask(perm, a_mask), {})
+                by_type = want.setdefault(perm_image_mask(perm, a_mask), {})
                 ct = cycle_type_of_perm(perm)
                 by_type[ct] = by_type.get(ct, 0) + 1
             got = ch.image_overlap_counts(n, a_mask)

@@ -123,13 +123,25 @@ def cycle_type_of_perm(perm) -> tuple:
     return tuple(lengths)
 
 
+def perm_image_mask(perm, mask: int) -> int:
+    """Image of a subset mask under a permutation of positions."""
+    out = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            out |= 1 << perm[i]
+        mask >>= 1
+        i += 1
+    return out
+
+
 def test_permutation_helpers():
     perms = list(permutations_iter(3))
     assert len(perms) == 6
     assert cycle_type_of_perm((1, 2, 0, 3)) == (3, 1)
     assert cycle_type_of_perm((0, 1, 2)) == (1, 1, 1)
-    assert cb.perm_image_mask((1, 2, 0), 0b001) == 0b010
-    assert cb.perm_image_mask((1, 2, 0), 0b101) == 0b011
+    assert perm_image_mask((1, 2, 0), 0b001) == 0b010
+    assert perm_image_mask((1, 2, 0), 0b101) == 0b011
     with pytest.raises(ValueError):
         permutations_iter(10)
 

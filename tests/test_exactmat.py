@@ -26,7 +26,7 @@ def test_mat_mul():
     # the same product with every denominator 1 still comes back as Q
     assert xm.rational_product(a, b) == [[2, 1], [4, 3]]
     assert _all_exact(xm.rational_product(a, b))
-    assert xm.mat_eq(a, [[1, 2], [3, 4]]) and not xm.mat_eq(a, b)
+    assert a == [[1, 2], [3, 4]] and a != b
 
 
 def test_rank_and_det():
@@ -64,7 +64,7 @@ def test_solve_consistent_singular_but_solvable():
     a = [[1, 1], [1, 1]]
     b = [[2], [2]]
     x = xm.solve_consistent(a, b)
-    assert xm.mat_eq(xm.mat_mul(a, x), [[Q(2)], [Q(2)]])
+    assert xm.mat_mul(a, x) == [[Q(2)], [Q(2)]]
 
 
 def test_solve_inconsistent_raises():
@@ -83,7 +83,7 @@ def test_solve_consistent_random_gram_systems():
         w = rand_matrix(rng, 4, 2)
         b = xm.mat_mul(a, w)
         x = xm.solve_consistent(a, b)
-        assert xm.mat_eq(xm.mat_mul(a, x), [[Q(e) for e in row] for row in b])
+        assert xm.mat_mul(a, x) == [[Q(e) for e in row] for row in b]
 
 
 def test_psd_pivots_accepts_gram_and_rejects_indefinite():

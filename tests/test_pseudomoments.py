@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cubemoments import pseudomoments as pm
 from cubemoments.errors import InconsistentBlockError
 from cubemoments.rng import SplitMix64
 from cubemoments.scalars import Q
+from test_combinatorics import perm_image_mask
 
 
 def test_a_coeff_frozen():
@@ -101,16 +103,16 @@ def test_build_Y_guards():
 
 
 def test_Y_relabel_invariance():
-    rng = SplitMix64(2024)
+    rng = random.Random(2024)
     for n in (4, 6, 7):
         y = pm.build_Y(n)
         for _ in range(20):
-            perm = rng.permutation(n)
+            perm = rng.sample(range(n), n)
             for _ in range(25):
                 s = rng.choice(y.subsets)
                 t = rng.choice(y.subsets)
                 assert y.entry(s, t) == y.entry(
-                    cb.perm_image_mask(perm, s), cb.perm_image_mask(perm, t)
+                    perm_image_mask(perm, s), perm_image_mask(perm, t)
                 )
 
 
@@ -121,7 +123,7 @@ def test_multilinear_poly_arithmetic():
     assert (p * p).coeffs == {0: 1}
     r = p + q
     assert r.degree() == 2
-    assert (r - r).is_zero()
+    assert not (r - r).coeffs
     assert (2 * p).coeffs == {0b011: 2}
     with pytest.raises(ValueError):
         pm.x_monomial(2, 0b100)

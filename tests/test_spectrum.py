@@ -604,7 +604,7 @@ def _reconstruction_by_rational_product(n):
             keys = [(s.bit_count(), (s & r).bit_count()) for r in cb.subsets_of_size(n, d)]
             row.extend(values[key] for key in keys)
             wrow.extend(weighted[key] for key in keys)
-    return xm.mat_eq(xm.rational_product(uw, list(zip(*u))), rational_rows(y))
+    return xm.rational_product(uw, list(zip(*u))) == rational_rows(y)
 
 
 def _corrupt_moment(monkeypatch):

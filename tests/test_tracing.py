@@ -1,8 +1,9 @@
-"""The benchmark's traced layer names resolve in the package, and its exact
-counters read the results their targets really return, so a renamed or
-deleted function or field fails here rather than only in a traced
-benchmark run."""
+"""The benchmark's traced layer names resolve in the package, its exact
+counters read the results their targets really return, and every field its
+workloads judge exists on those results, so a renamed or deleted function or
+field fails here rather than only in a traced benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 from collections import Counter
@@ -11,9 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from cubemoments import exactmat as xm
+from cubemoments import spectrum as sp
 from cubemoments.pseudomoments import build_Y
+from cubemoments.report import Report
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -55,3 +59,41 @@ def test_counters_read_real_results():
         "numpy.linalg.eigvalsh.flops_computed": 4 * 2**3 // 3,
         "spectrum.numeric_eigensolve.block_bytes_computed": block.nbytes,
     }
+
+
+def _reads_off(cls: ast.ClassDef, root: str) -> set:
+    """Dotted attribute paths a workload class reads off the name root."""
+    paths = set()
+    for node in ast.walk(cls):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == root:
+            paths.add(".".join(reversed(parts)))
+    return paths
+
+
+def _resolves(obj, path: str) -> bool:
+    for part in path.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_judged_fields_exist_on_real_results():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    reads = [
+        (sp.exact_spectrum_certificate(3), _reads_off(classes["Certify"], "cert")),
+        (Report(), _reads_off(classes["Eliminate"], "report")),
+    ]
+    assert all(paths for _, paths in reads)
+    missing = [
+        f"{type(result).__name__}.{path}"
+        for result, paths in reads
+        for path in sorted(paths)
+        if not _resolves(result, path)
+    ]
+    assert missing == []
