@@ -6,7 +6,8 @@ generating function over a permutation with cycle lengths L is
 prod_l (1 + x^l).  The character is chi = c_d - c_(d-1).  The counts c_d
 read off the generating function are cross-checked against a numpy tally
 of the d-subsets a class representative fixes setwise (n <= 9).  Class
-functions are stored as one exact value per cycle type.
+functions are read-only {cycle type: value} mappings, as char_class_function
+shares its cache, in conjugacy_classes order and paired by class_inner.
 
 The restricted sums here average chi over all permutations mapping a fixed
 a-subset to meet a fixed b-subset in exactly k points.  The brute force
@@ -21,9 +22,9 @@ larger raises UnsupportedCaseError rather than extrapolating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,28 +34,17 @@ from .report import Report, verified
 from .scalars import Q
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Exact class function on S_n: one value per cycle type."""
-
-    n: int
-    values: tuple  # ((cycle_type, value), ...) in conjugacy_classes order
-
-    def as_dict(self) -> dict:
-        return dict(self.values)
-
-    def inner(self, other: "ClassFunction"):
-        """Normalized inner product (1/n!) sum over S_n of f * g."""
-        if self.n != other.n:
-            raise ValueError("class functions live on different groups")
-        classes = zip(cb.conjugacy_classes(self.n), self.values, other.values)
-        total = sum(size * v * w for (_, size), (_, v), (_, w) in classes)
-        return Q(total, math.factorial(self.n))
+def _class_function(n: int, value_of_type) -> MappingProxyType:
+    return MappingProxyType({ct: value_of_type(ct) for ct, _ in cb.conjugacy_classes(n)})
 
 
-def _class_function(n: int, value_of_type) -> ClassFunction:
-    vals = tuple((ct, value_of_type(ct)) for ct, _ in cb.conjugacy_classes(n))
-    return ClassFunction(n, vals)
+def class_inner(n: int, f, g):
+    """Normalized inner product (1/n!) sum over S_n of f * g."""
+    classes = cb.conjugacy_classes(n)
+    if not (f.keys() == g.keys() == {ct for ct, _ in classes}):
+        raise ValueError("class functions live on different groups")
+    total = sum(size * f[ct] * g[ct] for ct, size in classes)
+    return Q(total, math.factorial(n))
 
 
 def fixed_subset_counts(n: int, cycle_type) -> list:
@@ -86,7 +76,7 @@ def char_two_row(n: int, d: int, cycle_type) -> int:
 
 
 @lru_cache(maxsize=None)
-def char_class_function(n: int, d: int) -> ClassFunction:
+def char_class_function(n: int, d: int) -> MappingProxyType:
     return _class_function(n, lambda ct: char_two_row(n, d, ct))
 
 
@@ -140,7 +130,7 @@ def image_overlap_counts(n: int, a_mask: int) -> dict:
 def restricted_char_sum_bruteforce(n: int, d: int, a_mask: int, b_mask: int, k: int):
     """The same restricted sum by full S_n enumeration (n <= 9): the sweep
     for a_mask is made once and serves every d, b_mask and k."""
-    chi = char_class_function(n, d).as_dict()
+    chi = char_class_function(n, d)
     total = sum(
         count * chi[ct]
         for image, by_type in image_overlap_counts(n, a_mask).items()
@@ -186,7 +176,7 @@ def orthonormality_check(n: int) -> Report:
     chars = {d: char_class_function(n, d) for d in range(cb.d_max(n) + 1)}
     for d, chi in chars.items():
         for e in range(d, cb.d_max(n) + 1):
-            got = chi.inner(chars[e])
+            got = class_inner(n, chi, chars[e])
             want = 1 if d == e else 0
             report.expect(got == want, f"<chi_{d}, chi_{e}> = {got} at n={n}")
     return report
@@ -245,7 +235,7 @@ def _g_counts(n: int, a: int, b: int) -> dict:
     return table
 
 
-def class_fn_g(n: int, a: int, b: int, k: int, l: int) -> ClassFunction:
+def class_fn_g(n: int, a: int, b: int, k: int, l: int) -> MappingProxyType:
     """g_(a,b,k,l) as a class function, by enumeration (n <= 9)."""
     if not (0 <= a <= n and 0 <= b <= n):
         raise ValueError(f"sizes a={a}, b={b} outside [0, {n}]")
@@ -274,7 +264,7 @@ def _g_to_f_coefficients(n: int, a: int, b: int) -> tuple:
     return tuple(tuple(tuple(coeff(k, l, j) for j in span) for l in span) for k in span)
 
 
-def g_to_f_expand(n: int, a: int, b: int, k: int, l: int) -> ClassFunction:
+def g_to_f_expand(n: int, a: int, b: int, k: int, l: int) -> MappingProxyType:
     """g_(a,b,k,l) expanded over the f_(a,j) basis.
 
     Splitting B by its intersections with pi(A) cap A pieces gives
@@ -341,8 +331,8 @@ def g_to_f_expansion_check(n: int) -> Report:
         for b in range(a, n + 1):
             for k in range(a + 1):
                 for l in range(a + 1):
-                    expanded = g_to_f_expand(n, a, b, k, l).as_dict()
-                    direct = class_fn_g(n, a, b, k, l).as_dict()
+                    expanded = g_to_f_expand(n, a, b, k, l)
+                    direct = class_fn_g(n, a, b, k, l)
                     report.expect(
                         expanded == direct,
                         f"expansion differs at n={n}, a={a}, b={b}, k={k}, l={l}",
@@ -384,7 +374,7 @@ def char_inner_check(n: int) -> Report:
                 for k in range(a + 1):
                     for l in range(a + 1):
                         closed = char_g_inner(n, d, a, b, k, l)
-                        direct = class_fn_g(n, a, b, k, l).inner(chi)
+                        direct = class_inner(n, class_fn_g(n, a, b, k, l), chi)
                         report.expect(
                             closed == direct,
                             f"<g, chi> at n={n}, d={d}, a={a}, b={b}, "

@@ -31,9 +31,11 @@ BRUTE_FORCE_MAX_N = 9      # full S_n sweeps stay below 9! = 362880 elements
 PARTITION_MAX_N = 30
 
 
-def check_n(n: int, cap: int = MAX_N) -> None:
+def check_n(n: int, cap: int = MAX_N, lo: int = 0) -> None:
     if not isinstance(n, int) or n < 0 or n > cap:
         raise ValueError(f"n must be an int in [0, {cap}], got {n!r}")
+    if n < lo:
+        raise ValueError(f"need n >= {lo}, got {n}")
 
 
 def d_max(n: int) -> int:

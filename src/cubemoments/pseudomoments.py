@@ -19,10 +19,11 @@ polynomial; pseudo_gram gives E[p q] for every pair from two lists at once,
 as the product C_p A C_q^T of coefficient rows and the moment kernel
 A[B, B'] = a_|B xor B'|, with no product polynomial formed (bilinear_gram,
 which apolar.apolar_gram shares; exactmat.rational_product scales its
-factors to ints and divides back once).  h_S denotes the image of
-the monomial x^S under isotypic projection onto the two-row component of
-shape (n-d, d), d = |S|; its coefficients have a hypergeometric closed form
-cross-checked here against the group-averaging definition.  h_S and the Specht products
+factors to ints and divides back once); beside it, contract_x_h is the one
+direct contraction E[x^S h_T].  h_S denotes the image of the monomial x^S
+under isotypic projection onto the two-row component of shape (n-d, d),
+d = |S|; its coefficients have a hypergeometric closed form cross-checked
+here against the group-averaging definition.  h_S and the Specht products
 specht_x_basis are the hypercube twins of the frame-side harmonics: the
 frame image x^S -> prod_{i in S} <v_i, z> (apolar.frame_image) carries
 them to hS_span and specht_basis.
@@ -441,7 +442,7 @@ def isotypic_h_bruteforce(n: int, s_mask: int) -> MultilinearPoly:
     """The defining group average (dim/n!) sum_pi chi(pi) x^(pi(S)), n <= 8."""
     cb.check_n(n, cap=ISOTYPIC_BRUTE_MAX_N)
     d = s_mask.bit_count()
-    chi = char_class_function(n, d).as_dict()
+    chi = char_class_function(n, d)
     sums = {
         image: sum(count * chi[ct] for ct, count in by_type.items())
         for image, by_type in image_overlap_counts(n, s_mask).items()
@@ -461,11 +462,11 @@ def E_hS_squared(n: int, d: int):
     return v
 
 
-def E_hS_squared_direct(n: int, d: int):
-    """The same value by contraction: since h_S is a projection of x^S,
-    the pseudoexpectation of h_S^2 equals E[h_S x^S]."""
-    s_mask = (1 << d) - 1
-    return pseudo_gram(n, [isotypic_h(n, s_mask)], [x_monomial(n, s_mask)])[0][0]
+def contract_x_h(n: int, s_mask: int, t_mask: int):
+    """E[x^S h_T] by direct contraction, C_x A C_h^T in pseudo_gram; no
+    size restriction on S.  At S = T it is E[h_S^2], since h_S is a
+    projection of x^S."""
+    return pseudo_gram(n, [x_monomial(n, s_mask)], [isotypic_h(n, t_mask)])[0][0]
 
 
 @verified("pseudomoments.isotypic_projection", 2, 6, "S_n average",
@@ -486,11 +487,11 @@ def isotypic_projection_check(n: int) -> Report:
 
 @verified("pseudomoments.harmonic_norms", 2, 12, "contraction sweep")
 def harmonic_norms_check(n: int) -> Report:
-    """E_hS_squared against the contraction E[h_S x^S], for every d."""
+    """E_hS_squared against the contraction E[x^S h_S], S = {1..d}, each d."""
     report = Report()
     for d in range(cb.d_max(n) + 1):
         closed = E_hS_squared(n, d)
-        direct = E_hS_squared_direct(n, d)
+        direct = contract_x_h(n, (1 << d) - 1, (1 << d) - 1)
         report.expect(
             closed == direct,
             f"E[h_S^2] routes differ at n={n}, d={d}: {closed} != {direct}",

@@ -173,9 +173,7 @@ def iterated_schur_on_Y(n: int, steps: int = None):
     after step k, since diagonal pivots give no Schur step past it; one
     whose row is nonzero only past L_k, like a nonzero entry between the two
     parity blocks, raises InconsistentBlockError."""
-    cb.check_n(n, cap=ITERATED_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    cb.check_n(n, cap=ITERATED_MAX_N, lo=2)
     if steps is None:
         steps = cb.d_max(n)
     if not (0 <= steps <= cb.d_max(n)):

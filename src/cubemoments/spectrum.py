@@ -57,18 +57,16 @@ from . import exactmat as xm
 from .apolar import sigma_sq
 from .errors import ConvergenceError, InconsistentBlockError
 from .pseudomoments import (
+    BUILD_MAX_N,
     PseudomomentMatrix,
     a_coeff,
     build_Y,
-    isotypic_h,
+    contract_x_h,
     parity_blocks,
-    pseudo_gram,
-    x_monomial,
 )
 from .report import Report, verified
 from .scalars import Q, QZERO
 
-ANNIHILATION_MAX_N = 12
 RANK_MAX_N = 10
 ORDER_MAX_N = 40
 RECONSTRUCTION_MAX_N = 8
@@ -144,9 +142,7 @@ class OrderReport:
 
 @verified("spectrum.positivity_and_order", 2, ORDER_MAX_N, "closed form", ORDER_MAX_N)
 def distinctness_and_order_report(n: int) -> OrderReport:
-    cb.check_n(n, cap=ORDER_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    cb.check_n(n, cap=ORDER_MAX_N, lo=2)
     values = [(d, lambda_closed(n, d)) for d in range(cb.d_max(n) + 1)]
     report = Report()
     positive = all(v > 0 for _, v in values)
@@ -279,11 +275,10 @@ def _poly_from_roots(roots):
 
 
 def _dense_powers(n: int, cap: int, powers: "_ParityPowers" = None) -> "_ParityPowers":
-    """The guard shared by the dense exact checks, 2 <= n <= cap; returns
-    powers, or the parity powers of a fresh Y(n) when it is None."""
-    cb.check_n(n, cap=cap)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    """The guard shared by the dense exact checks, 2 <= n <= cap (BUILD_MAX_N,
+    or lower); returns powers, or the parity powers of a fresh Y(n) when it
+    is None."""
+    cb.check_n(n, cap=cap, lo=2)
     return _ParityPowers(build_Y(n)) if powers is None else powers
 
 
@@ -291,7 +286,7 @@ def annihilation_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
     """Y prod_d (Y - lambda_{n,d} I) = 0 exactly, placing the spectrum inside
     {0} union {lambda_{n,d}}.  Passing explicit eigenvalues substitutes them
     for the closed form (used for fault injection in the verifier)."""
-    powers = _dense_powers(n, ANNIHILATION_MAX_N, powers)
+    powers = _dense_powers(n, BUILD_MAX_N, powers)
     if eigenvalues is None:
         eigenvalues = [lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
     report = Report()
@@ -308,7 +303,7 @@ def trace_moment_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None)
     coincide, as happens at even n >= 6, the certified quantity is the total
     multiplicity of the shared value.  Passing explicit eigenvalues
     substitutes them for the closed form, as in annihilation_check."""
-    powers = _dense_powers(n, ANNIHILATION_MAX_N, powers)
+    powers = _dense_powers(n, BUILD_MAX_N, powers)
     dmax = cb.d_max(n)
     if eigenvalues is None:
         eigenvalues = [lambda_closed(n, d) for d in range(dmax + 1)]
@@ -379,7 +374,6 @@ class SpectrumReport:
     annihilation_ok: bool
     traces_ok: bool
     rank_ok: bool | None  # None when n is beyond the exact-rank guard
-    distinct_ok: bool
     positive_ok: bool
     report: Report = field(default_factory=Report)
 
@@ -392,7 +386,7 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
     """Annihilation, trace moments, rank, distinctness, and positivity in one
     pass, sharing the matrix powers and the closed-form values between
     checks."""
-    powers = _dense_powers(n, ANNIHILATION_MAX_N)
+    powers = _dense_powers(n, BUILD_MAX_N)
     order = distinctness_and_order_report(n)
     dmax = cb.d_max(n)
     values = [v for _, v in order.values]
@@ -423,14 +417,13 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
         annihilation_ok=ann.ok,
         traces_ok=traces.ok,
         rank_ok=rank_ok,
-        distinct_ok=order.distinct,
         positive_ok=order.positive,
         report=report,
     )
 
 
 @verified("spectrum.exact_certificate", 2, 9, "exact matrix-power budget",
-          ANNIHILATION_MAX_N)
+          BUILD_MAX_N)
 def exact_certificate_check(n: int) -> Report:
     """exact_spectrum_certificate(n) as one report: its comparisons plus the
     verdict of annihilation, trace moments, rank and positivity together."""
@@ -479,12 +472,6 @@ def E_xS_hT_closed(n: int, d_prime: int, d: int, ell: int):
     return value / cb.multinomial(
         n, (ell, d - ell, d_prime - ell, n - d - d_prime + ell)
     )
-
-
-def contract_x_h(n: int, s_mask: int, t_mask: int):
-    """E[x^S h_T] by direct contraction, C_x A C_h^T in pseudo_gram; no
-    size restriction on S."""
-    return pseudo_gram(n, [x_monomial(n, s_mask)], [isotypic_h(n, t_mask)])[0][0]
 
 
 def eta_sq(n: int, d_prime: int, d: int):
@@ -638,9 +625,7 @@ def gram_reconstruction_check(n: int) -> Report:
     array comes from popcounts and no entry of U is built; Y is gathered
     from its distinct values in den * Y.  The claim is one exact zero test,
     exactmat.product_equals of (U W) U^T against Y on float64 residues."""
-    cb.check_n(n, cap=RECONSTRUCTION_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    cb.check_n(n, cap=RECONSTRUCTION_MAX_N, lo=2)
     report = Report()
     y = build_Y(n)
     tables = frame_tables(n)
@@ -752,9 +737,7 @@ def numeric_eigensolve(n: int) -> list:
     eigensolver as M_k / (scale sqrt(c_i c_j)), its eigenvalues counted
     once per copy of the block; failure to converge raises ConvergenceError
     naming n, k and the block size."""
-    cb.check_n(n, cap=NUMERIC_MAX_N)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    cb.check_n(n, cap=NUMERIC_MAX_N, lo=2)
     (a,), scale = xm.integer_form([[Q(a_coeff(n, k)) for k in range(n + 1)]])
     blocks = terwilliger_blocks(n, a)
     _block_guard(n, a, blocks)

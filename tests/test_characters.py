@@ -109,7 +109,7 @@ def test_orthonormality():
     for n in range(2, 8):
         for d1 in range(0, n // 2 + 1):
             for d2 in range(0, n // 2 + 1):
-                ip = ch.char_class_function(n, d1).inner(ch.char_class_function(n, d2))
+                ip = ch.class_inner(n, ch.char_class_function(n, d1), ch.char_class_function(n, d2))
                 assert ip == (1 if d1 == d2 else 0)
 
 
@@ -119,7 +119,7 @@ def test_youngs_rule_multiplicities():
         for d in range(0, n // 2 + 1):
             c_d = ch._class_function(n, lambda ct: ch.fixed_subset_counts(n, ct)[d])
             for dp in range(0, n // 2 + 1):
-                ip = c_d.inner(ch.char_class_function(n, dp))
+                ip = ch.class_inner(n, c_d, ch.char_class_function(n, dp))
                 assert ip == (1 if dp <= d else 0)
 
 
@@ -253,6 +253,14 @@ def test_class_function_inner_normalization():
     # inner of the trivial character with itself is 1
     for n in range(1, 7):
         triv = ch.char_class_function(n, 0)
-        assert all(v == 1 for _, v in triv.values)
-        assert triv.inner(triv) == 1
-        assert sum(cb.conjugacy_class_size(n, ct) for ct, _ in triv.values) == math.factorial(n)
+        assert all(v == 1 for v in triv.values())
+        assert ch.class_inner(n, triv, triv) == 1
+        assert sum(cb.conjugacy_class_size(n, ct) for ct in triv) == math.factorial(n)
+
+
+def test_cached_character_tables_are_read_only():
+    # char_class_function caches and shares its table, so a write must fail
+    # and leave the shared value in place for the next caller
+    with pytest.raises(TypeError):
+        ch.char_class_function(5, 1)[(5,)] = 0
+    assert ch.char_class_function(5, 1)[(5,)] == ch.char_two_row(5, 1, (5,))

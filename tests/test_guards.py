@@ -53,8 +53,8 @@ _GUARDS = {
         lambda: ch.image_overlap_counts(4, 16),
         "subset mask 16 outside subsets of [4]",
     ),
-    "ClassFunction.inner": (
-        lambda: ch.char_class_function(3, 1).inner(ch.char_class_function(4, 1)),
+    "class_inner": (
+        lambda: ch.class_inner(4, ch.char_class_function(3, 1), ch.char_class_function(4, 1)),
         "class functions live on different groups",
     ),
     # spectrum
@@ -108,6 +108,7 @@ _GUARDS = {
         "cycle type (2, 1) is not a partition of 4",
     ),
     "perm_table": (lambda: cb.perm_table(10), "n must be an int in [0, 9], got 10"),
+    "check_n lower bound": (lambda: cb.check_n(1, 5, lo=2), "need n >= 2, got 1"),
     "canonical_perm_of_cycle_type": (
         lambda: cb.canonical_perm_of_cycle_type(4, [3]),
         "cycle type (3,) is not a partition of 4",

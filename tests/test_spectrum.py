@@ -22,6 +22,7 @@ from cubemoments.pseudomoments import (
     E_hS_squared,
     a_coeff,
     build_Y,
+    contract_x_h,
     finite_difference_a,
     isotypic_coefficient,
     parity_blocks,
@@ -32,7 +33,6 @@ from cubemoments.spectrum import (
     _ParityPowers,
     _poly_from_roots,
     annihilation_check,
-    contract_x_h,
     distinctness_and_order_report,
     eta_sq,
     eta_sq_summation,
@@ -386,9 +386,12 @@ def test_dense_checks_refuse_n_with_their_messages():
     # one guard serves the three dense checks and the certificate
     for check, n, message in (
         (annihilation_check, 13, "n must be an int in [0, 12], got 13"),
+        (annihilation_check, 1, "need n >= 2, got 1"),
         (trace_moment_check, 1, "need n >= 2, got 1"),
         (rank_check, 11, "n must be an int in [0, 10], got 11"),
+        (rank_check, 1, "need n >= 2, got 1"),
         (exact_spectrum_certificate, 13, "n must be an int in [0, 12], got 13"),
+        (exact_spectrum_certificate, 1, "need n >= 2, got 1"),
     ):
         with pytest.raises(ValueError) as excinfo:
             check(n)
@@ -442,7 +445,7 @@ def test_certificate():
         assert cert.zero_multiplicity == zero_multiplicity(n)
         assert len(cert.eigenvalues) == cb.d_max(n) + 1
     cert6 = exact_spectrum_certificate(6)
-    assert cert6.ok and not cert6.distinct_ok
+    assert cert6.ok and not distinctness_and_order_report(6).distinct
 
 
 def test_certificate_fails_on_swapped_eigenvalues(monkeypatch):
