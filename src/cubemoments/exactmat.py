@@ -15,22 +15,27 @@ det, solve_consistent and schur.schur_complement share one kernel,
 eliminate: a fraction-free (Bareiss) elimination over Python ints, whose
 every division by the previous pivot is exact and is checked to be, with
 the first nonzero entry of each column as pivot.  eliminate_symmetric
-takes the same steps with diagonal pivots only: its pivots decide
-semidefiniteness (psd_pivots), and the block it leaves is the Schur
-complement of the rows it eliminated, so schur's iterated chain reads both
-from one pass.
+takes the same steps with diagonal pivots only, on one triangle: the
+active block stays symmetric, so each row is stepped from its diagonal on,
+and the upper triangle of the block left behind is copied onto its lower
+one before it returns.  Its pivots decide semidefiniteness (psd_pivots),
+and the block it leaves is the Schur complement of the rows it eliminated,
+so schur's iterated chain reads both from one pass.
 
 Every modular step uses one prime table, POWER_PRIMES, all below 2^21.
 Rank claims are lower bounds by rank_mod_at_least(residues, p, r): an
 elimination over numpy int64 residues modulo p, where every product of two
-residues is below 2^42.  The rank modulo a prime never exceeds the rank
-over Q, so reaching rank r proves rank >= r.  Callers holding int64 blocks
-(spectrum.rank_check, pseudomoments.hypercube_decomposition_check) call it
-on them and take the upper bound themselves, as independent kernel vectors
-or as the matrix's width, so Bareiss rank runs only to write a failure's
-exact rank into its witness.  rank_at_least(a, r) is the entry point for a
-rational matrix: it tries POWER_PRIMES[0] on the integer form and asks the
-Bareiss kernel only when that prime falls short.
+residues is below 2^42.  It reduces lazily, only the pivot column and the
+pivot row at each step, so the other rows gather at most r - 1 such
+products and stay below p + r p^2 < 2^63.  The rank modulo a prime never
+exceeds the rank over Q, so reaching rank r proves rank >= r.  Callers
+holding int64 blocks (spectrum.rank_check,
+pseudomoments.hypercube_decomposition_check) call it on them and take the
+upper bound themselves, as independent kernel vectors or as the matrix's
+width, so Bareiss rank runs only to write a failure's exact rank into its
+witness.  rank_at_least(a, r) is the entry point for a rational matrix: it
+tries POWER_PRIMES[0] on the integer form and asks the Bareiss kernel only
+when that prime falls short.
 
 Integer matrix powers are taken modulo the same primes, as numpy float64
 products (spectrum._ParityPowers): require_float_exact refuses a matrix of 2048
@@ -114,16 +119,14 @@ def _exact_quotients(values: list, divisor: int) -> list:
     return list(quotients)
 
 
-def _bareiss_step(rows: list, wr: list, c: int, start: int, prev: int) -> None:
-    """Each of rows becomes (p * row - row[c] * wr) / prev from column start
-    on, in place, with pivot p = wr[c].  A row with a zero in column c is
-    only scaled by p / prev, which divides by less, often by 1, in lowest
-    terms."""
-    p = wr[c]
+def _bareiss_step(rows, wr: list, p: int, prev: int) -> None:
+    """For each (row, f, start) of rows, row becomes (p * row - f * wr) /
+    prev from column start on, in place, with pivot p; f is the row's entry
+    in the pivot column.  A row with f = 0 is only scaled by p / prev, which
+    divides by less, often by 1, in lowest terms."""
     g = math.gcd(p, prev)
     scale, shrink = p // g, prev // g
-    for wi in rows:
-        f = wi[c]
+    for wi, f, start in rows:
         if f:
             tail = [p * x - f * y for x, y in zip(wi[start:], wr[start:])]
             wi[start:] = _exact_quotients(tail, prev)
@@ -165,11 +168,12 @@ def eliminate(
             work[r], work[pivot_row] = work[pivot_row], work[r]
             swaps += 1
         wr = work[r]
+        p = wr[c]
         if reduce_above:
-            _bareiss_step(work[:r], wr, c, 0, prev)
-        _bareiss_step(work[r + 1 :], wr, c, c, prev)
+            _bareiss_step(((wi, wi[c], 0) for wi in work[:r]), wr, p, prev)
+        _bareiss_step(((wi, wi[c], c) for wi in work[r + 1 :]), wr, p, prev)
         pivot_cols.append(c)
-        prev = wr[c]
+        prev = p
     return pivot_cols, swaps, prev
 
 
@@ -289,28 +293,35 @@ def mod_combination(weights: list, powers: list, p: int) -> np.ndarray:
 def rank_mod_at_least(residues: np.ndarray, p: int, r: int) -> bool:
     """Whether the 2-D int64 array residues has rank >= r modulo the prime
     p < 2^21, by Gaussian elimination that stops at the r-th pivot.  Its
-    entries are reduced modulo p into a copy, so every product of two is
-    below 2^42.  A rank modulo p never exceeds the rank over Q."""
+    entries are reduced modulo p into a copy, and reduced again lazily: at
+    each step only the pivot column, before the pivot search, and the pivot
+    row's tail, before it is scaled by the pivot's inverse.  The other rows
+    only subtract products of two residues, each below p^2 < 2^42, at most
+    r - 1 times, so every entry stays below p + r p^2 < 2^63 in absolute
+    value (asserted).  A rank modulo p never exceeds the rank over Q."""
     assert 2 <= p < 2**21, p
     if r <= 0:
         return True
     if r > min(residues.shape):
         return False
+    assert p + r * p * p < 2**63, (p, r)
     work = np.mod(residues, p)
     found = 0
     for c in range(work.shape[1]):
-        nonzero = np.flatnonzero(work[found:, c])
+        column = work[found:, c]
+        column %= p
+        nonzero = np.flatnonzero(column)
         if not nonzero.size:
             continue
         first = found + int(nonzero[0])
         if first != found:
             work[[found, first]] = work[[first, found]]
-        pivot = work[found, c:] * pow(int(work[found, c]), -1, p) % p
+        tail = work[found, c:] % p
+        pivot = tail * pow(int(tail[0]), -1, p) % p
         # after the swap the old row `found`, zero in column c, sits at first
         targets = found + nonzero[1:]
         if targets.size:
-            factors = work[targets, c : c + 1]
-            work[targets, c:] = (work[targets, c:] - factors * pivot) % p
+            work[targets, c:] -= work[targets, c : c + 1] * pivot
         found += 1
         if found >= r:
             return True
@@ -368,8 +379,12 @@ def eliminate_symmetric(work: list, start: int, stop: int, prev: int = 1, den: i
     matrix work, in place, over pivot indices start..stop-1; rows before
     start are already eliminated, and prev is their last pivot.
 
-    Each pivot steps every later row as in eliminate, so the active block
-    stays symmetric, and over den * prev it is the Schur complement of the
+    Each pivot steps every later row as in eliminate, but only on and above
+    the diagonal: row i is updated from column i on, with its factor read
+    from the pivot row (the column below the pivot is the stale lower
+    triangle).  Before returning, the upper triangle of the trailing block
+    (rows and columns from stop on) is copied onto its lower triangle, so
+    that block over den * prev is the whole Schur complement of the
     rational matrix work / den on the pivots so far.  A zero diagonal entry
     whose row is zero from there on is skipped; one whose row is nonzero
     before column stop ends the pass, and one nonzero only from stop on
@@ -381,17 +396,19 @@ def eliminate_symmetric(work: list, start: int, stop: int, prev: int = 1, den: i
     """
     pivots = []
     witness = None
+    m = len(work)
     for c in range(start, stop):
         wc = work[c]
         p = wc[c]
         if not p:
-            j = next((j for j in range(c + 1, len(wc)) if wc[j]), None)
+            j = next((j for j in range(c + 1, m) if wc[j]), None)
             if j is None:
                 continue
             if j >= stop:
                 raise InconsistentBlockError(
                     f"right-hand side column {j - stop} is outside the column space"
                 )
+            _mirror_upper(work, stop)
             return None, pivots, witness or (
                 f"zero diagonal at index {c - start} with nonzero entry at "
                 f"column {j - start}"
@@ -399,9 +416,18 @@ def eliminate_symmetric(work: list, start: int, stop: int, prev: int = 1, den: i
         pivots.append(Q(p, prev * den))
         if pivots[-1] < 0 and witness is None:
             witness = f"negative pivot {pivots[-1]} at index {c - start}"
-        _bareiss_step(work[c + 1 :], wc, c, c, prev)
+        _bareiss_step(zip(work[c + 1 :], wc[c + 1 :], range(c + 1, m)), wc, p, prev)
         prev = p
+    _mirror_upper(work, stop)
     return prev, pivots, witness
+
+
+def _mirror_upper(work: list, start: int) -> None:
+    """Copy the upper triangle of work's trailing block, rows and columns
+    from start on, onto its lower triangle, in place."""
+    columns = list(zip(*(row[start:] for row in work[start:])))
+    for i, column in enumerate(columns[1:], 1):
+        work[start + i][start : start + i] = column[:i]
 
 
 def psd_pivots(a: list):

@@ -558,19 +558,23 @@ def specht_x_basis(n: int, d: int) -> list:
 
 def hypercube_vectors(n: int) -> np.ndarray:
     """The coefficient vectors of w (sum x)^t over the masks 0..2^n - 1, for
-    each Specht product w of degree d <= d_max and t = 0..n - 2d, as the
-    rows of one int64 array.  Multiplying by sum x sends the coefficient of
-    mask m to sum_i vec[m xor 2^i], and the bound asserted at
+    each Specht product w of degree d <= d_max (in specht_x_basis order)
+    and t = 0..n - 2d, as the rows of one int64 array.  Multiplying by x_i
+    sends the coefficient of mask m to vec[m xor 2^i], so w is built from
+    the vector of x^0 by one difference of two such gathers per column pair
+    of its tableau, and sum x by a sum of n of them; the bound asserted at
     DECOMPOSITION_MAX_N keeps every chain exact."""
     cb.check_n(n, cap=DECOMPOSITION_MAX_N)
     idx = np.arange(1 << n)
     flips = [idx ^ (1 << i) for i in range(n)]
+    one = np.zeros(1 << n, dtype=np.int64)
+    one[0] = 1
     vectors = []
     for d in range(cb.d_max(n) + 1):
-        for w in specht_x_basis(n, d):
-            vec = np.zeros(1 << n, dtype=np.int64)
-            for mask, c in w.coeffs.items():
-                vec[mask] = xm._scaled_int(c, 1)
+        for tableau in cb.standard_two_row_tableaux(n, d):
+            vec = one
+            for top, bottom in cb.tableau_column_pairs(tableau):
+                vec = vec[flips[top - 1]] - vec[flips[bottom - 1]]
             for t in range(n - 2 * d + 1):
                 vectors.append(vec)
                 if t < n - 2 * d:

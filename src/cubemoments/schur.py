@@ -18,17 +18,23 @@ harmonic projections h_S over |S| = k, so it lies in the Johnson scheme
 (entries depend only on |S cap T|).  Y is the direct sum of its two parity
 blocks (pseudomoments.parity_blocks), so the chain runs one symmetric
 elimination with diagonal pivots (exactmat.eliminate_symmetric) through
-each block, pausing at each degree: step k reads L_k from block k mod 2 as
-its active leading rows over den * prev and compares every entry, in those
-integer units, with sigma_k^2 <h_S0, h_T> for its overlap |S cap T|, read
-from one apolar_gram row; one pass over the entries decides both the
-Johnson scheme and the harmonic Gram.  It then eliminates those rows, whose
-pivots are L_k's LDL^T pivots, so the same pass gives the PSD verdict of L_k
-and the next Schur complement.  A failure of consistency or of the Gram
-claim is reported exactly, never approximated.
+each block, pausing at each degree.  That elimination reads one triangle,
+so the chain first tests each int64 block for symmetry, once; a symmetric
+block keeps every L_k symmetric under diagonal pivots, so L_k's upper
+triangle decides it.  Step k reads L_k from block k mod 2 as its active
+leading rows over den * prev and compares each entry on or above the
+diagonal, in those integer units, with sigma_k^2 <h_S0, h_T> for its
+overlap |S cap T|, read from one apolar_gram row; one pass over those
+entries decides both the Johnson scheme and the harmonic Gram.  It then
+eliminates those rows, whose pivots are L_k's LDL^T pivots, so the same
+pass gives the PSD verdict of L_k and the next Schur complement.  A failure
+of consistency or of the Gram claim is reported exactly, never
+approximated.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import combinatorics as cb
 from . import exactmat as xm
@@ -166,13 +172,16 @@ def iterated_schur_on_Y(n: int, steps: int = None):
     """Eliminate the degree blocks of Y in order d = 0, 1, ...; at each step
     every entry of the current leading block must equal sigma_k^2 times the
     apolar pairing of the harmonic projections h_S, h_T over size-k subsets,
-    in one C(n, k)^2 pass against the pairing for each overlap |S cap T|
-    (which also puts the block in the Johnson scheme), and the block must
-    be PSD by exact pivots.  Returns (leading blocks per step, report).  A
-    zero diagonal entry of L_k with a nonzero entry in L_k ends the chain
-    after step k, since diagonal pivots give no Schur step past it; one
-    whose row is nonzero only past L_k, like a nonzero entry between the two
-    parity blocks, raises InconsistentBlockError."""
+    and the block must be PSD by exact pivots.  Each parity block of Y is
+    first tested for symmetry, counted as m(m - 1)/2 comparisons for m rows;
+    step k then compares the C(n, k)(C(n, k) + 1)/2 entries on or above the
+    diagonal against the pairing for each overlap |S cap T| (which also
+    puts the block in the Johnson scheme), in one pass.  Returns (leading
+    blocks per step, each one whole, report).  A zero diagonal entry of L_k
+    with a nonzero entry in L_k ends the chain after step k, since diagonal
+    pivots give no Schur step past it; one whose row is nonzero only past
+    L_k, like a nonzero entry between the two parity blocks, raises
+    InconsistentBlockError."""
     cb.check_n(n, cap=ITERATED_MAX_N, lo=2)
     if steps is None:
         steps = cb.d_max(n)
@@ -180,6 +189,18 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         raise ValueError(f"need 0 <= steps <= d_max = {cb.d_max(n)}, got {steps}")
     report = Report()
     parts, den = parity_blocks(build_Y(n))
+    # the chain reads one triangle of each block, so each block's symmetry
+    # is decided here, once
+    for parity, (masks, block) in zip(("even", "odd"), parts):
+        m = len(masks)
+        report.count(m * (m - 1) // 2)
+        asymmetric = np.argwhere(block != block.T)
+        if asymmetric.size:
+            i, j = map(int, asymmetric[0])
+            report.fail(
+                f"{parity} parity block of Y is not symmetric at n={n}: "
+                f"S={masks[i]:b}, T={masks[j]:b}"
+            )
     # per parity block: its rows over Python ints (Bareiss pivots pass 64
     # bits), where its next degree starts, and its last pivot
     chains = [[block.tolist(), 0, 1] for _, block in parts]
@@ -190,7 +211,7 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         stop = start + h
         lead_ints = [row[start:stop] for row in work[start:stop]]
         # one Q per distinct value of L_k = lead_ints / (den * prev)
-        values = {x: Q(x, den * prev) for row in lead_ints for x in row}
+        values = {x: Q(x, den * prev) for x in {x for row in lead_ints for x in row}}
         blocks.append([[values[x] for x in row] for row in lead_ints])
 
         scale = sigma_sq(n, k)
@@ -203,9 +224,10 @@ def iterated_schur_on_Y(n: int, steps: int = None):
             unit = w * den * prev
             targets[ov] = int(unit) if unit.denominator == 1 else None
         masks = cb.subsets_of_size(n, k)
-        report.count(h * h)
-        for s, row in zip(masks, lead_ints):
-            for t, x in zip(masks, row):
+        # a symmetric Y keeps every L_k symmetric, so its upper triangle decides it
+        report.count(h * (h + 1) // 2)
+        for i, (s, row) in enumerate(zip(masks, lead_ints)):
+            for t, x in zip(masks[i:], row[i:]):
                 ov = (s & t).bit_count()
                 if x != targets[ov]:
                     report.fail(

@@ -151,7 +151,7 @@ def test_criterion_11_schur_suite():
     assert gram.ok and gram.checked == 122, gram.details
     volume = su.volume_identity_check(SEED, trials=50)
     assert volume.ok and volume.checked == 50, volume.details
-    assert _checked(su.iterated_elimination_check, range(2, 8)) == 2620
+    assert _checked(su.iterated_elimination_check, range(2, 8)) == 3037
 
 
 def test_criterion_12_hypercube_decomposition():

@@ -10,7 +10,9 @@ annotated class-body names (dataclass fields) as attributes that something
 must read; the acceptance criteria count as readers of fields, since they
 are the binding contract.  It repeats with the flagged definitions' bodies
 left out until nothing new is flagged, so a definition that only dead code
-uses fails too.  It is a lower bound: a name counts as used wherever it
+uses fails too.  An import alone is not a use: it counts where the
+importing module also reads the name it binds, or in an __init__.py,
+which re-exports it.  It is a lower bound: a name counts as used wherever it
 appears, so a method sharing its name with one called elsewhere
 (random.Random.shuffle in perfbench, say) passes unseen."""
 
@@ -85,10 +87,13 @@ def _walk(node, skip):
 
 def _used_names(path: Path, skip) -> tuple:
     """(names, attributes) a module reads outside the skipped nodes: names
-    as a Name, an Attribute, an import or the last dotted part of a string
-    (perfbench names its traced targets as strings); attributes as an
-    Attribute read or updated in place."""
+    as a Name, an Attribute or the last dotted part of a string (perfbench
+    names its traced targets as strings), and an imported name when the
+    module reads the name it binds, or always in an __init__.py, whose
+    imports are re-exports; attributes as an Attribute read or updated in
+    place."""
     names, attributes = set(), set()
+    imported = []
     for node in _walk(_parse(path), skip):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
@@ -99,32 +104,59 @@ def _used_names(path: Path, skip) -> tuple:
         elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
             attributes.add(node.target.attr)
         elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
+            name = node.name.rsplit(".", 1)[-1]
+            imported.append((node.asname or name, name))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value.rsplit(".", 1)[-1])
+    reexports = path.name == "__init__.py"
+    names.update(name for bound, name in imported if reexports or bound in names)
     return names, attributes
 
 
-def _unused(skip) -> list:
-    reads = {path: _used_names(path, skip) for path in FIELD_READERS}
-    names = set().union(*(reads[path][0] for path in USERS))
-    attributes = set().union(*(reads[path][1] for path in FIELD_READERS))
+def _unused(skip, package, users, field_readers) -> list:
+    reads = {path: _used_names(path, skip) for path in {*users, *field_readers}}
+    names = set().union(*(reads[path][0] for path in users))
+    attributes = set().union(*(reads[path][1] for path in field_readers))
     return [
         (qualname, node)
-        for path in PACKAGE
+        for path in package
         for qualname, name, node, field in _definitions(path)
         if name not in (attributes if field else names)
     ]
 
 
-def test_every_definition_has_a_caller_outside_the_tests():
+def _flagged(package, users, field_readers) -> list:
+    """The audited definitions of package that nothing in users reaches,
+    directly or through other flagged definitions only."""
     flagged = {}
     while True:
-        new = {q: node for q, node in _unused(set(flagged.values())) if q not in flagged}
+        unused = _unused(set(flagged.values()), package, users, field_readers)
+        new = {q: node for q, node in unused if q not in flagged}
         if not new:
-            break
+            return sorted(flagged)
         flagged.update(new)
-    assert not flagged, f"no caller outside the tests: {', '.join(sorted(flagged))}"
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    flagged = _flagged(PACKAGE, USERS, FIELD_READERS)
+    assert not flagged, f"no caller outside the tests: {', '.join(flagged)}"
+
+
+def test_an_import_alone_is_not_a_caller(tmp_path):
+    # a name one module imports and never reads is flagged; an import in
+    # __init__.py re-exports the name, and an alias counts when it is read
+    sources = {
+        "__init__.py": "from .defs import exported\n",
+        "defs.py": "def exported():\n    pass\n\n\ndef only_imported():\n    pass\n\n\n"
+        "def read():\n    pass\n\n\ndef renamed():\n    pass\n\n\nUNREAD = 1\n",
+        "user.py": "from .defs import UNREAD, only_imported, read, renamed as alias\n\n"
+        "read()\nalias()\n",
+    }
+    paths = []
+    for name, text in sources.items():
+        (tmp_path / name).write_text(text)
+        paths.append(tmp_path / name)
+    assert _flagged(paths, paths, paths) == ["defs.UNREAD", "defs.only_imported"]
 
 
 def _imported_modules(path: Path) -> set:

@@ -399,6 +399,45 @@ def test_rank_mod_at_least_matches_python_elimination(case):
     assert np.array_equal(a, before)  # eliminates a copy
 
 
+def _extreme_residues(rng, shape, p):
+    """An int64 array whose entries are p - 1 or large negative values, the
+    extremes of the residues rank_mod_at_least starts from."""
+    big = rng.integers(-(2**63), -(2**62), size=shape, dtype=np.int64)
+    return np.where(rng.random(shape) < 0.5, np.int64(p - 1), big)
+
+
+def _low_rank_residues(rng, rows, k, cols, p):
+    """U V modulo p for extreme U (rows x k) and V (k x cols), each entry
+    then moved by a negative multiple of p to within 2^52 of -2^63: rank at
+    most k modulo p, with inputs that no product can be subtracted from
+    before they are reduced."""
+    u, v = (np.mod(_extreme_residues(rng, shape, p), p) for shape in ((rows, k), (k, cols)))
+    top = (2**63 - 1 - p) // p
+    shift = rng.integers(top - 2**30, top, size=(rows, cols), dtype=np.int64)
+    return (u @ v) % p - p * shift
+
+
+def test_rank_mod_at_least_at_its_bound():
+    # shapes up to 256 x 256 at the residue extremes: the rows that are not
+    # reduced after every step carry up to r - 1 products below p^2 each;
+    # the rank-deficient cases deny rank r + 1, which a wrong residue
+    # anywhere in the elimination would most likely reach
+    rng = np.random.default_rng(2026)
+    p, q = xm.POWER_PRIMES[0], xm.POWER_PRIMES[-1]
+    cases = [
+        (_extreme_residues(rng, (256, 256), p), p, 256),
+        (np.full((256, 256), p - 1, dtype=np.int64), p, 1),
+        (_low_rank_residues(rng, 256, 200, 256, p), p, 200),
+        (_low_rank_residues(rng, 96, 60, 256, q), q, 60),
+        (_low_rank_residues(rng, 256, 30, 40, q), q, 30),
+    ]
+    for a, prime, rank in cases:
+        r = ref_rank_mod_p(a.tolist(), prime)
+        assert r == rank, (a.shape, prime, r)
+        assert xm.rank_mod_at_least(a, prime, r), (a.shape, prime, r)
+        assert not xm.rank_mod_at_least(a, prime, r + 1), (a.shape, prime, r)
+
+
 def test_power_primes_are_distinct_primes_below_2_21():
     primes = xm.POWER_PRIMES
     assert len(set(primes)) == len(primes)

@@ -338,32 +338,32 @@ def test_hypercube_vectors_stay_within_int64_bound():
         pm.hypercube_vectors(pm.DECOMPOSITION_MAX_N + 1)
 
 
-def test_hypercube_vectors_refuse_non_integer_coefficient(monkeypatch):
-    # an int64 chain holds integers only; 1/2 is refused, never truncated
-    original = pm.specht_x_basis
-
-    def halved(n, d):
-        basis = original(n, d)
-        basis[0] = basis[0] * pm.x_monomial(n, 0, Q(1, 2))
-        return basis
-
-    monkeypatch.setattr(pm, "specht_x_basis", halved)
-    with pytest.raises(InconsistentBlockError):
-        pm.hypercube_vectors(4)
+def test_hypercube_vectors_start_from_the_specht_products():
+    # the chains start from vectors built by flips; here they are read from
+    # the coefficients of specht_x_basis, Specht products as MultilinearPolys
+    for n in range(2, 9):
+        got = pm.hypercube_vectors(n)
+        row = 0
+        for d in range(cb.d_max(n) + 1):
+            for poly in pm.specht_x_basis(n, d):
+                expected = [poly.coeffs.get(m, 0) for m in range(1 << n)]
+                assert got[row].tolist() == expected, (n, d, row)
+                row += n - 2 * d + 1
+        assert row == len(got), n
 
 
 def test_hypercube_decomposition_check_fails_on_duplicated_vector(monkeypatch):
     # at even n the top degree d = n/2 has a chain of one vector, so a copy
     # of one of its Specht vectors in place of another drops the rank by one
-    original = pm.specht_x_basis
+    original = pm.hypercube_vectors
 
-    def duplicated(n, d):
-        basis = original(n, d)
-        if d == n // 2:
-            basis[1] = basis[0]
-        return basis
+    def duplicated(n):
+        vectors = original(n)
+        top = len(vectors) - cb.two_row_tableau_count(n, n // 2)
+        vectors[top + 1] = vectors[top]
+        return vectors
 
-    monkeypatch.setattr(pm, "specht_x_basis", duplicated)
+    monkeypatch.setattr(pm, "hypercube_vectors", duplicated)
     for n in (4, 6, 8):
         report = pm.hypercube_decomposition_check(n)
         assert not report.ok, n

@@ -227,16 +227,31 @@ def _shift_degree2_diagonal(y, n):
 
 
 def test_iterated_schur_fails_on_perturbed_Y(monkeypatch):
-    # 1/1000 on one symmetric pair of singleton entries: exactly those two
-    # entries of the degree-1 block miss the harmonic Gram
+    # 1/1000 on one symmetric pair of singleton entries: the chain compares
+    # L_1's upper triangle, where the pair is the one entry S={1}, T={2}
     _patch_Y(monkeypatch, _shift_pair)
     for n in range(3, 7):
         _, report = iterated_schur_on_Y(n)
         assert not report.ok, n
         entry, want = Q(-1, n - 1) + Q(1, 1000), Q(-1, n - 1)
         assert [d for d in report.details if d.startswith("step 1 ")] == [
-            f"step 1 entry S={s}, T={t} (overlap 0): {entry} != {want} at n={n}"
-            for s, t in (("1", "10"), ("10", "1"))
+            f"step 1 entry S=1, T=10 (overlap 0): {entry} != {want} at n={n}"
+        ], report.details
+
+
+def test_iterated_schur_fails_on_asymmetric_Y(monkeypatch):
+    # one lower-triangle entry of a parity block: the chain eliminates one
+    # triangle, so only its symmetry test of Y can see this
+    def edit(y, n):
+        i, j = y.index[0b1], y.index[0b10]  # the singletons {1} and {2}
+        y.ints[j, i] += 1
+
+    _patch_Y(monkeypatch, edit)
+    for n in range(3, 9):
+        _, report = iterated_schur_on_Y(n)
+        assert not report.ok, n
+        assert report.details == [
+            f"odd parity block of Y is not symmetric at n={n}: S=1, T=10"
         ], report.details
 
 
@@ -244,8 +259,12 @@ def test_iterated_schur_counts_every_entry():
     for n in range(2, 9):
         _, report = iterated_schur_on_Y(n)
         dm = cb.d_max(n)
-        entries = sum(cb.binomial(n, k) ** 2 for k in range(dm + 1))
-        assert report.checked == entries + dm + 1, n  # and one PSD verdict per step
+        # each parity block's symmetry, once per pair, then the upper triangle
+        # of each L_k, then one PSD verdict per step
+        sizes = [len(masks) for masks, _ in parity_blocks(schur.build_Y(n))[0]]
+        pairs = sum(m * (m - 1) // 2 for m in sizes)
+        entries = sum(cb.binomial(n, k) * (cb.binomial(n, k) + 1) // 2 for k in range(dm + 1))
+        assert report.checked == pairs + entries + dm + 1, n
 
 
 def _two_step_rule(n, k, block):

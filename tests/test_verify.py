@@ -387,7 +387,7 @@ def test_checked_counts_frozen():
         "pseudomoments.matrix_structure": 46,
         "pseudomoments.moment_recursion": 40,
         "schur.gram_property": 123,
-        "schur.iterated_elimination": 222,
+        "schur.iterated_elimination": 238,
         "schur.volume_identity": 51,
         "spectrum.eigenvalue_recursion": 5,
         "spectrum.eta_routes": 28,
