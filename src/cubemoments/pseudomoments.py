@@ -26,7 +26,10 @@ d = |S|; its coefficients have a hypergeometric closed form cross-checked
 here against the group-averaging definition.  h_S and the Specht products
 specht_x_basis are the hypercube twins of the frame-side harmonics: the
 frame image x^S -> prod_{i in S} <v_i, z> (apolar.frame_image) carries
-them to hS_span and specht_basis.
+them to hS_span and specht_basis.  difference_table holds the step-2
+differences of the moment sequence, the one table that spectrum's
+Terwilliger blocks are built from and that finite_difference_check reads
+against the closed form finite_difference_a.
 """
 
 from __future__ import annotations
@@ -293,12 +296,9 @@ class MultilinearPoly(SparsePoly):
                 out[key] = c1 * c2 if prev is None else prev + c1 * c2
         return self._new(out)
 
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.coeffs), default=0)
 
-
-def x_monomial(n: int, mask: int, coeff=1) -> MultilinearPoly:
-    return MultilinearPoly(n, {mask: Q(require_exact(coeff))})
+def x_monomial(n: int, mask: int) -> MultilinearPoly:
+    return MultilinearPoly(n, {mask: Q(1)})
 
 
 def x_sum(n: int) -> MultilinearPoly:
@@ -506,7 +506,7 @@ def harmonic_norms_check(n: int) -> Report:
 def finite_difference_a(n: int, a: int, k: int):
     """Closed form a_2k * prod_{i<a} (n-2i)/(n-2k-2i-1) for the a-fold
     alternating difference of f(k) = a_2k.  Needs 2(k+a) <= n; at
-    2(k+a) = n+1 both routes leave the moment domain."""
+    2(k+a) = n+1 it leaves the moment domain."""
     if a < 0 or k < 0 or 2 * (k + a) > n:
         raise ValueError(f"need a, k >= 0 and 2(k+a) <= n, got n={n}, a={a}, k={k}")
     v = a_coeff(n, 2 * k)
@@ -515,26 +515,32 @@ def finite_difference_a(n: int, a: int, k: int):
     return v
 
 
-def finite_difference_a_direct(n: int, a: int, k: int):
-    """The literal alternating sum sum_j (-1)^j C(a,j) a_2(k+j)."""
-    if a < 0 or k < 0 or 2 * (k + a) > n:
-        raise ValueError(f"need a, k >= 0 and 2(k+a) <= n, got n={n}, a={a}, k={k}")
-    return sum(
-        ((-1) ** j * cb.binomial(a, j)) * a_coeff(n, 2 * (k + j)) for j in range(a + 1)
-    )
+def difference_table(n: int, a: list) -> list:
+    """g[u][s] = sum_t (-1)^(u-t) C(u,t) a_{s-2t}, u <= d_max, 2u <= s <= 2 d_max:
+    the u-th difference of a at step 2, g[u][s] = g[u-1][s-2] - g[u-1][s].
+    spectrum.terwilliger_blocks builds Schrijver's blocks from it, and
+    finite_difference_check ties it to finite_difference_a."""
+    g = [list(a[: 2 * cb.d_max(n) + 1])]
+    for _ in range(cb.d_max(n)):
+        g.append([0, 0] + [x - y for x, y in zip(g[-1], g[-1][2:])])
+    return g
 
 
 @verified("pseudomoments.finite_difference", 2, 12, "alternating sum")
 def finite_difference_check(n: int) -> Report:
-    """finite_difference_a against the literal alternating sum."""
+    """finite_difference_a against the alternating sum
+    sum_j (-1)^j C(a,j) a_2(k+j) = g[a][2(k+a)] / den, g the difference_table
+    of the integer form den * a_0..a_n, the table the Terwilliger blocks read."""
     report = Report()
+    (moments,), den = xm.integer_form([_a_values(n)])
+    g = difference_table(n, moments)
     for a in range(n // 2 + 1):
         for k in range(n // 2 - a + 1):
             closed = finite_difference_a(n, a, k)
-            direct = finite_difference_a_direct(n, a, k)
+            table = Q(g[a][2 * (k + a)], den)
             report.expect(
-                closed == direct,
-                f"difference routes at n={n}, a={a}, k={k}: {closed} != {direct}",
+                closed == table,
+                f"difference routes at n={n}, a={a}, k={k}: {closed} != {table}",
             )
     return report
 

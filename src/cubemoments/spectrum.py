@@ -13,9 +13,10 @@ multiplicity counts, and three independent verification routes:
 * a floating eigensolver as a numeric cross-check: Y commutes with S_n, so
   Schrijver's Terwilliger-algebra blocks (one of d_max - k + 1 rows per k,
   multiplicity C(n,k) - C(n,k-1)) hold its spectrum; terwilliger_blocks
-  builds them over ints from one step-2 difference table of a, for a dense
-  symmetric eigensolver; blocks whose rows or squared Frobenius norm do not
-  add up to Y's, exactly, are refused.
+  builds them over ints from pseudomoments.difference_table, the step-2
+  difference table of a that finite_difference_check reads against its
+  closed form, for a dense symmetric eigensolver; blocks whose rows or
+  squared Frobenius norm do not add up to Y's, exactly, are refused.
 
 The two exact routes work on the integer parity blocks B = D Y and take
 their powers modulo primes below 2^21, as float64 matrix products that stay
@@ -62,6 +63,7 @@ from .pseudomoments import (
     a_coeff,
     build_Y,
     contract_x_h,
+    difference_table,
     parity_blocks,
 )
 from .report import Report, verified
@@ -667,15 +669,6 @@ def _pair_counts(n: int) -> list:
     return counts
 
 
-def _difference_table(n: int, a: list) -> list:
-    """g[u][s] = sum_t (-1)^(u-t) C(u,t) a_{s-2t}, u <= d_max, 2u <= s <= 2 d_max:
-    the u-th difference of a at step 2, g[u][s] = g[u-1][s-2] - g[u-1][s]."""
-    g = [list(a[: 2 * cb.d_max(n) + 1])]
-    for _ in range(cb.d_max(n)):
-        g.append([0, 0] + [x - y for x, y in zip(g[-1], g[-1][2:])])
-    return g
-
-
 def terwilliger_blocks(n: int, a: list) -> list:
     """[(k, multiplicity, M_k, c_k)] for k = 0..d_max: Schrijver's block
     diagonalization of the Terwilliger algebra of the binary Hamming scheme
@@ -686,10 +679,10 @@ def terwilliger_blocks(n: int, a: list) -> list:
     beta^t = sum_u (-1)^(u-t) C(u,t) C(n-2k,u-k) C(n-k-u,i-u) C(n-k-u,j-u),
     max(k,t) <= u <= min(i,j).  C(u,t) = 0 for t > u, so the t sum moves
     inside: M_k[i][j] = sum_{u=k}^{min(i,j)} C(n-2k,u-k) C(n-k-u,i-u)
-    C(n-k-u,j-u) g[u][i+j], one g = _difference_table(n, a) for every k;
+    C(n-k-u,j-u) g[u][i+j], one g = difference_table(n, a) for every k;
     over ints, O(d^4) products for all blocks, not O(d^5)."""
     cb.check_n(n)
-    top, g = cb.d_max(n), _difference_table(n, a)
+    top, g = cb.d_max(n), difference_table(n, a)
     blocks = []
     for k in range(top + 1):
         m = [[0] * (top - k + 1) for _ in range(k, top + 1)]

@@ -283,10 +283,9 @@ def normalize_suites(selection) -> tuple:
     return tuple(sorted(chosen))
 
 
-def _witness_text(rep: Report, cap: int = 6) -> str:
-    if len(rep.details) > cap:
-        extra = len(rep.details) - cap
-        return "; ".join(rep.details[:cap]) + f"; (+{extra} more)"
+def _witness_text(rep: Report) -> str:
+    if len(rep.details) > 6:
+        return "; ".join(rep.details[:6]) + f"; (+{len(rep.details) - 6} more)"
     return "; ".join(rep.details)
 
 

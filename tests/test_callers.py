@@ -4,17 +4,21 @@ benchmark, so code that only the tests call does not stay in src, and every
 import is the standard library, the package or a dependency pyproject.toml
 declares.
 
-The caller audit counts functions, classes, methods, class-body and
-module-level assignments as definitions that something must name, and
-annotated class-body names (dataclass fields) as attributes that something
-must read; the acceptance criteria count as readers of fields, since they
-are the binding contract.  It repeats with the flagged definitions' bodies
-left out until nothing new is flagged, so a definition that only dead code
-uses fails too.  An import alone is not a use: it counts where the
-importing module also reads the name it binds, or in an __init__.py,
-which re-exports it.  It is a lower bound: a name counts as used wherever it
-appears, so a method sharing its name with one called elsewhere
-(random.Random.shuffle in perfbench, say) passes unseen."""
+The caller audit counts functions, classes, class-body and module-level
+assignments as definitions that something must name, plain methods (not
+properties) as ones that something must call as an attribute or name in a
+dotted string, and annotated class-body names (dataclass fields) as
+attributes that something must read; the acceptance criteria count as
+readers of fields, since they are the binding contract.  It repeats with
+the flagged definitions' bodies left out until nothing new is flagged, so
+a definition that only dead code uses fails too.  An import alone is not a
+use: it counts where the importing module also reads the name it binds, or
+in an __init__.py, which re-exports it.  It is a lower bound: a name counts
+as used wherever it appears in its kind of use, so a method sharing its
+name with one called elsewhere (random.Random.shuffle in perfbench, say)
+passes unseen; but an attribute of that name read without a call
+(SpanPoly.degree) or a bare string (the "degree" of SpanPoly._SHAPE) does
+not make a method used."""
 
 import ast
 import functools
@@ -54,27 +58,38 @@ def _assigned(node) -> list:
     return []
 
 
+def _is_property(node) -> bool:
+    """Decorated @property, or as a property's setter or deleter."""
+    return any(
+        isinstance(d, ast.Name) and d.id == "property"
+        or isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter")
+        for d in node.decorator_list
+    )
+
+
 def _members(nodes, prefix=""):
-    """(qualified name, name, node, is a field) of each definition and
-    assignment among nodes; a class's body is searched one level down."""
+    """(qualified name, name, node, kind) of each definition and assignment
+    among nodes, kind "field", "method" or "name" for the use it needs; a
+    class's body is searched one level down."""
     for node in nodes:
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-            yield prefix + node.name, node.name, node, False
+            method = bool(prefix) and isinstance(node, FUNCTIONS) and not _is_property(node)
+            yield prefix + node.name, node.name, node, "method" if method else "name"
             if isinstance(node, ast.ClassDef) and not prefix:
                 yield from _members(node.body, f"{node.name}.")
         else:
             field = bool(prefix) and isinstance(node, ast.AnnAssign)
             for name in _assigned(node):
-                yield prefix + name, name, node, field
+                yield prefix + name, name, node, "field" if field else "name"
 
 
 def _definitions(path: Path):
-    """(qualified name, name, node, is a field) of each audited definition,
+    """(qualified name, name, node, kind) of each audited definition,
     dunders and registered checks aside."""
-    for qualname, name, node, field in _members(_parse(path).body):
+    for qualname, name, node, kind in _members(_parse(path).body):
         dunder = name.startswith("__") and name.endswith("__")
         if not dunder and not _registered(node):
-            yield f"{path.stem}.{qualname}", name, node, field
+            yield f"{path.stem}.{qualname}", name, node, kind
 
 
 def _walk(node, skip):
@@ -85,14 +100,15 @@ def _walk(node, skip):
         yield from _walk(child, skip)
 
 
-def _used_names(path: Path, skip) -> tuple:
-    """(names, attributes) a module reads outside the skipped nodes: names
-    as a Name, an Attribute or the last dotted part of a string (perfbench
-    names its traced targets as strings), and an imported name when the
-    module reads the name it binds, or always in an __init__.py, whose
-    imports are re-exports; attributes as an Attribute read or updated in
-    place."""
-    names, attributes = set(), set()
+def _used_names(path: Path, skip) -> dict:
+    """The names a module uses outside the skipped nodes, by the kind of
+    definition they reach: "name" as a Name, an Attribute or the last
+    dotted part of a string (perfbench names its traced targets as
+    strings), and an imported name when the module reads the name it
+    binds, or always in an __init__.py, whose imports are re-exports;
+    "method" as an Attribute called or the last part of a dotted string;
+    "field" as an Attribute read or updated in place."""
+    names, methods, attributes = set(), set(), set()
     imported = []
     for node in _walk(_parse(path), skip):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -108,20 +124,26 @@ def _used_names(path: Path, skip) -> tuple:
             imported.append((node.asname or name, name))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value.rsplit(".", 1)[-1])
+            if "." in node.value:
+                methods.add(node.value.rsplit(".", 1)[-1])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            methods.add(node.func.attr)
     reexports = path.name == "__init__.py"
     names.update(name for bound, name in imported if reexports or bound in names)
-    return names, attributes
+    return {"name": names, "method": methods, "field": attributes}
 
 
 def _unused(skip, package, users, field_readers) -> list:
     reads = {path: _used_names(path, skip) for path in {*users, *field_readers}}
-    names = set().union(*(reads[path][0] for path in users))
-    attributes = set().union(*(reads[path][1] for path in field_readers))
+    used = {
+        kind: set().union(*(reads[path][kind] for path in readers))
+        for kind, readers in (("name", users), ("method", users), ("field", field_readers))
+    }
     return [
         (qualname, node)
         for path in package
-        for qualname, name, node, field in _definitions(path)
-        if name not in (attributes if field else names)
+        for qualname, name, node, kind in _definitions(path)
+        if name not in used[kind]
     ]
 
 
@@ -157,6 +179,26 @@ def test_an_import_alone_is_not_a_caller(tmp_path):
         (tmp_path / name).write_text(text)
         paths.append(tmp_path / name)
     assert _flagged(paths, paths, paths) == ["defs.UNREAD", "defs.only_imported"]
+
+
+def test_a_method_counts_only_where_it_is_called(tmp_path):
+    # a plain method is used where it is called as an attribute or named in
+    # a dotted string; a same-named attribute read or a bare string is no
+    # use of it, while a property counts wherever its name is read
+    sources = {
+        "defs.py": "class Poly:\n    SHAPE = ('degree',)\n\n"
+        "    def degree(self):\n        pass\n\n"
+        "    def called(self):\n        pass\n\n"
+        "    def traced(self):\n        pass\n\n"
+        "    @property\n    def size(self):\n        pass\n",
+        "user.py": "from .defs import Poly\n\n"
+        "p = Poly()\np.called()\nprint(p.degree, p.size, p.SHAPE, 'Poly.traced')\n",
+    }
+    paths = []
+    for name, text in sources.items():
+        (tmp_path / name).write_text(text)
+        paths.append(tmp_path / name)
+    assert _flagged(paths, paths, paths) == ["defs.Poly.degree"]
 
 
 def _imported_modules(path: Path) -> set:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cubemoments
 from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
+from cubemoments import pseudomoments as pm
 from cubemoments import spectrum as sp
 from cubemoments.errors import ConvergenceError, InconsistentBlockError
 from cubemoments.apolar import sigma_sq
@@ -687,18 +688,25 @@ def test_block_guard_refuses_inconsistent_blocks():
 
 def test_block_guard_refuses_a_beta_off_by_one(monkeypatch):
     # a_2 added to g[1][2] adds a_2 to M_1[1][1], the term beta^0_{1,1,1} + 1
-    # would add (and n a_2 to M_0[1][1]), before the guard sees it
-    original = sp._difference_table
+    # would add (and n a_2 to M_0[1][1]), before the guard sees it; the same
+    # entry is the alternating sum a_0 - a_2 the closed form is checked against
+    original = pm.difference_table
 
     def off_by_one(n, a):
         g = original(n, a)
         g[1][2] += a[2]
         return g
 
-    monkeypatch.setattr(sp, "_difference_table", off_by_one)
+    monkeypatch.setattr(pm, "difference_table", off_by_one)
+    monkeypatch.setattr(sp, "difference_table", off_by_one)
     for n in (4, 7, 8):
         with pytest.raises(InconsistentBlockError, match=f"at n={n}$"):
             numeric_eigensolve(n)
+        report = pm.finite_difference_check(n)
+        assert not report.ok, n
+        closed = pm.finite_difference_a(n, 1, 0)
+        assert report.details == [f"difference routes at n={n}, a=1, k=0: {closed} != 1"]
+    assert pm.finite_difference_a(7, 1, 0) == Q(7, 6)
 
 
 def test_pair_counts_match_enumeration():

@@ -400,6 +400,88 @@ def test_checked_counts_frozen():
     }
 
 
+_CAPPED = "n capped at 6 ({} guard)"
+# (status, checked, witness) of every check of verify --suite all over
+# n = 2..7 at seed 42
+FROZEN_ALL_2_7 = {
+    "apolar.adjointness": ("pass", 25, _CAPPED.format("random triple")),
+    "apolar.beta_identity": ("pass", 12, ""),
+    "apolar.harmonicity": ("pass", 204, ""),
+    "apolar.ideal_kernel": ("pass", 64, ""),
+    "apolar.johnson_slice": ("pass", 12, ""),
+    "apolar.projection_consistency": ("pass", 176, ""),
+    "apolar.sigma_bridge": ("pass", 2632, ""),
+    "apolar.specht_gram": ("pass", 24, ""),
+    "appendix.char_inner": ("pass", 431, _CAPPED.format("subset-pair enumeration")),
+    "appendix.euler_transform": ("pass", 1144, _CAPPED.format("subset enumeration")),
+    "appendix.g_to_f_expansion": ("pass", 707, _CAPPED.format("subset-pair enumeration")),
+    "characters.dimension_identity": ("pass", 18, ""),
+    "characters.orthonormality": ("pass", 38, ""),
+    "characters.restricted_sums": ("pass", 286, ""),
+    "characters.two_row_routes": ("pass", 150, ""),
+    "pseudomoments.balanced_moments": ("pass", 48, ""),
+    "pseudomoments.finite_difference": ("pass", 38, ""),
+    "pseudomoments.harmonic_norms": ("pass", 18, ""),
+    "pseudomoments.hypercube_decomposition": ("pass", 18, ""),
+    "pseudomoments.ideal_annihilation": ("pass", 252, ""),
+    "pseudomoments.isotypic_projection": ("pass", 76, _CAPPED.format("S_n average")),
+    "pseudomoments.matrix_structure": ("pass", 158, ""),
+    "pseudomoments.moment_recursion": ("pass", 75, ""),
+    "schur.gram_property": ("pass", 123, ""),
+    "schur.iterated_elimination": ("pass", 3037, ""),
+    "schur.volume_identity": ("pass", 51, ""),
+    "spectrum.eigenvalue_recursion": ("pass", 11, ""),
+    "spectrum.eta_routes": ("pass", 56, ""),
+    "spectrum.exact_certificate": ("pass", 66, ""),
+    "spectrum.frame_decomposition": ("pass", 36, ""),
+    "spectrum.gram_reconstruction": ("pass", 6, ""),
+    "spectrum.moment_contractions": ("pass", 68, ""),
+    "spectrum.numeric_agreement": ("pass", 12, ""),
+    "spectrum.positivity_and_order": (
+        "pass",
+        12,
+        "documented discrepancy, not a failure: the strict ordering chain fails at "
+        "n=[2, 3, 4, 5, 6, 7] and eigenvalues collide at even n=[6]; values, "
+        "positivity, and multiplicities all verify",
+    ),
+}
+FROZEN_FAULT = {
+    "spectrum.fault_injection": (
+        "fail",
+        5,
+        "injected fault detected as intended at n=2: annihilating polynomial "
+        "nonzero at n=2: block 0 entry (0,0) = 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+def test_report_frozen_but_for_elapsed_time(inject_fault):
+    # same verdicts, same counts, same witnesses: the whole report of
+    # run_verify(("all",), 2, 7, 42) but its timings
+    frozen = {**FROZEN_ALL_2_7, **(FROZEN_FAULT if inject_fault else {})}
+    checks = [
+        {"name": name, "suite": name.split(".", 1)[0], "status": status,
+         "checked": checked, "witness": witness}
+        for name, (status, checked, witness) in sorted(frozen.items())
+    ]
+    payload = run_verify(("all",), 2, 7, 42, inject_fault=inject_fault).to_dict()
+    for check in payload["checks"]:
+        del check["elapsed_s"]
+    fails = int(inject_fault)
+    assert payload == {
+        "tool": "cubemoments",
+        "version": "0.1.0",
+        "n_min": 2,
+        "n_max": 7,
+        "seed": 42,
+        "suites": list(SUITE_NAMES),
+        "overall": "fail" if inject_fault else "pass",
+        "counts": {"pass": len(FROZEN_ALL_2_7), "fail": fails, "skipped": 0},
+        "checks": checks,
+    }
+
+
 @pytest.mark.parametrize(
     "module_name, closed_form, check, verify_name",
     [
