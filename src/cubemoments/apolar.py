@@ -28,7 +28,7 @@ hS_span(n, S) is the image of the isotypic projection h_S.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from . import combinatorics as cb
 from . import exactmat as xm
@@ -146,6 +146,12 @@ def _pattern_permanent(n: int, degree: int, profile):
     return Q(total, (n - 1) ** degree)
 
 
+def monomial_pairing(n: int, degree: int, profile):
+    """<B, B'> for two degree-d frame monomials sharing indices by this
+    profile (_common_profile): the pattern permanent over d!."""
+    return _pattern_permanent(n, degree, profile) / math.factorial(degree)
+
+
 def apolar_gram(ps, qs) -> list:
     """[[<p, q> for q in qs] for p in ps] for forms of one degree d on one
     frame: the product C_p P C_q^T / d! of bilinear_gram, with
@@ -159,10 +165,7 @@ def apolar_gram(ps, qs) -> list:
     if any(p.degree != degree for p in polys):
         raise ValueError("apolar_gram pairs forms of one degree")
 
-    def pairing(profile):  # <B, B'> for monomials sharing indices by this profile
-        return _pattern_permanent(n, degree, profile) / math.factorial(degree)
-
-    return bilinear_gram(ps, qs, _common_profile, pairing)
+    return bilinear_gram(ps, qs, _common_profile, partial(monomial_pairing, n, degree))
 
 
 def apolar_ip(p: SpanPoly, q: SpanPoly):

@@ -530,7 +530,9 @@ def difference_table(n: int, a: list) -> list:
 def finite_difference_check(n: int) -> Report:
     """finite_difference_a against the alternating sum
     sum_j (-1)^j C(a,j) a_2(k+j) = g[a][2(k+a)] / den, g the difference_table
-    of the integer form den * a_0..a_n, the table the Terwilliger blocks read."""
+    of the integer form den * a_0..a_n, the table the Terwilliger blocks read;
+    they also read its odd columns g[u][s], 2u < s <= 2 d_max, which vanish
+    with the odd moments, one comparison per entry."""
     report = Report()
     (moments,), den = xm.integer_form([_a_values(n)])
     g = difference_table(n, moments)
@@ -541,6 +543,11 @@ def finite_difference_check(n: int) -> Report:
             report.expect(
                 closed == table,
                 f"difference routes at n={n}, a={a}, k={k}: {closed} != {table}",
+            )
+    for u, row in enumerate(g):
+        for s in range(2 * u + 1, len(row), 2):
+            report.expect(
+                row[s] == 0, f"odd difference at n={n}, u={u}, s={s}: {Q(row[s], den)} != 0"
             )
     return report
 

@@ -24,12 +24,14 @@ block keeps every L_k symmetric under diagonal pivots, so L_k's upper
 triangle decides it.  Step k reads L_k from block k mod 2 as its active
 leading rows over den * prev and compares each entry on or above the
 diagonal, in those integer units, with sigma_k^2 <h_S0, h_T> for its
-overlap |S cap T|, read from one apolar_gram row; one pass over those
-entries decides both the Johnson scheme and the harmonic Gram.  It then
-eliminates those rows, whose pivots are L_k's LDL^T pivots, so the same
-pass gives the PSD verdict of L_k and the next Schur complement.  A failure
-of consistency or of the Gram claim is reported exactly, never
-approximated.
+overlap |S cap T|.  That target row is one exact product over the k-subset
+masks, gathered by popcounts from two short value tables, the closed-form
+coefficients of h_S and the pairing of frame monomials by their overlap, so
+no frame form is built.  One pass over those entries decides both the
+Johnson scheme and the harmonic Gram.  It then eliminates those rows, whose
+pivots are L_k's LDL^T pivots, so the same pass gives the PSD verdict of
+L_k and the next Schur complement.  A failure of consistency or of the Gram
+claim is reported exactly, never approximated.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ import numpy as np
 
 from . import combinatorics as cb
 from . import exactmat as xm
-from .apolar import apolar_gram, hS_span, sigma_sq
-from .pseudomoments import build_Y, parity_blocks
+from .apolar import monomial_pairing, sigma_sq
+from .pseudomoments import build_Y, isotypic_coefficient, parity_blocks
 from .report import Report, verified
 from .rng import SplitMix64
 from .scalars import Q
@@ -168,6 +170,33 @@ def volume_identity_check(seed: int, trials: int = 50) -> Report:
     return report
 
 
+def _harmonic_targets(n: int, k: int) -> dict:
+    """{overlap: sigma_k^2 <h_S0, h_T>} for S0 = {1..k} and the overlap
+    representatives T of cb.overlap_pairs(n, k, k), as one exact product
+    a_0 K C over the k-subset masks B, gathered by popcounts: h_S is
+    sum_B coef[|B cap S|] x^B (isotypic_coefficient), so a_0 = coef[|B cap S0|]
+    and C_T = coef[|B cap T|], and frame monomials pair as
+    K = beta[|B cap B'|] (monomial_pairing at |B cap B'| shared indices).
+    Each value table is scaled to ints once and the row divided back once."""
+    lo = max(0, 2 * k - n)
+    (coef,), den_c = xm.integer_form(
+        [[isotypic_coefficient(n, k, v) for v in range(lo, k + 1)]]
+    )
+    (beta,), den_b = xm.integer_form(
+        [[monomial_pairing(n, k, ((1, 1),) * j) for j in range(k + 1)]]
+    )
+    coef, beta = np.array(coef, dtype=object), np.array(beta, dtype=object)
+    pairs = cb.overlap_pairs(n, k, k)  # every pair shares S0 = {1..k}
+    masks = np.array(cb.subsets_of_size(n, k), dtype=np.int64)
+    reps = np.array([t for _, _, t in pairs], dtype=np.int64)
+    a_0 = coef[np.bitwise_count(masks & pairs[0][1]) - lo]
+    gram = beta[np.bitwise_count(masks[:, None] & masks)]
+    c_t = coef[np.bitwise_count(masks[:, None] & reps) - lo]
+    row = (a_0 @ gram @ c_t).tolist()
+    scale = sigma_sq(n, k) / (den_c * den_c * den_b)
+    return {ov: scale * x for (ov, _, _), x in zip(pairs, row)}
+
+
 def iterated_schur_on_Y(n: int, steps: int = None):
     """Eliminate the degree blocks of Y in order d = 0, 1, ...; at each step
     every entry of the current leading block must equal sigma_k^2 times the
@@ -176,12 +205,13 @@ def iterated_schur_on_Y(n: int, steps: int = None):
     first tested for symmetry, counted as m(m - 1)/2 comparisons for m rows;
     step k then compares the C(n, k)(C(n, k) + 1)/2 entries on or above the
     diagonal against the pairing for each overlap |S cap T| (which also
-    puts the block in the Johnson scheme), in one pass.  Returns (leading
-    blocks per step, each one whole, report).  A zero diagonal entry of L_k
-    with a nonzero entry in L_k ends the chain after step k, since diagonal
-    pivots give no Schur step past it; one whose row is nonzero only past
-    L_k, like a nonzero entry between the two parity blocks, raises
-    InconsistentBlockError."""
+    puts the block in the Johnson scheme), in one pass; the pairings come
+    from one popcount-gathered product per step (_harmonic_targets).
+    Returns (leading blocks per step, each one whole, report).  A zero
+    diagonal entry of L_k with a nonzero entry in L_k ends the chain after
+    step k, since diagonal pivots give no Schur step past it; one whose row
+    is nonzero only past L_k, like a nonzero entry between the two parity
+    blocks, raises InconsistentBlockError."""
     cb.check_n(n, cap=ITERATED_MAX_N, lo=2)
     if steps is None:
         steps = cb.d_max(n)
@@ -214,11 +244,7 @@ def iterated_schur_on_Y(n: int, steps: int = None):
         values = {x: Q(x, den * prev) for x in {x for row in lead_ints for x in row}}
         blocks.append([[values[x] for x in row] for row in lead_ints])
 
-        scale = sigma_sq(n, k)
-        pairs = cb.overlap_pairs(n, k, k)  # every pair shares S = {1..k}
-        spans = [hS_span(n, rep_t) for _, _, rep_t in pairs]
-        (pairings,) = apolar_gram([hS_span(n, pairs[0][1])], spans)
-        want = {ov: scale * pairing for (ov, _, _), pairing in zip(pairs, pairings)}
+        want = _harmonic_targets(n, k)
         targets = {}  # want[ov] in L_k's integer units: a non-integer matches nothing
         for ov, w in want.items():
             unit = w * den * prev

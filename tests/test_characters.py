@@ -78,6 +78,46 @@ def test_g_counts_match_the_subset_pair_walk():
                 assert all(type(v) is int for m in got.values() for row in m for v in row)
 
 
+# g_(a,b,k,l) on every class of S_4, rows k and columns l, for (a, b) =
+# (1, 2) and (2, 2): each entry counted from image_overlap_counts, as the
+# sum over pi of the class of #{(A, B) : |A cap B| = k, |pi(A) cap B| = l}
+# over the class size
+FROZEN_G_COUNTS_4 = {
+    (1, 2): {
+        (4,): [[4, 8], [8, 4]],
+        (3, 1): [[6, 6], [6, 6]],
+        (2, 2): [[4, 8], [8, 4]],
+        (2, 1, 1): [[8, 4], [4, 8]],
+        (1, 1, 1, 1): [[12, 0], [0, 12]],
+    },
+    (2, 2): {
+        (4,): [[0, 4, 2], [4, 16, 4], [2, 4, 0]],
+        (3, 1): [[0, 6, 0], [6, 12, 6], [0, 6, 0]],
+        (2, 2): [[2, 0, 4], [0, 24, 0], [4, 0, 2]],
+        (2, 1, 1): [[2, 4, 0], [4, 16, 4], [0, 4, 2]],
+        (1, 1, 1, 1): [[6, 0, 0], [0, 24, 0], [0, 0, 6]],
+    },
+}
+
+
+def test_g_counts_frozen_at_n4():
+    # a tally kernel that counted every class as the identity would leave
+    # each table diagonal
+    for (a, b), frozen in FROZEN_G_COUNTS_4.items():
+        assert ch._g_counts(4, a, b) == frozen, (a, b)
+
+
+def test_frozen_g_counts_come_from_the_image_counts():
+    for (a, b), frozen in FROZEN_G_COUNTS_4.items():
+        for ct, size in cb.conjugacy_classes(4):
+            total = [[0] * (a + 1) for _ in range(a + 1)]
+            for s in cb.subsets_of_size(4, a):
+                for image, by_type in ch.image_overlap_counts(4, s).items():
+                    for t in cb.subsets_of_size(4, b):
+                        total[(s & t).bit_count()][(image & t).bit_count()] += by_type.get(ct, 0)
+            assert total == [[size * x for x in row] for row in frozen[ct]], (a, b, ct)
+
+
 def test_f_counts_match_the_subset_walk():
     for n in range(2, 10):
         for a in range(n + 1):

@@ -284,6 +284,32 @@ def test_finite_difference_routes():
     assert pm.finite_difference_a(5, 2, 0) == Q(15, 8)
 
 
+def test_finite_difference_check_counts_the_odd_columns():
+    # one comparison per (a, k) pair and one per odd column g[u][s], 2u < s <= 2 d_max
+    for n in range(2, 13):
+        dm = cb.d_max(n)
+        pairs = sum(n // 2 - a + 1 for a in range(n // 2 + 1))
+        report = pm.finite_difference_check(n)
+        assert report.ok, (n, report.details)
+        assert report.checked == pairs + dm * (dm + 1) // 2, n
+
+
+def test_finite_difference_check_fails_on_an_odd_column(monkeypatch):
+    # g[1][3] feeds M_k[i][j] at i + j = 3, where the paper's table is zero
+    original = pm.difference_table
+
+    def shifted(n, a):
+        g = original(n, a)
+        g[1][3] += 1
+        return g
+
+    monkeypatch.setattr(pm, "difference_table", shifted)
+    # the shift is one unit of the integer form, 1/den
+    for n, shift in ((4, "1/3"), (7, "1/48"), (8, "1/35")):
+        report = pm.finite_difference_check(n)
+        assert report.details == [f"odd difference at n={n}, u=1, s=3: {shift} != 0"]
+
+
 def test_finite_difference_domain_boundary():
     # 2(k+a) = n+1 leaves the moment domain
     for n, a, k in ((5, 3, 0), (5, 1, 2), (7, 2, 2)):

@@ -1,12 +1,15 @@
 """Gramian Schur complements, volume identity, iterated elimination of Y."""
 
+import re
+
 import numpy as np
 import pytest
 
+from cubemoments import apolar
 from cubemoments import combinatorics as cb
 from cubemoments import exactmat as xm
 from cubemoments import schur
-from cubemoments.apolar import apolar_ip, hS_span, sigma_sq
+from cubemoments.apolar import apolar_gram, apolar_ip, hS_span, sigma_sq
 from cubemoments.errors import InconsistentBlockError
 from cubemoments.pseudomoments import parity_blocks
 from cubemoments.rng import SplitMix64
@@ -300,6 +303,55 @@ def test_iterated_schur_verdict_matches_two_step_rule(monkeypatch, corrupt):
         psd = not any(" not PSD " in d for d in report.details)
         assert report.ok == (all(rules) and psd), (n, report.details[:3])
         assert all(rules) == (corrupt is None), n
+
+
+def test_gathered_targets_match_the_frame_gram():
+    # the chain's popcount-gathered row against sigma_k^2 times one
+    # apolar_gram row of hS_span frame forms, at every overlap
+    for n in range(2, 9):
+        for k in range(cb.d_max(n) + 1):
+            pairs = cb.overlap_pairs(n, k, k)
+            spans = [hS_span(n, t) for _, _, t in pairs]
+            (row,) = apolar_gram([hS_span(n, pairs[0][1])], spans)
+            want = {ov: sigma_sq(n, k) * x for (ov, _, _), x in zip(pairs, row)}
+            got = schur._harmonic_targets(n, k)
+            assert got == want, (n, k)
+            assert all(type(x) is Q for x in got.values()), (n, k)
+
+
+def test_iterated_schur_builds_no_frame_form(monkeypatch):
+    # the targets come from value tables: no SpanPoly, no per-key-pair label
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain built a frame form")
+
+    monkeypatch.setattr(apolar.SpanPoly, "__init__", refuse)
+    monkeypatch.setattr(apolar, "_common_profile", refuse)
+    for n in range(2, 9):
+        _, report = iterated_schur_on_Y(n)
+        assert report.ok, (n, report.details[:3])
+
+
+def _shifted(original, degree, key):
+    """original(n, d, x) + 1 where (d, x) == (degree, key), else unchanged."""
+    return lambda n, d, x: original(n, d, x) + ((d, x) == (degree, key))
+
+
+@pytest.mark.parametrize("table", ["isotypic_coefficient", "monomial_pairing"])
+def test_iterated_schur_fails_on_a_shifted_target_table(monkeypatch, table):
+    # one coefficient of h_S (at overlap k // 2) or one pairing beta_j
+    # (at j = k // 2 shared indices) off by one: step k misses its targets
+    original = getattr(schur, table)
+    for n in range(2, 9):
+        for k in range(cb.d_max(n) + 1):
+            if table == "monomial_pairing":
+                key = ((1, 1),) * (k // 2)
+            else:
+                key = max(k // 2, 2 * k - n)  # a feasible overlap
+            monkeypatch.setattr(schur, table, _shifted(original, k, key))
+            _, report = iterated_schur_on_Y(n, steps=k)
+            assert not report.ok, (n, k)
+            witness = rf"step {k} entry S=[01]+, T=[01]+ \(overlap \d+\): \S+ != \S+ at n={n}"
+            assert all(re.fullmatch(witness, d) for d in report.details), report.details
 
 
 def test_exact_routes_return_no_float():
