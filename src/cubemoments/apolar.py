@@ -201,24 +201,6 @@ def _derive_ints(n: int, coeffs: dict, j: int) -> dict:
     return out
 
 
-def derive(p: SpanPoly, j: int) -> SpanPoly:
-    """Directional frame derivative <v_j, d/dz> p.
-
-    On a monomial it replaces each factor <v_i, z> in turn by <v_j, v_i>;
-    the steps run over ints (_derive_ints) and divide once at the end.
-    Differentiating a degree-0 form would need the degree -1 zero space,
-    which is deliberately not represented: that case raises.
-    """
-    if p.degree == 0:
-        raise ValueError("cannot differentiate a degree-0 frame polynomial")
-    if not (1 <= j <= p.n):
-        raise ValueError(f"frame index {j} outside [1, {p.n}]")
-    ints, den = _integer_coeffs(p)
-    scale = den * (p.n - 1)
-    out = {key: Q(c, scale) for key, c in _derive_ints(p.n, ints, j).items()}
-    return p._new(out, (p.n, p.degree - 1))
-
-
 def equals_zero(p: SpanPoly) -> bool:
     """Semantic zero test: the pairing is positive definite modulo the ideal
     of sum_i <v_i, z>, so p vanishes as a polynomial iff <p, p> = 0."""
@@ -226,11 +208,22 @@ def equals_zero(p: SpanPoly) -> bool:
 
 
 def apply_operator(q: SpanPoly, r: SpanPoly) -> SpanPoly:
-    """q(d/dz) r via iterated frame derivatives, one monomial at a time."""
+    """q(d/dz) r via iterated frame derivatives: each monomial prod <v_j, z>
+    of q acts as prod <v_j, d/dz>, the directional derivatives that replace
+    a factor <v_i, z> of a monomial in turn by <v_j, v_i>.  r and q are
+    scaled to ints once, by L_r and L_q, every step runs over ints
+    (_derive_ints, a factor n-1 each), and the sum divides once by
+    L_r L_q (n-1)^deg q."""
     if q.degree > r.degree:
         raise ValueError("operator degree exceeds target degree")
-    terms = (reduce(derive, key, r).scaled(c) for key, c in q.coeffs.items())
-    return sum(terms, SpanPoly(r.n, r.degree - q.degree))
+    ints, den_r = _integer_coeffs(r)
+    weights, den_q = _integer_coeffs(q)
+    out: dict = {}
+    for key, w in weights.items():
+        for term, c in reduce(partial(_derive_ints, r.n), key, ints).items():
+            out[term] = out.get(term, 0) + w * c
+    scale = den_r * den_q * (r.n - 1) ** q.degree
+    return r._new({key: Q(c, scale) for key, c in out.items()}, (r.n, r.degree - q.degree))
 
 
 @verified("apolar.adjointness", 2, 6, "random triple")

@@ -7,20 +7,21 @@ matrix is never scaled, as pseudomoments.build_Y gathers its integer form
 from that of a_0..a_n.  rational_product owns that step for every exact
 product whose entries are wanted, outside the modular and elimination
 kernels: it scales each factor, multiplies the chain over Python ints with
-mat_mul (which keeps ints as ints) and divides each entry back once, always
-returning rationals.  A product that is only compared with a known matrix
-is not formed: product_equals decides A B / den_ab = C / den_c for gathered
-integer matrices as one zero test on float64 residues (below).  rank,
-det, solve_consistent and schur.schur_complement share one kernel,
-eliminate: a fraction-free (Bareiss) elimination over Python ints, whose
-every division by the previous pivot is exact and is checked to be, with
-the first nonzero entry of each column as pivot.  eliminate_symmetric
-takes the same steps with diagonal pivots only, on one triangle: the
-active block stays symmetric, so each row is stepped from its diagonal on,
-and the upper triangle of the block left behind is copied onto its lower
-one before it returns.  Its pivots decide semidefiniteness (psd_pivots),
-and the block it leaves is the Schur complement of the rows it eliminated,
-so schur's iterated chain reads both from one pass.
+mat_mul (which keeps ints as ints) and divides each entry back once,
+always returning rationals.  A product that is only compared with a known
+matrix is not formed: product_equals decides A B / den_ab = C / den_c for
+gathered integer matrices as one zero test on float64 residues (below),
+and names the first entry where they differ.  rank, det, solve_consistent
+and schur.schur_complement share one kernel, eliminate: a fraction-free
+(Bareiss) elimination over Python ints, whose every division by the
+previous pivot is exact and is checked to be, with the first nonzero entry
+of each column as pivot.  eliminate_symmetric takes the same steps with
+diagonal pivots only, on one triangle: the active block stays symmetric,
+so each row is stepped from its diagonal on, and the upper triangle of the
+block left behind is copied onto its lower one before it returns.  Its
+pivots decide semidefiniteness (psd_pivots), and the block it leaves is
+the Schur complement of the rows it eliminated, so schur's iterated chain
+reads both from one pass.
 
 Every modular step uses one prime table, POWER_PRIMES, all below 2^21.
 Rank claims are lower bounds by rank_mod_at_least(residues, p, r): an
@@ -38,17 +39,18 @@ tries POWER_PRIMES[0] on the integer form and asks the Bareiss kernel only
 when that prime falls short.
 
 Integer matrix powers are taken modulo the same primes, as numpy float64
-products (spectrum._ParityPowers): require_float_exact refuses a matrix of 2048
-rows or more, so a row of such products sums below 2^53 and every partial
-sum is an integer that float64 holds exactly, in any summation order;
-power_product reduces with fmod after every product, mod_combination once
-per weighted sum (an asserted term count keeps it below 2^53), and no
-tolerance enters.  A value known to satisfy |x| <= S comes back exactly
-from its residues under primes_exceeding(2 * S), the shortest prefix of
-POWER_PRIMES whose product exceeds 2S, by crt_signed, which returns the
-representative of least absolute value; and it is zero exactly when every
-one of those residues is.  product_equals applies that to D = den_c A B -
-den_ab C, with S bounded from the largest gathered values.
+products (spectrum._dense_pass, one prime at a time): require_float_exact
+refuses a matrix of 2048 rows or more, so a row of such products sums
+below 2^53 and every partial sum is an integer that float64 holds exactly,
+in any summation order; power_product reduces with fmod after every
+product, mod_combination once per weighted sum (an asserted term count
+keeps it below 2^53), and no tolerance enters.  A value known to satisfy
+|x| <= S comes back exactly from its residues under primes_exceeding(2 *
+S), the shortest prefix of POWER_PRIMES whose product exceeds 2S, by
+crt_signed, which returns the representative of least absolute value; and
+it is zero exactly when every one of those residues is.  product_equals
+applies that to D = den_c A B - den_ab C, with S bounded from the largest
+gathered values, and first_nonzero returns a failure's entry whole.
 """
 
 from __future__ import annotations
@@ -246,35 +248,49 @@ def power_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.fmod(a @ b, p)
 
 
-def product_equals(a: tuple, b: tuple, c: tuple, den_ab: int, den_c: int) -> bool:
-    """Whether A B / den_ab = C / den_c, exactly, for integer matrices A, B
+def product_equals(a: tuple, b: tuple, c: tuple, den_ab: int, den_c: int):
+    """None when A B / den_ab = C / den_c, exactly, for integer matrices A, B
     and C given gathered, each as a pair (values, index) of Python ints and
     an int array of positions into them: the matrix is values[index].
+    Otherwise first_nonzero of D = den_c A B - den_ab C, exact.
 
-    That holds iff D = den_c A B - den_ab C is zero.  With k the inner
-    dimension, no entry of D passes S = k max|A| max|B| den_c + max|C|
-    den_ab, so D is taken modulo primes_exceeding(2S), whose product P
-    exceeds 2S: a multiple of P no larger than S in absolute value is 0, so
-    D is zero exactly when every residue is.  Modulo each prime p the values
-    are reduced once and gathered into float64 residue matrices, A B comes
-    from power_product, and each term of D is below p^2 < 2^42, so their
-    difference is exact; no tolerance enters.  The first prime with a
-    nonzero residue ends the test."""
+    The product holds iff D is zero.  With k the inner dimension, no entry
+    of D passes S = k max|A| max|B| den_c + max|C| den_ab, so D is taken
+    modulo primes_exceeding(2S), whose product P exceeds 2S: a multiple of P
+    no larger than S in absolute value is 0, so D is zero exactly when every
+    residue is, and an entry comes back by signed CRT.  Modulo each prime p
+    the values are reduced once and gathered into float64 residue matrices,
+    A B comes from power_product, and each term of D is below p^2 < 2^42,
+    so their difference is exact; no tolerance enters."""
     (m, k), (rows_b, cols) = a[1].shape, b[1].shape
     if rows_b != k or c[1].shape != (m, cols):
         raise ValueError(f"shapes {a[1].shape} x {b[1].shape} != {c[1].shape}")
     require_float_exact(k)
     tops = [max(map(abs, values), default=0) for values, _ in (a, b, c)]
     bound = k * tops[0] * tops[1] * den_c + tops[2] * den_ab
-    for p in primes_exceeding(2 * bound):
+    primes = primes_exceeding(2 * bound)
+    nonzero = {}  # prime -> residues of D, when not all zero
+    for p in primes:
         a_p, b_p, c_p = (
             np.array([v % p for v in values], dtype=np.float64)[index]
             for values, index in (a, b, c)
         )
-        diff = power_product(a_p, b_p, p) * (den_c % p) - c_p * (den_ab % p)
-        if np.fmod(diff, p).any():
-            return False
-    return True
+        diff = np.fmod(power_product(a_p, b_p, p) * (den_c % p) - c_p * (den_ab % p), p)
+        if diff.any():
+            nonzero[p] = diff
+    return first_nonzero(nonzero, primes)
+
+
+def first_nonzero(nonzero: dict, primes) -> tuple | None:
+    """(row, column, crt_signed value) of the first nonzero entry of M in
+    row-major order, or None; nonzero[p] holds M modulo p for each prime of
+    primes under which M is not zero."""
+    if not nonzero:
+        return None
+    hit = np.logical_or.reduce([residues != 0 for residues in nonzero.values()])
+    i, j = divmod(int(np.flatnonzero(hit)[0]), hit.shape[1])
+    value = crt_signed([nonzero[p][i, j] if p in nonzero else 0 for p in primes], primes)
+    return i, j, value
 
 
 def mod_combination(weights: list, powers: list, p: int) -> np.ndarray:

@@ -20,10 +20,11 @@ multiplicity counts, and three independent verification routes:
 
 The two exact routes work on the integer parity blocks B = D Y and take
 their powers modulo primes below 2^21, as float64 matrix products that stay
-exact (exactmat's modular kernels).  Each check takes primes until their
+exact (exactmat's modular kernels).  Each quantity takes primes until their
 product exceeds twice a proven bound on the integers it decides, so a
 modular zero is a true zero, and a trace or a failure's witness comes back
-whole by signed CRT.
+whole by signed CRT.  _dense_pass takes both routes in one walk over the
+primes, and drops each block's powers before the next block or prime.
 
 Annihilation plus traces plus positivity of the closed-form values is an
 exact proof that Y is positive semidefinite.
@@ -170,100 +171,6 @@ def distinctness_and_order_report(n: int) -> OrderReport:
 # exact matrix certification: annihilation, traces, rank
 
 
-class _ParityPowers:
-    """The parity blocks of Y and their powers modulo primes, shared between
-    the annihilation, trace-moment and rank checks.
-
-    masks and scale D come from pseudomoments.parity_blocks, the even block
-    first, and blocks holds each integer block B = D Y once, the int64
-    array parity_blocks gives; rank_check reads blocks as they are.  The
-    powers B, B^2, ... are held per prime of exactmat.POWER_PRIMES, as
-    float64 residues (exactmat.power_product), and extended on demand.
-    Each check bounds the integers it decides through T, the largest
-    |entry| of the blocks, and takes the primes that bound asks for, so
-    every verdict is exact.
-    Results come back in Y's own rational units: tr(Y^m) = tr(B^m) / D^m.
-    """
-
-    def __init__(self, y: PseudomomentMatrix):
-        parts, self.scale = parity_blocks(y)
-        self.masks = [masks for masks, _ in parts]
-        self.blocks = [block for _, block in parts]
-        self._max_rows = max(map(len, self.blocks))
-        xm.require_float_exact(self._max_rows)
-        self._max_entry = max(int(np.abs(block).max()) for block in self.blocks)
-        self._residues = {}
-
-    def _powers(self, p: int, top: int) -> list:
-        """[B, B^2, ..., B^top] modulo p for each block (at least B)."""
-        if p not in self._residues:
-            self._residues[p] = [[(block % p).astype(np.float64)] for block in self.blocks]
-        held = self._residues[p]
-        for plist in held:
-            while len(plist) < top:
-                plist.append(xm.power_product(plist[-1], plist[0], p))
-        return held
-
-    def trace(self, m: int):
-        """tr(Y^m).  tr(B^m) is the sum over rows i of (B^a)_i . (B^(m-a))^T_i
-        with a = ceil(m/2), reduced row by row, under primes whose product
-        exceeds 2 sum_b size_b^m T^m, and comes back by signed CRT."""
-        a = (m + 1) // 2
-        bound = sum(len(block) ** m * self._max_entry**m for block in self.blocks)
-        primes = xm.primes_exceeding(2 * bound)
-        residues = []
-        for p in primes:
-            total = 0
-            for block, plist in zip(self.blocks, self._powers(p, a)):
-                if a == 0:
-                    total += len(block)
-                elif a == m:
-                    total += int(np.trace(plist[0]))
-                else:
-                    rows = np.einsum("ij,ji->i", plist[a - 1], plist[m - a - 1])
-                    total += int(np.fmod(rows, p).sum())
-            residues.append(total % p)
-        return Q(xm.crt_signed(residues, primes), self.scale**m)
-
-    def polynomial_is_zero(self, coeffs):
-        """Whether sum_j coeffs[j] Y^j vanishes; returns (ok, witness).
-
-        sum_j c_j Y^j = sum_j (c_j / D^j) B^j, and L, the lcm of the
-        denominators of the c_j / D^j, makes it M_b / L on block b with M_b =
-        sum_j k_j B^j for integers k_j.  No entry of M_b passes S = |k_0| +
-        sum_{j>=1} |k_j| m^(j-1) T^j, m the largest block size, so M_b is
-        taken modulo primes whose product exceeds 2S: it is zero exactly when
-        every residue is, and its first nonzero entry, in block then
-        row-major order, comes back by signed CRT.  With h = ceil(len/2),
-        M_b = sum_{j<h} k_j B^j + B^h sum_j k_{h+j} B^j on the held powers
-        B..B^h, one product past them."""
-        scaled = [Q(c) / Q(self.scale) ** j for j, c in enumerate(coeffs)]
-        (weights,), common = xm.integer_form([scaled])
-        rows, top = self._max_rows, self._max_entry
-        bound = abs(weights[0]) + sum(
-            abs(k) * rows ** (j - 1) * top**j for j, k in enumerate(weights) if j
-        )
-        primes = xm.primes_exceeding(2 * bound)
-        h = (len(weights) + 1) // 2
-        nonzero = {}  # (block index, prime) -> residues of M_b, when not all zero
-        for p in primes:
-            for b, plist in enumerate(self._powers(p, h)):
-                value = xm.mod_combination(weights[:h], plist, p)
-                if len(weights) > h:
-                    high = xm.mod_combination(weights[h:], plist, p)
-                    value = np.fmod(value + xm.power_product(plist[h - 1], high, p), p)
-                if value.any():
-                    nonzero[b, p] = value
-        if not nonzero:
-            return True, None
-        b = min(block for block, _ in nonzero)
-        hit = np.logical_or.reduce([value != 0 for (c, _), value in nonzero.items() if c == b])
-        i, j = divmod(int(np.flatnonzero(hit)[0]), hit.shape[1])
-        residues = [nonzero[b, p][i, j] if (b, p) in nonzero else 0 for p in primes]
-        value = Q(xm.crt_signed(residues, primes), common)
-        return False, f"block {b} entry ({i},{j}) = {value}"
-
-
 def _poly_from_roots(roots):
     """Coefficients of prod (t - r), ascending in t."""
     coeffs = [Q(1)]
@@ -276,58 +183,130 @@ def _poly_from_roots(roots):
     return coeffs
 
 
-def _dense_powers(n: int, cap: int, powers: "_ParityPowers" = None) -> "_ParityPowers":
-    """The guard shared by the dense exact checks, 2 <= n <= cap (BUILD_MAX_N,
-    or lower); returns powers, or the parity powers of a fresh Y(n) when it
-    is None."""
-    cb.check_n(n, cap=cap, lo=2)
-    return _ParityPowers(build_Y(n)) if powers is None else powers
+def _dense_pass(n: int, eigenvalues, parity) -> tuple:
+    """(annihilation report, trace report) for Y(n), from parity =
+    pseudomoments.parity_blocks(Y) in one walk over exactmat.POWER_PRIMES;
+    eigenvalues None means the closed form.  The blocks, each int64 B = D Y,
+    stay intact; T is their largest |entry| and r their largest size.
+
+    Annihilation, Y prod_d (Y - lambda_d I) = sum_j c_j Y^j = sum_j (c_j /
+    D^j) B^j: L, the lcm of the denominators of the c_j / D^j, makes it M_b /
+    L on block b with M_b = sum_j k_j B^j for integers k_j.  No entry of M_b
+    passes S = |k_0| + sum_{j>=1} |k_j| r^(j-1) T^j, so M_b is taken modulo
+    primes_exceeding(2S): it is zero exactly when every residue is, and its
+    first nonzero entry, in block then row-major order, comes back by signed
+    CRT.  With h = ceil(len/2), M_b = sum_{j<h} k_j B^j + B^h sum_j k_{h+j}
+    B^j, one product past B..B^h.
+
+    Traces, tr(Y^m) = tr(B^m) / D^m summed over blocks for m = 1..d_max + 3:
+    tr(B^m) is the sum over rows i of (B^a)_i . (B^(m-a))^T_i, a = ceil(m/2),
+    taken modulo primes whose product exceeds 2 sum_b size_b^m T^m and
+    returned by signed CRT.
+
+    Each quantity keeps its own prefix of the primes.  Under each prime the
+    powers B, ..., B^top of one block at a time are formed (power_product),
+    top the highest power a quantity taken there reads, and dropped before
+    the next block."""
+    parts, scale = parity
+    blocks = [block for _, block in parts]
+    dmax = cb.d_max(n)
+    if eigenvalues is None:
+        eigenvalues = [lambda_closed(n, d) for d in range(dmax + 1)]
+    rows = max(map(len, blocks))
+    xm.require_float_exact(rows)
+    top_entry = max(int(np.abs(block).max()) for block in blocks)
+
+    scaled = [c / Q(scale) ** j for j, c in enumerate(_poly_from_roots([QZERO, *eigenvalues]))]
+    (weights,), common = xm.integer_form([scaled])
+    bound = abs(weights[0]) + sum(
+        abs(k) * rows ** (j - 1) * top_entry**j for j, k in enumerate(weights) if j
+    )
+    ann_primes = xm.primes_exceeding(2 * bound)
+    h = (len(weights) + 1) // 2
+    moments = range(1, dmax + 4)
+    trace_primes = {
+        m: xm.primes_exceeding(2 * sum(len(block) ** m * top_entry**m for block in blocks))
+        for m in moments
+    }
+
+    nonzero = [{} for _ in blocks]  # prime -> residues of M_b, when not all zero
+    traces = {m: [] for m in moments}  # residues of tr(B^m), one per prime
+    for i, p in enumerate(xm.POWER_PRIMES[: max(map(len, [ann_primes, *trace_primes.values()]))]):
+        annihilate = i < len(ann_primes)
+        sums = {m: 0 for m in moments if i < len(trace_primes[m])}
+        top = max([(m + 1) // 2 for m in sums] + [h] * annihilate)
+        for b, block in enumerate(blocks):
+            plist = [(block % p).astype(np.float64)]
+            while len(plist) < top:
+                plist.append(xm.power_product(plist[-1], plist[0], p))
+            for m in sums:
+                a = (m + 1) // 2
+                if a == m:
+                    sums[m] += int(np.trace(plist[0]))
+                else:
+                    row_sums = np.einsum("ij,ji->i", plist[a - 1], plist[m - a - 1])
+                    sums[m] += int(np.fmod(row_sums, p).sum())
+            if annihilate:
+                value = xm.mod_combination(weights[:h], plist, p)
+                if len(weights) > h:
+                    high = xm.mod_combination(weights[h:], plist, p)
+                    value = np.fmod(value + xm.power_product(plist[h - 1], high, p), p)
+                if value.any():
+                    nonzero[b][p] = value
+        for m, total in sums.items():
+            traces[m].append(total % p)
+
+    witness = None
+    for b, residues in enumerate(nonzero):
+        if residues:
+            i, j, value = xm.first_nonzero(residues, ann_primes)
+            witness = f"block {b} entry ({i},{j}) = {Q(value, common)}"
+            break
+    annihilation = Report()
+    annihilation.expect(witness is None, f"annihilating polynomial nonzero at n={n}: {witness}")
+
+    moment_report = Report()
+    mults = [multiplicity(n, d) for d in range(dmax + 1)]
+    for m in moments:
+        lhs = Q(xm.crt_signed(traces[m], trace_primes[m]), scale**m)
+        rhs = sum((mu * lam**m for mu, lam in zip(mults, eigenvalues)), QZERO)
+        moment_report.expect(lhs == rhs, f"trace moment m={m} at n={n}: {lhs} != {rhs}")
+    return annihilation, moment_report
 
 
-def annihilation_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None) -> Report:
+def _parity(n: int):
+    """parity_blocks of a fresh Y(n), behind the guard of the dense exact
+    checks, 2 <= n <= BUILD_MAX_N."""
+    cb.check_n(n, cap=BUILD_MAX_N, lo=2)
+    return parity_blocks(build_Y(n))
+
+
+def annihilation_check(n: int, eigenvalues=None) -> Report:
     """Y prod_d (Y - lambda_{n,d} I) = 0 exactly, placing the spectrum inside
     {0} union {lambda_{n,d}}.  Passing explicit eigenvalues substitutes them
     for the closed form (used for fault injection in the verifier)."""
-    powers = _dense_powers(n, BUILD_MAX_N, powers)
-    if eigenvalues is None:
-        eigenvalues = [lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
-    report = Report()
-    coeffs = _poly_from_roots([QZERO] + list(eigenvalues))
-    ok, witness = powers.polynomial_is_zero(coeffs)
-    report.expect(ok, f"annihilating polynomial nonzero at n={n}: {witness}")
-    return report
+    return _dense_pass(n, eigenvalues, _parity(n))[0]
 
 
-def trace_moment_check(n: int, eigenvalues=None, powers: "_ParityPowers" = None) -> Report:
+def trace_moment_check(n: int, eigenvalues=None) -> Report:
     """tr(Y^m) = sum_d mult(n,d) lambda_{n,d}^m for m = 1..d_max + 3.  Together
     with annihilation this pins the multiplicity of each distinct eigenvalue
     (Vandermonde system on the distinct values); where closed-form values
     coincide, as happens at even n >= 6, the certified quantity is the total
     multiplicity of the shared value.  Passing explicit eigenvalues
     substitutes them for the closed form, as in annihilation_check."""
-    powers = _dense_powers(n, BUILD_MAX_N, powers)
-    dmax = cb.d_max(n)
-    if eigenvalues is None:
-        eigenvalues = [lambda_closed(n, d) for d in range(dmax + 1)]
-    report = Report()
-    mults = [multiplicity(n, d) for d in range(dmax + 1)]
-    for m in range(1, dmax + 4):
-        lhs = powers.trace(m)
-        rhs = sum((mu * lam**m for mu, lam in zip(mults, eigenvalues)), QZERO)
-        report.expect(lhs == rhs, f"trace moment m={m} at n={n}: {lhs} != {rhs}")
-    return report
+    return _dense_pass(n, eigenvalues, _parity(n))[1]
 
 
-def _pinned_rank(powers: "_ParityPowers", b: int, n: int):
-    """len(B) - |V|, the rank of the int64 parity block B = powers.blocks[b]
-    (b = 0 even, 1 odd), when three exact facts pin it, else None.  V holds
-    the kernel vectors v_K of (sum x) x^K for |K| <= d_max - 1 of parity
-    other than b, v_K having ones at K xor {i} for i = 1..n.  The facts:
-    rank(B) >= len(B) - |V| modulo POWER_PRIMES[0]; B v_K = 0 for every K,
-    one gather-sum of n entries of |x| <= T each, exact in int64 as n T <
-    2^63; and rank(V) = |V| modulo the same prime, V a 0/1 array."""
-    block = powers.blocks[b]
-    index = {s: i for i, s in enumerate(powers.masks[b])}
+def _pinned_rank(n: int, b: int, masks: list, block: np.ndarray):
+    """len(B) - |V|, the rank of the int64 parity block B = block on the
+    subsets masks (b = 0 even, 1 odd), when three exact facts pin it, else
+    None.  V holds the kernel vectors v_K of (sum x) x^K for |K| <= d_max - 1
+    of parity other than b, v_K having ones at K xor {i} for i = 1..n.  The
+    facts: rank(B) >= len(B) - |V| modulo POWER_PRIMES[0]; B v_K = 0 for
+    every K, one gather-sum of n entries of |x| <= T each, exact in int64 as
+    n T < 2^63; and rank(V) = |V| modulo the same prime, V a 0/1 array."""
+    index = {s: i for i, s in enumerate(masks)}
     kernel = np.array(
         [
             [index[k ^ (1 << i)] for i in range(n)]
@@ -340,7 +319,8 @@ def _pinned_rank(powers: "_ParityPowers", b: int, n: int):
     p = xm.POWER_PRIMES[0]
     if not xm.rank_mod_at_least(block, p, rank):
         return None
-    assert n * powers._max_entry < 2**63, (n, powers._max_entry)
+    top_entry = int(np.abs(block).max())
+    assert n * top_entry < 2**63, (n, top_entry)
     if block[:, kernel].sum(axis=2).any():
         return None
     vectors = np.zeros((len(kernel), len(block)), dtype=np.int64)
@@ -348,18 +328,20 @@ def _pinned_rank(powers: "_ParityPowers", b: int, n: int):
     return rank if xm.rank_mod_at_least(vectors, p, len(kernel)) else None
 
 
-def rank_check(n: int, powers: "_ParityPowers" = None) -> Report:
+def rank_check(n: int, parity=None) -> Report:
     """Exact rank of Y equals C(n, d_max), i.e. the kernel has dimension
-    C(n, <= d_max - 1); computed per parity block, on the int64 blocks
-    D Y that powers holds, which stay intact.  Each block's rank is pinned
-    by a modular lower bound and a basis of kernel vectors (_pinned_rank);
-    a block that is not pinned has its rank taken by the Bareiss kernel, so
-    a failure's witness holds the exact rank."""
-    powers = _dense_powers(n, RANK_MAX_N, powers)
+    C(n, <= d_max - 1); computed per parity block, on the int64 blocks D Y
+    of parity (pseudomoments.parity_blocks of Y(n), built when None), which
+    stay intact.  Each block's rank is pinned by a modular lower bound and a
+    basis of kernel vectors (_pinned_rank); a block that is not pinned has
+    its rank taken by the Bareiss kernel, so a failure's witness holds the
+    exact rank."""
+    cb.check_n(n, cap=RANK_MAX_N, lo=2)
+    parts, _ = parity_blocks(build_Y(n)) if parity is None else parity
     report = Report()
     observed = 0
-    for b, block in enumerate(powers.blocks):
-        pinned = _pinned_rank(powers, b, n)
+    for b, (masks, block) in enumerate(parts):
+        pinned = _pinned_rank(n, b, masks, block)
         observed += xm.rank(block.tolist()) if pinned is None else pinned
     expected = cb.binomial(n, cb.d_max(n))
     report.expect(observed == expected, f"rank(Y) = {observed} != {expected} at n={n}")
@@ -386,9 +368,9 @@ class SpectrumReport:
 
 def exact_spectrum_certificate(n: int) -> SpectrumReport:
     """Annihilation, trace moments, rank, distinctness, and positivity in one
-    pass, sharing the matrix powers and the closed-form values between
-    checks."""
-    powers = _dense_powers(n, BUILD_MAX_N)
+    pass: Y's parity blocks are built once, for _dense_pass and rank_check,
+    and the closed-form values are shared between checks."""
+    parity = _parity(n)
     order = distinctness_and_order_report(n)
     dmax = cb.d_max(n)
     values = [v for _, v in order.values]
@@ -399,14 +381,13 @@ def exact_spectrum_certificate(n: int) -> SpectrumReport:
         f"multiplicity total mismatch at n={n}",
     )
 
-    ann = annihilation_check(n, eigenvalues=values, powers=powers)
-    traces = trace_moment_check(n, eigenvalues=values, powers=powers)
+    ann, traces = _dense_pass(n, values, parity)
     report.absorb(ann)
     report.absorb(traces)
 
     rank_ok = None
     if n <= RANK_MAX_N:
-        rank_rep = rank_check(n, powers=powers)
+        rank_rep = rank_check(n, parity)
         report.absorb(rank_rep)
         rank_ok = rank_rep.ok
 
@@ -626,7 +607,8 @@ def gram_reconstruction_check(n: int) -> Report:
     all degrees at once, are indexed by (d, |S|, |S cap R|), so U's index
     array comes from popcounts and no entry of U is built; Y is gathered
     from its distinct values in den * Y.  The claim is one exact zero test,
-    exactmat.product_equals of (U W) U^T against Y on float64 residues."""
+    exactmat.product_equals of (U W) U^T against Y on float64 residues; a
+    failure names the first entry (S, T) off Y and by how much."""
     cb.check_n(n, cap=RECONSTRUCTION_MAX_N, lo=2)
     report = Report()
     y = build_Y(n)
@@ -646,10 +628,14 @@ def gram_reconstruction_check(n: int) -> Report:
     index = np.hstack(blocks)
     y_values, y_index = np.unique(y.ints, return_inverse=True)
     target = (y_values.tolist(), y_index.reshape(y.ints.shape))
-    report.expect(
-        xm.product_equals((uw_values, index), (u_values, index.T), target, den_uw * den_u, y.den),
-        f"frame reconstruction does not reproduce Y at n={n}",
-    )
+    miss = xm.product_equals((uw_values, index), (u_values, index.T), target, den_uw * den_u, y.den)
+    report.count()
+    if miss is not None:
+        i, j, value = miss
+        report.fail(
+            f"frame reconstruction does not reproduce Y at n={n}: entry "
+            f"S={y.subsets[i]:b}, T={y.subsets[j]:b} is off by {Q(value, den_uw * den_u * y.den)}"
+        )
     return report
 
 

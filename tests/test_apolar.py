@@ -19,7 +19,6 @@ from cubemoments.apolar import (
     apolar_ip,
     apply_operator,
     beta,
-    derive,
     equals_zero,
     frame_sum,
     harmonic_projection_consistency,
@@ -183,19 +182,26 @@ def _fraction_derive(p, j):
     return SpanPoly(p.n, p.degree - 1, out)
 
 
+def _derive(p, j):
+    # the directional derivative <v_j, d/dz> p, as the operator <v_j, z>
+    return apply_operator(span_monomial(p.n, (j,)), p)
+
+
 def test_derive():
     n = 4
     p = span_monomial(n, (1, 2))
-    dp = derive(p, 1)
+    dp = _derive(p, 1)
     # <v1,d> (v1 v2) = <v1,v1> v2 + <v1,v2> v1
     assert dp.coeffs == {(2,): Q(1), (1,): Q(-1, 3)}
     sq = span_monomial(n, (3, 3))
-    dsq = derive(sq, 3)
+    dsq = _derive(sq, 3)
     assert dsq.coeffs == {(3,): Q(2)}
+    # a second-degree operator steps twice and divides once
+    assert apply_operator(span_monomial(n, (1, 3), Q(3, 2)), sq).coeffs == {(): Q(-1)}
     with pytest.raises(ValueError):
-        derive(SpanPoly(n, 0, {(): Q(1)}), 1)
+        _derive(SpanPoly(n, 0, {(): Q(1)}), 1)
     with pytest.raises(ValueError):
-        derive(p, 9)
+        _derive(p, 9)
 
 
 def test_derive_matches_fraction_reference():
@@ -207,7 +213,7 @@ def test_derive_matches_fraction_reference():
             if p.degree == 0:
                 continue
             for j in range(1, n + 1):
-                got = derive(p, j)
+                got = _derive(p, j)
                 assert got == _fraction_derive(p, j), (n, p, j)
                 assert all(type(c) is Q for c in got.coeffs.values())
 

@@ -796,29 +796,44 @@ def test_product_equals_matches_fraction_reference(data, a):
     (ga, den_a), (gb, den_b) = map(_gathered, (a, b))
     want = ref_product(a, b)
     gc, den_c = _gathered(want)
-    assert xm.product_equals(ga, gb, gc, den_a * den_b, den_c)
+    assert xm.product_equals(ga, gb, gc, den_a * den_b, den_c) is None
     i = data.draw(st.integers(0, len(want) - 1))
     j = data.draw(st.integers(0, len(want[0]) - 1))
     shift = data.draw(st.sampled_from((Fraction(1), Fraction(-1, 3), Fraction(1, 10**30))))
     wrong = [list(row) for row in want]
     wrong[i][j] += shift
     gw, den_w = _gathered(wrong)
-    assert not xm.product_equals(ga, gb, gw, den_a * den_b, den_w)
+    # D = den_w A B - den_ab W = den_ab den_w (want - wrong): nonzero at (i, j) only
+    offset = -den_a * den_b * den_w * shift
+    assert offset.denominator == 1
+    assert xm.product_equals(ga, gb, gw, den_a * den_b, den_w) == (i, j, offset.numerator)
 
 
 def test_product_equals_takes_as_many_primes_as_the_bound_needs():
     # 3 * 5 = 15, and 15 + p agrees with it modulo the first prime p alone:
-    # only the second prime, which the bound asks for, sees the difference
+    # only the second prime, which the bound asks for, sees the difference,
+    # and the two together return it whole: D = 15 - (15 + p) = -p
     p = xm.POWER_PRIMES[0]
     one = np.zeros((1, 1), dtype=np.intp)
     a, b = ([3], one), ([5], one)
-    assert xm.product_equals(a, b, ([15], one), 1, 1)
+    assert xm.product_equals(a, b, ([15], one), 1, 1) is None
     assert (15 + p) % p == 15
-    assert not xm.product_equals(a, b, ([15 + p], one), 1, 1)
+    assert xm.product_equals(a, b, ([15 + p], one), 1, 1) == (0, 0, -p)
     assert len(xm.primes_exceeding(2 * (3 * 5 + 15 + p))) == 2
     # the same with the difference p spread over the scales: 2 * 15 vs 30 + p
-    assert xm.product_equals(a, b, ([30], one), 1, 2)
-    assert not xm.product_equals(a, b, ([30 + p], one), 1, 2)
+    assert xm.product_equals(a, b, ([30], one), 1, 2) is None
+    assert xm.product_equals(a, b, ([30 + p], one), 1, 2) == (0, 0, -p)
+
+
+def test_first_nonzero_takes_the_first_entry_any_prime_sees():
+    # M = [[0, -p], [5, 0]]: the first prime sees only (1, 0), the second
+    # also (0, 1), which comes first in row-major order and back whole
+    p, q = xm.POWER_PRIMES[:2]
+    m = np.array([[0, -p], [5, 0]])
+    nonzero = {r: np.fmod(m, r).astype(np.float64) for r in (p, q)}
+    assert not nonzero[p][0, 1] and nonzero[q][0, 1]
+    assert xm.first_nonzero(nonzero, (p, q)) == (0, 1, -p)
+    assert xm.first_nonzero({}, (p, q)) is None
 
 
 def test_product_equals_refuses_an_inner_dimension_past_float_exactness():
@@ -829,5 +844,5 @@ def test_product_equals_refuses_an_inner_dimension_past_float_exactness():
     with pytest.raises(ValueError, match="float64 residue products are exact below"):
         xm.product_equals(a, b, c, 1, 1)
     narrow = ([1], np.zeros((1, k - 1), dtype=np.intp)), ([1], np.zeros((k - 1, 1), dtype=np.intp))
-    assert xm.product_equals(*narrow, ([k - 1], np.zeros((1, 1), dtype=np.intp)), 1, 1)
+    assert xm.product_equals(*narrow, ([k - 1], np.zeros((1, 1), dtype=np.intp)), 1, 1) is None
 

@@ -31,7 +31,6 @@ from cubemoments.pseudomoments import (
 from cubemoments.scalars import Q
 from cubemoments.spectrum import (
     E_xS_hT_closed,
-    _ParityPowers,
     _poly_from_roots,
     annihilation_check,
     distinctness_and_order_report,
@@ -147,91 +146,111 @@ def _split(y):
 
 
 def test_parity_powers_scaled_to_integers():
+    # the dense pass and rank_check read parity_blocks' int64 blocks den * Y
     for n, scale in ((8, 35), (9, 128)):
         y = build_Y(n)
-        powers = _ParityPowers(y)
-        assert powers.scale == scale
         parts, den = parity_blocks(y)
-        assert den == scale and powers.masks == [masks for masks, _ in parts]
-        # each block is held once, as int64, equal to parity_blocks' blocks
-        for block, (_, given_block) in zip(powers.blocks, parts):
+        assert den == scale
+        for (masks, block), rational in zip(parts, _split(y)):
             assert block.dtype == np.int64
-            assert np.array_equal(block, given_block)
+            assert masks == [s for s in y.subsets if s.bit_count() & 1 == masks[0].bit_count() & 1]
+            assert block.tolist() == [[int(x * den) for x in row] for row in rational]
     assert xm.integer_form([[Q(6, 3), Q(1, 2)], [Q(-5, 6), 0]]) == ([[12, 3], [-5, 0]], 6)
     assert xm._scaled_int(Q(2, 3), 3) == 2
     with pytest.raises(InconsistentBlockError):
         xm._scaled_int(Q(7, 3), 1)  # refused, never truncated to 2
 
 
+def _rational_powers(y, top):
+    # [I, B, ..., B^top] in Fractions for each unscaled parity block of Y
+    out = []
+    for block in _split(y):
+        base = [[Fraction(str(x)) for x in row] for row in block]
+        size = len(base)
+        plist = [[[Fraction(int(i == j)) for j in range(size)] for i in range(size)], base]
+        while len(plist) <= top:
+            plist.append(xm.mat_mul(plist[-1], base))
+        out.append(plist)
+    return out
+
+
+def _annihilation_witness(rational, eigenvalues):
+    # the first nonzero entry of Y prod_d (Y - lambda_d I), in block then
+    # row-major order, from the Fraction powers, as the pass words it
+    coeffs = [Fraction(str(c)) for c in _poly_from_roots([Q(0), *eigenvalues])]
+    for b, plist in enumerate(rational):
+        direct = [[Fraction(0)] * len(plist[0]) for _ in plist[0]]
+        for c, power in zip(coeffs, plist):
+            direct = [[x + c * y for x, y in zip(rd, rp)] for rd, rp in zip(direct, power)]
+        for i, row in enumerate(direct):
+            for j, v in enumerate(row):
+                if v:
+                    return f"block {b} entry ({i},{j}) = {Q(v.numerator, v.denominator)}"
+    return None
+
+
 def test_parity_powers_match_rational_products():
-    # independent oracle: Fraction powers of the unscaled parity blocks
+    # independent oracle: Fraction powers of the unscaled parity blocks.
+    # Raising lambda_0 > 0 by 1 raises every right-hand side, so each trace
+    # the pass takes is written into its report and read back here.
     for n in range(2, 8):
         y = build_Y(n)
-        powers = _ParityPowers(y)
-        rational = []
-        for block in _split(y):
-            base = [[Fraction(str(x)) for x in row] for row in block]
-            size = len(base)
-            plist = [[[Fraction(int(i == j)) for j in range(size)] for i in range(size)], base]
-            while len(plist) <= cb.d_max(n) + 3:
-                plist.append(xm.mat_mul(plist[-1], base))
-            rational.append(plist)
-        for m in range(cb.d_max(n) + 4):
-            want = sum(sum(p[m][i][i] for i in range(len(p[m]))) for p in rational)
-            assert powers.trace(m) == want, (n, m)
-        roots = [Q(0)] + [lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
-        for coeffs in (
-            _poly_from_roots(roots),
-            _poly_from_roots(roots[1:]),
-            [Q(1, 3), Q(-2), Q(0), Q(5, 7)],
-        ):
-            witness = None
-            for b, plist in enumerate(rational):
-                direct = [[Fraction(0)] * len(plist[0]) for _ in plist[0]]
-                for c, power in zip(coeffs, plist):
-                    c = Fraction(str(c))
-                    direct = [[x + c * y for x, y in zip(rd, rp)] for rd, rp in zip(direct, power)]
-                first = next(
-                    ((i, j, v) for i, row in enumerate(direct) for j, v in enumerate(row) if v),
-                    None,
-                )
-                if first is not None:
-                    i, j, v = first
-                    witness = f"block {b} entry ({i},{j}) = {Q(v.numerator, v.denominator)}"
-                    break
-            assert powers.polynomial_is_zero(coeffs) == (witness is None, witness), n
+        dmax = cb.d_max(n)
+        rational = _rational_powers(y, dmax + 3)
+        mults = [multiplicity(n, d) for d in range(dmax + 1)]
+        exact = [lambda_closed(n, d) for d in range(dmax + 1)]
+        for values in (exact, [exact[0] + 1, *exact[1:]]):
+            ann, traces = sp._dense_pass(n, values, parity_blocks(y))
+            details = []
+            for m in range(1, dmax + 4):
+                want = sum(sum(p[m][i][i] for i in range(len(p[m]))) for p in rational)
+                rhs = sum(mu * lam**m for mu, lam in zip(mults, values))
+                if want != rhs:
+                    details.append(f"trace moment m={m} at n={n}: {Q(want)} != {rhs}")
+            assert traces.details == details, n
+            assert len(details) == (0 if values is exact else dmax + 3), n
+            witness = _annihilation_witness(rational, values)
+            # a collision keeps lambda_0 a root of the shifted polynomial
+            assert (witness is None) == (values is exact or exact.count(exact[0]) > 1), n
+            assert ann.details == [] if witness is None else [
+                f"annihilating polynomial nonzero at n={n}: {witness}"
+            ], n
 
 
 def test_parity_powers_detect_tiny_perturbation():
     # a shift far below the scale's resolution must still be seen exactly
     for n in range(2, 9):
-        powers = _ParityPowers(build_Y(n))
+        parity = parity_blocks(build_Y(n))
         dmax = cb.d_max(n)
-        eps = Q(1, powers.scale ** (dmax + 2))
+        eps = Q(1, parity[1] ** (dmax + 2))
         exact = [lambda_closed(n, d) for d in range(dmax + 1)]
         for d in range(dmax + 1):
             bad = exact[:d] + [exact[d] + eps] + exact[d + 1 :]
-            assert not trace_moment_check(n, eigenvalues=bad, powers=powers).ok, (n, d)
+            ann, traces = sp._dense_pass(n, bad, parity)
+            assert not traces.ok, (n, d)
             if exact.count(exact[d]) == 1:  # a collision keeps the true root
-                assert not annihilation_check(n, eigenvalues=bad, powers=powers).ok, (n, d)
+                assert not ann.ok, (n, d)
 
 
 def test_parity_powers_witness_needs_several_primes():
-    # -2^40 I needs two primes below 2^21 and comes back signed by CRT
-    assert len(xm.primes_exceeding(2 * 2**40)) == 2
-    powers = _ParityPowers(build_Y(4))
-    assert powers.polynomial_is_zero([Q(-(2**40))]) == (
-        False,
-        "block 0 entry (0,0) = -1099511627776",
-    )
-    assert powers.polynomial_is_zero([Q(0), Q(0)]) == (True, None)
+    # lambda_0 + 2^40 makes a witness too large for one prime below 2^21;
+    # it comes back whole and signed by CRT, equal to the rational entry
+    n = 4
+    bad = [lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
+    bad[0] += 2**40
+    witness = _annihilation_witness(_rational_powers(build_Y(n), cb.d_max(n) + 3), bad)
+    value = Q(witness.rsplit(" = ", 1)[1])
+    assert 2 * abs(value.numerator) > xm.POWER_PRIMES[0], witness
+    report = annihilation_check(n, eigenvalues=bad)
+    assert report.details == [f"annihilating polynomial nonzero at n={n}: {witness}"]
 
 
 def test_annihilation_takes_as_many_primes_as_the_bound_needs(monkeypatch):
-    # polynomial_is_zero decides M_b = sum_j k_j B^j under the primes whose
-    # product exceeds 2S, S = |k_0| + sum_{j>=1} |k_j| m^(j-1) T^j; k_0 = 0
-    # here (0 is a root), so a bound of |k_0| alone would take one prime,
-    # too few from n = 5 on
+    # the pass decides M_b = sum_j k_j B^j under the primes whose product
+    # exceeds 2S, S = |k_0| + sum_{j>=1} |k_j| m^(j-1) T^j; k_0 = 0 here (0
+    # is a root), so a bound of |k_0| alone would take one prime, too few
+    # from n = 5 on.  Each trace moment takes its own prefix, for 2 sum_b
+    # size_b^m T^m.
     original = xm.primes_exceeding
     taken = []
 
@@ -240,20 +259,44 @@ def test_annihilation_takes_as_many_primes_as_the_bound_needs(monkeypatch):
         return taken[-1]
 
     for n in range(2, 10):
-        powers = _ParityPowers(build_Y(n))
-        coeffs = _poly_from_roots([Q(0)] + [lambda_closed(n, d) for d in range(cb.d_max(n) + 1)])
-        scaled = [Q(c) / Q(powers.scale) ** j for j, c in enumerate(coeffs)]
+        parity = parity_blocks(build_Y(n))
+        (parts, scale), dmax = parity, cb.d_max(n)
+        coeffs = _poly_from_roots([Q(0)] + [lambda_closed(n, d) for d in range(dmax + 1)])
+        scaled = [Q(c) / Q(scale) ** j for j, c in enumerate(coeffs)]
         common = math.lcm(*(int(q.denominator) for q in scaled))
         k = [int(q * common) for q in scaled]
-        m = max(len(block) for block in powers.blocks)
-        t = max(int(np.abs(block).max()) for block in powers.blocks)
+        m = max(len(block) for _, block in parts)
+        t = max(int(np.abs(block).max()) for _, block in parts)
         bound = abs(k[0]) + sum(abs(k[j]) * m ** (j - 1) * t**j for j in range(1, len(k)))
+        traces = [
+            original(2 * sum(len(block) ** e * t**e for _, block in parts))
+            for e in range(1, dmax + 4)
+        ]
         taken.clear()
         monkeypatch.setattr(xm, "primes_exceeding", recorded)
-        assert powers.polynomial_is_zero(coeffs) == (True, None), n
+        ann, moments = sp._dense_pass(n, None, parity)
         monkeypatch.setattr(xm, "primes_exceeding", original)
-        assert k[0] == 0 and taken == [original(2 * bound)], n
+        assert ann.ok and moments.ok, n
+        assert k[0] == 0 and taken == [original(2 * bound), *traces], n
         assert n < 5 or len(taken[0]) > 1, n
+
+
+def test_certificate_forms_the_frozen_count_of_power_products(monkeypatch):
+    # the counts of the per-prime power cache this pass replaced: each
+    # prime forms the powers the quantities taken there read, no more
+    frozen = {2: 4, 3: 4, 4: 10, 5: 12, 6: 16, 7: 22, 8: 32, 9: 38}
+    product = xm.power_product
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(p)
+        return product(a, b, p)
+
+    monkeypatch.setattr(xm, "power_product", counted)
+    for n, want in frozen.items():
+        calls.clear()
+        assert exact_spectrum_certificate(n).ok, n
+        assert len(calls) == want, n
 
 
 def test_certificate_takes_no_python_int_matrix_product(monkeypatch):
@@ -325,8 +368,8 @@ def test_rank_check_reports_exact_rank_when_rank_drops(monkeypatch):
         bareiss = sum(xm.rank(block) for block in _split(y))
         expected = cb.binomial(n, cb.d_max(n))
         assert bareiss == expected - 1, n
-        powers = _ParityPowers(y)
-        assert sp._pinned_rank(powers, 0, n) is None, n
+        (masks, block), _ = parity_blocks(y)[0]
+        assert sp._pinned_rank(n, 0, masks, block) is None, n
         report = rank_check(n)
         assert not report.ok, n
         assert report.details == [f"rank(Y) = {bareiss} != {expected} at n={n}"]
@@ -345,42 +388,44 @@ def test_rank_check_does_not_pin_a_block_with_a_repeated_kernel_vector(monkeypat
         return bareiss(rows)
 
     for n in range(4, 9):
-        powers = _ParityPowers(build_Y(n))
+        parity = parity_blocks(build_Y(n))
+        parts, _ = parity
         last = subsets(n, cb.d_max(n) - 1)[-1]
         b = 1 - (last.bit_count() & 1)  # the block whose kernel holds v_last
-        other = sp._pinned_rank(powers, 1 - b, n)
+        other = sp._pinned_rank(n, 1 - b, *parts[1 - b])
         with monkeypatch.context() as patch:
             patch.setattr(cb, "enumerate_subsets", lambda n, d: [*subsets(n, d), last])
             patch.setattr(xm, "rank", counted)
-            assert sp._pinned_rank(powers, b, n) is None, n
-            assert sp._pinned_rank(powers, 1 - b, n) == other, n
+            assert sp._pinned_rank(n, b, *parts[b]) is None, n
+            assert sp._pinned_rank(n, 1 - b, *parts[1 - b]) == other, n
             sizes.clear()
-            assert rank_check(n, powers).ok, n
-            assert sizes == [len(powers.blocks[b])], n
+            assert rank_check(n, parity).ok, n
+            assert sizes == [len(parts[b][1])], n
 
 
 def test_rank_check_needs_no_bareiss_rank_on_a_true_Y(monkeypatch):
-    # every block is pinned on the int64 arrays the powers hold: no integer
-    # form, no Bareiss elimination and no Bareiss rank
-    held = {n: _ParityPowers(build_Y(n)) for n in range(2, 11)}
+    # every block is pinned on parity_blocks' int64 arrays: no integer form,
+    # no Bareiss elimination and no Bareiss rank
+    held = {n: parity_blocks(build_Y(n)) for n in range(2, 11)}
 
     def refuse(*args, **kwargs):
         raise AssertionError("Python-int route called on a pinned block")
 
     for name in ("integer_form", "rank", "eliminate"):
         monkeypatch.setattr(xm, name, refuse)
-    for n, powers in held.items():
-        assert rank_check(n, powers).ok, n
+    for n, parity in held.items():
+        assert rank_check(n, parity).ok, n
 
 
 def test_rank_check_reads_powers_without_changing_them():
+    # the dense pass and rank_check read the blocks they are given as they are
     for n in range(4, 9):
-        powers = _ParityPowers(build_Y(n))
-        blocks = [block.copy() for block in powers.blocks]
-        assert annihilation_check(n, powers=powers).ok, n
-        assert trace_moment_check(n, powers=powers).ok, n
-        assert rank_check(n, powers=powers).ok, n
-        assert all(map(np.array_equal, powers.blocks, blocks)), n
+        parity = parity_blocks(build_Y(n))
+        blocks = [block.copy() for _, block in parity[0]]
+        ann, traces = sp._dense_pass(n, None, parity)
+        assert ann.ok and traces.ok, n
+        assert rank_check(n, parity).ok, n
+        assert all(np.array_equal(block, copy) for (_, block), copy in zip(parity[0], blocks)), n
 
 
 def test_dense_checks_refuse_n_with_their_messages():
@@ -487,9 +532,8 @@ def test_trace_moments_refuse_multiplicities_shifted_in_the_vandermonde_kernel(m
     monkeypatch.setattr(sp, "zero_multiplicity", lambda n: zero(n) + delta[0])
     total = sum(sp.multiplicity(n, d) for d in range(dmax + 1)) + sp.zero_multiplicity(n)
     assert total == cb.binomial_le(n, dmax)
-    powers = _ParityPowers(build_Y(n))
-    assert annihilation_check(n, powers=powers).ok
-    traces = trace_moment_check(n, powers=powers)
+    assert annihilation_check(n).ok
+    traces = trace_moment_check(n)
     assert traces.details[0].startswith(f"trace moment m={dmax + 1} at n={n}: ")
     cert = exact_spectrum_certificate(n)
     assert cert.annihilation_ok and not cert.traces_ok
@@ -573,34 +617,29 @@ def test_gram_reconstruction():
 
 
 def test_gram_reconstruction_fails_on_corrupted_moment(monkeypatch):
-    def corrupted(n, d_prime, d, ell):
-        value = E_xS_hT_closed(n, d_prime, d, ell)
-        return value + Q(1, 1000) if (d_prime, d, ell) == (2, 1, 1) else value
-
-    monkeypatch.setattr(sp, "E_xS_hT_closed", corrupted)
+    _corrupt_moment(monkeypatch)
     for n in range(4, 8):
         report = gram_reconstruction_check(n)
         assert not report.ok, n
-        assert report.details == [f"frame reconstruction does not reproduce Y at n={n}"]
+        assert report.details == [_reconstruction_miss(n)], n
+    assert report.details == [
+        "frame reconstruction does not reproduce Y at n=7: entry S=1, T=11 is off by 1/1400"
+    ]
 
 
 def test_gram_reconstruction_fails_on_wrong_degree_weight(monkeypatch):
     # sigma_1^2 + 1 changes only the weight of the degree-1 columns of U
-    original = sp.sigma_sq
-
-    def corrupted(n, d):
-        return original(n, d) + (1 if d == 1 else 0)
-
-    monkeypatch.setattr(sp, "sigma_sq", corrupted)
+    _corrupt_degree_weight(monkeypatch)
     for n in range(4, 7):
         report = gram_reconstruction_check(n)
         assert not report.ok, n
-        assert report.details == [f"frame reconstruction does not reproduce Y at n={n}"]
+        assert report.details == [_reconstruction_miss(n)], n
 
 
-def _reconstruction_by_rational_product(n):
+def _reconstruction_miss(n):
     # the dense route: U and U W filled entry by entry from the same tables,
-    # (U W) U^T as one rational product, compared with Y entrywise
+    # (U W) U^T as one rational product, compared with Y entrywise; the
+    # witness of its first entry off Y in row-major order, or None
     y = sp.build_Y(n)
     u, uw = [[] for _ in y.subsets], [[] for _ in y.subsets]
     for d, (values, weighted) in enumerate(sp.frame_tables(n)):
@@ -608,7 +647,15 @@ def _reconstruction_by_rational_product(n):
             keys = [(s.bit_count(), (s & r).bit_count()) for r in cb.subsets_of_size(n, d)]
             row.extend(values[key] for key in keys)
             wrow.extend(weighted[key] for key in keys)
-    return xm.rational_product(uw, list(zip(*u))) == rational_rows(y)
+    product = xm.rational_product(uw, list(zip(*u)))
+    for s, got_row, want_row in zip(y.subsets, product, rational_rows(y)):
+        for t, got, want in zip(y.subsets, got_row, want_row):
+            if got != want:
+                return (
+                    f"frame reconstruction does not reproduce Y at n={n}: "
+                    f"entry S={s:b}, T={t:b} is off by {got - want}"
+                )
+    return None
 
 
 def _corrupt_moment(monkeypatch):
@@ -641,10 +688,10 @@ def test_gram_reconstruction_zero_test_matches_the_rational_product(monkeypatch,
     if corrupt:
         corrupt(monkeypatch)
     for n in range(2, sp.RECONSTRUCTION_MAX_N + 1):
-        want = _reconstruction_by_rational_product(n)
-        assert gram_reconstruction_check(n).ok == want, n
+        miss = _reconstruction_miss(n)
+        assert gram_reconstruction_check(n).details == ([] if miss is None else [miss]), n
         # the corrupted (d', d, ell) = (2, 1, 1) moment is read only from n = 4
-        assert want == (corrupt is None or (corrupt is _corrupt_moment and n < 4)), n
+        assert (miss is None) == (corrupt is None or (corrupt is _corrupt_moment and n < 4)), n
 
 
 def test_numeric_eigensolve():
