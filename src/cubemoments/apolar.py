@@ -7,14 +7,16 @@ coordinates <v_i, z>; a monomial is a sorted multiset of frame indices and
 every coefficient is an exact rational, so no irrational geometry ever
 enters.  The apolar pairing of two products of linear forms is the permanent
 of the matrix of pairwise Gram entries divided by (degree)!, extended
-bilinearly.  Since the Gram entries are only 1 and -1/(n-1), that permanent
-is evaluated in closed form by counting matchings of the pattern of equal
-indices, never by expanding a permanent.  apolar_gram pairs two lists of
-forms at once, as the exact product C_p P C_q^T / d! of their coefficient
-rows and the pattern permanents over the joint supports; apolar_ip is its
-1 x 1 case.  The pairing is positive definite on actual polynomials, and
-its kernel on formal multisets is exactly the ideal generated by
-sum_i <v_i, z>, which is what makes equals_zero a semantic zero test.
+bilinearly.  Since the Gram entries are only 1 and -1/(n-1), that pairing
+depends only on the pattern of equal indices, and monomial_pairing, the one
+cached kernel for it, evaluates it in closed form by counting matchings of
+that pattern, never by expanding a permanent.  apolar_gram pairs two lists
+of forms at once, as the exact product C_p K C_q^T of their coefficient
+rows and the monomial pairings K over the joint supports; apolar_ip is its
+1 x 1 case, and beta reads the kernel at k shared indices.  The pairing
+is positive definite on actual polynomials, and its kernel on formal
+multisets is exactly the ideal generated by sum_i <v_i, z>, which is what
+makes equals_zero a semantic zero test.
 
 SpanPoly shares its arithmetic with the hypercube's MultilinearPoly
 (pseudomoments.SparsePoly).  frame_image sends a degree-d homogeneous
@@ -100,37 +102,20 @@ def frame_sum(n: int) -> SpanPoly:
 
 def _common_profile(a_key, b_key):
     """Multiset-intersection profile of two sorted index tuples: the sorted
-    list of (multiplicity in A, multiplicity in B) over shared values."""
-    common = []
-    i = j = 0
-    while i < len(a_key) and j < len(b_key):
-        if a_key[i] < b_key[j]:
-            i += 1
-        elif a_key[i] > b_key[j]:
-            j += 1
-        else:
-            v = a_key[i]
-            ma = mb = 0
-            while i < len(a_key) and a_key[i] == v:
-                ma += 1
-                i += 1
-            while j < len(b_key) and b_key[j] == v:
-                mb += 1
-                j += 1
-            common.append((ma, mb))
-    common.sort()
-    return tuple(common)
+    tuple of (multiplicity in A, multiplicity in B) over shared values."""
+    shared = set(a_key).intersection(b_key)
+    return tuple(sorted([(a_key.count(v), b_key.count(v)) for v in shared]))
 
 
 @lru_cache(maxsize=None)
-def _pattern_permanent(n: int, degree: int, profile):
-    """Permanent of the Gram matrix G between two degree-d monomials whose
-    shared indices have the given profile.  G = cJ + (1-c)E with
-    c = -1/(n-1) and E the 0/1 pattern of equal indices, so
-    perm G = sum_k (1-c)^k c^(d-k) (d-k)! m_k, where m_k counts k-matchings
-    of E; E is a union of complete bipartite blocks K_(ma,mb), each with
-    C(ma,j) C(mb,j) j! matchings of size j.  Times (n-1)^d the sum is the
-    integer sum_k n^k (-1)^(d-k) (d-k)! m_k."""
+def monomial_pairing(n: int, degree: int, profile):
+    """<B, B'> for two degree-d frame monomials whose shared indices have
+    the given profile (_common_profile): the permanent of their Gram matrix
+    G over d!.  G = cJ + (1-c)E with c = -1/(n-1) and E the 0/1 pattern of
+    equal indices, so perm G = sum_k (1-c)^k c^(d-k) (d-k)! m_k, where m_k
+    counts k-matchings of E; E is a union of complete bipartite blocks
+    K_(ma,mb), each with C(ma,j) C(mb,j) j! matchings of size j.  Times
+    (n-1)^d the sum is the integer sum_k n^k (-1)^(d-k) (d-k)! m_k."""
     matchings = [1]  # m_k for the blocks convolved so far
     for ma, mb in profile:
         merged = [0] * (len(matchings) + min(ma, mb))
@@ -143,19 +128,13 @@ def _pattern_permanent(n: int, degree: int, profile):
         n**k * (-1) ** (degree - k) * math.factorial(degree - k) * m_k
         for k, m_k in enumerate(matchings)
     )
-    return Q(total, (n - 1) ** degree)
-
-
-def monomial_pairing(n: int, degree: int, profile):
-    """<B, B'> for two degree-d frame monomials sharing indices by this
-    profile (_common_profile): the pattern permanent over d!."""
-    return _pattern_permanent(n, degree, profile) / math.factorial(degree)
+    return Q(total, (n - 1) ** degree * math.factorial(degree))
 
 
 def apolar_gram(ps, qs) -> list:
     """[[<p, q> for q in qs] for p in ps] for forms of one degree d on one
-    frame: the product C_p P C_q^T / d! of bilinear_gram, with
-    P[B, B'] the pattern permanent of the monomials B and B'."""
+    frame: the product C_p K C_q^T of bilinear_gram, with
+    K[B, B'] = monomial_pairing of the monomials B and B'."""
     polys = [*ps, *qs]
     if not polys:
         return []
@@ -301,12 +280,10 @@ def sigma_sq(n: int, d: int):
 
 def beta(n: int, d: int, k: int):
     """Pairing of two degree-d frame monomials whose index sets share k
-    elements: permanent of the canonical pattern over the frame Gram, / d!."""
+    elements, each once: monomial_pairing at the profile ((1, 1),) * k."""
     if not (0 <= k <= d <= cb.d_max(n)):
         raise ValueError(f"need 0 <= k <= d <= n/2, got n={n}, d={d}, k={k}")
-    a_idx = range(1, d + 1)
-    b_idx = list(range(1, k + 1)) + list(range(d + 1, 2 * d - k + 1))
-    return apolar_ip(span_monomial(n, a_idx), span_monomial(n, b_idx))
+    return monomial_pairing(n, d, ((1, 1),) * k)
 
 
 def johnson_slice_gram(n: int, d: int) -> list:

@@ -26,12 +26,12 @@ leading rows over den * prev and compares each entry on or above the
 diagonal, in those integer units, with sigma_k^2 <h_S0, h_T> for its
 overlap |S cap T|.  That target row is one exact product over the k-subset
 masks, gathered by popcounts from two short value tables, the closed-form
-coefficients of h_S and the pairing of frame monomials by their overlap, so
-no frame form is built.  One pass over those entries decides both the
-Johnson scheme and the harmonic Gram.  It then eliminates those rows, whose
-pivots are L_k's LDL^T pivots, so the same pass gives the PSD verdict of
-L_k and the next Schur complement.  A failure of consistency or of the Gram
-claim is reported exactly, never approximated.
+coefficients of h_S and the pairings apolar.beta of frame monomials by
+their overlap, so no frame form is built.  One pass over those entries
+decides both the Johnson scheme and the harmonic Gram.  It then eliminates
+those rows, whose pivots are L_k's LDL^T pivots, so the same pass gives the
+PSD verdict of L_k and the next Schur complement.  A failure of consistency
+or of the Gram claim is reported exactly, never approximated.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import combinatorics as cb
 from . import exactmat as xm
-from .apolar import monomial_pairing, sigma_sq
+from .apolar import beta, sigma_sq
 from .pseudomoments import build_Y, isotypic_coefficient, parity_blocks
 from .report import Report, verified
 from .rng import SplitMix64
@@ -176,21 +176,19 @@ def _harmonic_targets(n: int, k: int) -> dict:
     a_0 K C over the k-subset masks B, gathered by popcounts: h_S is
     sum_B coef[|B cap S|] x^B (isotypic_coefficient), so a_0 = coef[|B cap S0|]
     and C_T = coef[|B cap T|], and frame monomials pair as
-    K = beta[|B cap B'|] (monomial_pairing at |B cap B'| shared indices).
+    K = pairing[|B cap B'|], the table of beta(n, k, j) over j shared indices.
     Each value table is scaled to ints once and the row divided back once."""
     lo = max(0, 2 * k - n)
     (coef,), den_c = xm.integer_form(
         [[isotypic_coefficient(n, k, v) for v in range(lo, k + 1)]]
     )
-    (beta,), den_b = xm.integer_form(
-        [[monomial_pairing(n, k, ((1, 1),) * j) for j in range(k + 1)]]
-    )
-    coef, beta = np.array(coef, dtype=object), np.array(beta, dtype=object)
+    (pairing,), den_b = xm.integer_form([[beta(n, k, j) for j in range(k + 1)]])
+    coef, pairing = np.array(coef, dtype=object), np.array(pairing, dtype=object)
     pairs = cb.overlap_pairs(n, k, k)  # every pair shares S0 = {1..k}
     masks = np.array(cb.subsets_of_size(n, k), dtype=np.int64)
     reps = np.array([t for _, _, t in pairs], dtype=np.int64)
     a_0 = coef[np.bitwise_count(masks & pairs[0][1]) - lo]
-    gram = beta[np.bitwise_count(masks[:, None] & masks)]
+    gram = pairing[np.bitwise_count(masks[:, None] & masks)]
     c_t = coef[np.bitwise_count(masks[:, None] & reps) - lo]
     row = (a_0 @ gram @ c_t).tolist()
     scale = sigma_sq(n, k) / (den_c * den_c * den_b)

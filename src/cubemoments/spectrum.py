@@ -60,7 +60,6 @@ from .apolar import sigma_sq
 from .errors import ConvergenceError, InconsistentBlockError
 from .pseudomoments import (
     BUILD_MAX_N,
-    PseudomomentMatrix,
     a_coeff,
     build_Y,
     contract_x_h,
@@ -281,11 +280,17 @@ def _parity(n: int):
     return parity_blocks(build_Y(n))
 
 
+def dense_checks(n: int, eigenvalues=None) -> tuple:
+    """(annihilation_check, trace_moment_check) of n with these eigenvalues,
+    from one _dense_pass over a fresh Y(n): every power is formed once."""
+    return _dense_pass(n, eigenvalues, _parity(n))
+
+
 def annihilation_check(n: int, eigenvalues=None) -> Report:
     """Y prod_d (Y - lambda_{n,d} I) = 0 exactly, placing the spectrum inside
     {0} union {lambda_{n,d}}.  Passing explicit eigenvalues substitutes them
-    for the closed form (used for fault injection in the verifier)."""
-    return _dense_pass(n, eigenvalues, _parity(n))[0]
+    for the closed form, as verify's fault injection does in dense_checks."""
+    return dense_checks(n, eigenvalues)[0]
 
 
 def trace_moment_check(n: int, eigenvalues=None) -> Report:
@@ -295,7 +300,7 @@ def trace_moment_check(n: int, eigenvalues=None) -> Report:
     coincide, as happens at even n >= 6, the certified quantity is the total
     multiplicity of the shared value.  Passing explicit eigenvalues
     substitutes them for the closed form, as in annihilation_check."""
-    return _dense_pass(n, eigenvalues, _parity(n))[1]
+    return dense_checks(n, eigenvalues)[1]
 
 
 def _pinned_rank(n: int, b: int, masks: list, block: np.ndarray):

@@ -239,8 +239,8 @@ _CHECKS[:0] = [(s.name, _per_n(s)) for s in SPANS if s.name not in dict(_CHECKS)
 
 
 def _fault_injection(ctx, rep):
-    """Feed a corrupted lambda_0 to the exact certificate machinery; the
-    run must fail with a witness from annihilation and from the trace
+    """Feed a corrupted lambda_0 to one dense pass (spectrum.dense_checks);
+    the run must fail with a witness from annihilation and from the trace
     moments each, proving that both can tell a wrong spectrum from a right
     one.  n stays at most 5, where the lambda_{n,d} are pairwise distinct:
     at n = 6 lambda_{n,0} = lambda_{n,2}, so lambda_0 stays a root of the
@@ -248,8 +248,7 @@ def _fault_injection(ctx, rep):
     n = min(max(ctx.n_min, 2), 5)
     corrupted = [sp.lambda_closed(n, d) for d in range(cb.d_max(n) + 1)]
     corrupted[0] = corrupted[0] + 1
-    ann = sp.annihilation_check(n, eigenvalues=corrupted)
-    tr = sp.trace_moment_check(n, eigenvalues=corrupted)
+    ann, tr = sp.dense_checks(n, eigenvalues=corrupted)
     rep.count(ann.checked + tr.checked)
     routes = (("annihilation", ann), ("traces", tr))
     missed = " and ".join(name for name, r in routes if r.ok)

@@ -169,6 +169,17 @@ def test_beta_alternating_identity():
             assert lhs == rhs, (n, d)
 
 
+def test_beta_matches_the_pairing_of_canonical_monomials():
+    # beta reads the kernel at a spelled profile; the reference pairs the
+    # canonical monomials {1..d} and {1..k} + {d+1..2d-k} as frame forms
+    for n in range(2, 13):
+        for d in range(cb.d_max(n) + 1):
+            a = span_monomial(n, range(1, d + 1))
+            for k in range(d + 1):
+                b = span_monomial(n, [*range(1, k + 1), *range(d + 1, 2 * d - k + 1)])
+                assert beta(n, d, k) == apolar_ip(a, b), (n, d, k)
+
+
 def _fraction_derive(p, j):
     """Reference <v_j, d/dz> p, one rational Gram entry per term."""
     out = {}
@@ -482,16 +493,16 @@ def test_bridge_cross_degree_fails_on_corrupted_h(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_bridge_fails_on_corrupted_pattern_permanent(monkeypatch, n):
-    # +1 on the permanent of one profile moves the frame side only.  A
-    # uniform +1 on every permanent would be a weak probe: it adds
-    # (sum of coefficients)^2 / d! to a pairing, and the coefficients of h_S
-    # sum to 0 for d >= 1, so only the single d = 0 pair would fail.
-    original = ap._pattern_permanent
+    # +1 on the monomial pairing of one profile moves the frame side only.
+    # A uniform +1 on every pairing would be a weak probe: it adds
+    # (sum of coefficients)^2 to a pairing of forms, and the coefficients of
+    # h_S sum to 0 for d >= 1, so only the single d = 0 pair would fail.
+    original = ap.monomial_pairing
 
     def corrupted(m, d, profile):
         return original(m, d, profile) + (1 if profile == ((1, 1),) else 0)
 
-    monkeypatch.setattr(ap, "_pattern_permanent", corrupted)
+    monkeypatch.setattr(ap, "monomial_pairing", corrupted)
     report = sigma_bridge_check(n)
     assert not report.ok
     assert len(report.details) == _CORRUPTED_BRIDGE_WITNESSES[n]

@@ -1,8 +1,8 @@
 """What src holds matches what uses it and what it declares: every
 definition in the package is reached from the package itself or from the
-benchmark, so code that only the tests call does not stay in src, and every
+benchmark, so code that only the tests call does not stay in src, every
 import is the standard library, the package or a dependency pyproject.toml
-declares.
+declares, and every name a module imports is read there.
 
 The caller audit counts functions, classes, class-body and module-level
 assignments as definitions that something must name, plain methods (not
@@ -199,6 +199,51 @@ def test_a_method_counts_only_where_it_is_called(tmp_path):
         (tmp_path / name).write_text(text)
         paths.append(tmp_path / name)
     assert _flagged(paths, paths, paths) == ["defs.Poly.degree"]
+
+
+def _unread_imports(path: Path) -> list:
+    """module.name for each name an import of the module binds and the module
+    never reads; __future__ imports, an __init__.py (its imports are
+    re-exports) and names imported on a line marked # noqa: F401 (imported
+    for an effect) are exempt."""
+    if path.name == "__init__.py":
+        return []
+    tree = _parse(path)
+    lines = path.read_text().splitlines()
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        f"{path.stem}.{bound}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if "# noqa: F401" not in lines[alias.lineno - 1]
+        and (bound := alias.asname or alias.name.split(".")[0]) not in read
+    ]
+
+
+def test_every_import_is_read():
+    unread = [name for path in PACKAGE for name in _unread_imports(path)]
+    assert not unread, f"imported but never read: {', '.join(unread)}"
+
+
+def test_an_unread_import_is_flagged(tmp_path):
+    # a bound name the module never reads is flagged, dotted and parenthesized
+    # imports too; __future__, __init__.py and # noqa: F401 lines are exempt
+    sources = {
+        "__init__.py": "from .defs import exported\n",
+        "user.py": "from __future__ import annotations\n\nimport os\nimport os.path as osp\n"
+        "from . import side  # noqa: F401\nfrom .defs import read, unread\n"
+        "from .defs import (\n    also_read,\n    unread_too,\n)\n\nread(also_read, osp)\n",
+    }
+    paths = []
+    for name, text in sources.items():
+        (tmp_path / name).write_text(text)
+        paths.append(tmp_path / name)
+    unread = [name for path in paths for name in _unread_imports(path)]
+    assert unread == ["user.os", "user.unread", "user.unread_too"]
 
 
 def _imported_modules(path: Path) -> set:

@@ -336,15 +336,15 @@ def _shifted(original, degree, key):
     return lambda n, d, x: original(n, d, x) + ((d, x) == (degree, key))
 
 
-@pytest.mark.parametrize("table", ["isotypic_coefficient", "monomial_pairing"])
+@pytest.mark.parametrize("table", ["isotypic_coefficient", "beta"])
 def test_iterated_schur_fails_on_a_shifted_target_table(monkeypatch, table):
     # one coefficient of h_S (at overlap k // 2) or one pairing beta_j
     # (at j = k // 2 shared indices) off by one: step k misses its targets
     original = getattr(schur, table)
     for n in range(2, 9):
         for k in range(cb.d_max(n) + 1):
-            if table == "monomial_pairing":
-                key = ((1, 1),) * (k // 2)
+            if table == "beta":
+                key = k // 2
             else:
                 key = max(k // 2, 2 * k - n)  # a feasible overlap
             monkeypatch.setattr(schur, table, _shifted(original, k, key))

@@ -108,8 +108,9 @@ def test_fault_injection_needs_both_routes(monkeypatch):
     assert fault.status == "fail" and fault.checked > 0
     assert fault.witness.startswith("injected fault detected as intended at n=5: ")
     # a route that misses the fault is named, and the run does not count
-    # as detected
-    monkeypatch.setattr(sp, "annihilation_check", lambda *args, **kwargs: Report())
+    # as detected: here the pass's annihilation half is blanked
+    dense_pass = sp._dense_pass
+    monkeypatch.setattr(sp, "_dense_pass", lambda *args: (Report(), dense_pass(*args)[1]))
     fault = verify._run_check(
         "spectrum.fault_injection", verify._fault_injection, VerifyContext(8, 8, 42)
     )
@@ -487,11 +488,14 @@ def test_report_frozen_but_for_elapsed_time(inject_fault):
     [
         ("characters", "restricted_char_sum_closed", "restricted_sums_check",
          "characters.restricted_sums"),
+        ("characters", "restricted_char_sum_bruteforce", "restricted_sums_check",
+         "characters.restricted_sums"),
         ("pseudomoments", "E_hS_squared", "harmonic_norms_check",
          "pseudomoments.harmonic_norms"),
         ("apolar", "sigma_sq", "sigma_bridge_check", "apolar.sigma_bridge"),
-        ("apolar", "_pattern_permanent", "ideal_kernel_check", "apolar.ideal_kernel"),
+        ("apolar", "monomial_pairing", "ideal_kernel_check", "apolar.ideal_kernel"),
         ("spectrum", "eta_sq", "eta_routes_check", "spectrum.eta_routes"),
+        ("spectrum", "eta_sq_summation", "eta_routes_check", "spectrum.eta_routes"),
         ("spectrum", "E_xS_hT_closed", "moment_contractions_check",
          "spectrum.moment_contractions"),
         ("pseudomoments", "isotypic_coefficient", "isotypic_projection_check",
